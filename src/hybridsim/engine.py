@@ -4,10 +4,16 @@ Entities are partitioned across logical processes (LPs). Each timestep
 every LP updates its owned entities in ascending id order, then reports
 end-of-step. At the barrier the engine updates the global position
 table, runs any sub-simulator coordination, and routes the step's
-broadcasts: wireless reach is evaluated against the position table and
-every envelope is delivered at the start of the next timestep. One
-timestep of flight latency, per-entity random streams and a canonical
-inbox ordering together make results independent of the LP count.
+broadcasts in one vectorised pass. Positions are binned into torus
+cells wider than the interaction range, so each broadcast is tested
+only against the entities of its sender's cell and the neighbouring
+cells, with the same squared-distance expression as the flat scan in
+territory.broadcast_reach. One lexsort on (owner LP, receiver, message
+id, sender) then orders every copy, and each LP receives its share at
+the start of the next timestep as an EnvelopeBatch: the step's
+broadcast table plus two integer columns. One timestep of flight
+latency, per-entity random streams and this canonical inbox order
+together make results independent of the LP count.
 """
 
 from __future__ import annotations
@@ -21,7 +27,14 @@ import numpy as np
 
 from . import rng
 from .metrics import InvariantMonitor, RunMetrics, StepReport
-from .territory import World, broadcast_reach, entity_to_record, record_to_entity
+from .territory import (
+    World,
+    broadcast_reach,  # noqa: F401  re-exported; the benchmark tracer wraps it
+    broadcast_table,
+    entity_to_record,
+    record_to_entity,
+    table_broadcasts,
+)
 
 
 class EngineError(Exception):
@@ -90,8 +103,24 @@ def partition_entities(entity_ids, num_lps: int, seed: int) -> dict:
     return {lp: sorted(shuffled[lp::num_lps]) for lp in range(num_lps)}
 
 
+def owner_array(assignment: dict, num_entities: int) -> np.ndarray:
+    """Entity id -> owning lp id, from a partition_entities assignment."""
+    owner = np.empty(num_entities, dtype=np.intp)
+    for lp_id, ids in assignment.items():
+        owner[ids] = lp_id
+    return owner
+
+
+def split_by_owner(owner_of, items, key=int) -> dict:
+    """lp_id -> the items whose entity id key(item) it owns, in input order."""
+    by_lp = {}
+    for item in items:
+        by_lp.setdefault(int(owner_of[key(item)]), []).append(item)
+    return by_lp
+
+
 class InterLpEnvelope(NamedTuple):
-    """One routed message copy in flight between steps."""
+    """One routed message copy: a row of an EnvelopeBatch."""
 
     produced_at: int
     dest: int
@@ -101,68 +130,139 @@ class InterLpEnvelope(NamedTuple):
     message: object  # DisseminationMessage
 
 
-def _envelope_order(env: InterLpEnvelope):
-    return (env.message.message_id, env.sender)
+class EnvelopeBatch:
+    """One LP's inbox: the copies of one step's broadcasts it receives.
+
+    ``table`` is the step's broadcast table (territory.BROADCAST_COLUMNS)
+    and ``broadcasts`` the same rows as Broadcast objects. Copy i goes to
+    entity ``dest[i]`` and carries row ``row[i]``; copies are ordered by
+    (dest, message id, sender), the order in which they are consumed.
+    Pickling ships only the table and the two columns; the receiving
+    side rebuilds the Broadcast rows once. Reads as a sequence of
+    InterLpEnvelope rows.
+    """
+
+    __slots__ = ("produced_at", "table", "dest", "row", "broadcasts")
+
+    def __init__(self, produced_at: int, table: np.ndarray,
+                 dest: np.ndarray, row: np.ndarray, broadcasts=None):
+        self.produced_at = produced_at
+        self.table = table
+        self.dest = dest
+        self.row = row
+        self.broadcasts = (table_broadcasts(table) if broadcasts is None
+                           else broadcasts)
+
+    def __reduce__(self):
+        return (EnvelopeBatch, (self.produced_at, self.table, self.dest,
+                                self.row))
+
+    def __len__(self) -> int:
+        return len(self.dest)
+
+    def _envelope(self, dest: int, r: int) -> InterLpEnvelope:
+        b = self.broadcasts[r]
+        return InterLpEnvelope(self.produced_at, dest, b.sender, b.sender_x,
+                               b.sender_y, b.message)
+
+    def __getitem__(self, i: int) -> InterLpEnvelope:
+        return self._envelope(int(self.dest[i]), int(self.row[i]))
+
+    def __iter__(self):
+        for dest, r in zip(self.dest.tolist(), self.row.tolist()):
+            yield self._envelope(dest, r)
+
+    def __delitem__(self, i: int) -> None:
+        self.dest = np.delete(self.dest, i)
+        self.row = np.delete(self.row, i)
 
 
 class LogicalProcess:
-    """Owns a disjoint set of entities and steps them in id order."""
+    """Owns a disjoint set of entities and steps them in id order.
+
+    The id-ordered entity list and id array are rebuilt only when
+    membership changes, so ``entities`` must be changed only through
+    extract and restore.
+    """
 
     def __init__(self, lp_id: int, entities: dict):
         self.lp_id = lp_id
         self.entities = entities  # entity_id -> SimulatedEntity
-        self.inbox: list = []
+        self.inbox: Optional[EnvelopeBatch] = None
+        self._reindex()
+
+    def _reindex(self) -> None:
+        ids = sorted(self.entities)
+        self._order = [self.entities[i] for i in ids]
+        self._ids = np.array(ids, dtype=np.int64)
+
+    def extract(self, entity_ids) -> list:
+        """Serialize and remove the given entities, in the given order."""
+        records = [entity_to_record(self.entities.pop(eid))
+                   for eid in entity_ids]
+        self._reindex()
+        return records
+
+    def restore(self, records, master_seed: int, params) -> None:
+        """Rebuild entities from records and take them back."""
+        for rec in records:
+            e = record_to_entity(rec, master_seed, params)
+            self.entities[e.entity_id] = e
+        self._reindex()
 
     def run_step(self, t: int, model, report: StepReport) -> list:
         """Update every owned entity once; returns this step's broadcasts.
 
-        Per entity: consume pending envelopes in canonical order
-        (message id, then sender id), then move, then maybe generate.
-        A failure in any hook is re-raised with lp, step and entity ids.
+        Per entity: consume its inbox copies in the batch's canonical
+        order (message id, then sender id), then move, then maybe
+        generate. A failure in any hook is re-raised with lp, step and
+        entity ids.
         """
-        inbox = self.inbox
-        self.inbox = []
-        by_dest = {}
-        for env in inbox:
-            if env.produced_at != t - 1:
+        inbox, self.inbox = self.inbox, None
+        spans = [(0, 0)] * len(self._order)
+        if inbox:
+            if inbox.produced_at != t - 1:
                 raise EngineError(
                     f"stale envelope in lp={self.lp_id} inbox at step {t}:"
-                    f" produced_at={env.produced_at}"
+                    f" produced_at={inbox.produced_at}"
                 )
-            by_dest.setdefault(env.dest, []).append(env)
-        if by_dest:
-            unknown = set(by_dest) - set(self.entities)
-            if unknown:
+            # copies are sorted by dest: entity k's are [lo[k], hi[k])
+            lo = np.searchsorted(inbox.dest, self._ids, side="left")
+            hi = np.searchsorted(inbox.dest, self._ids, side="right")
+            if int((hi - lo).sum()) != len(inbox):
+                unknown = set(inbox.dest.tolist()).difference(self.entities)
                 raise EngineError(
                     f"lp={self.lp_id} received envelopes for entities it"
                     f" does not own: {sorted(unknown)}"
                 )
+            spans = zip(lo.tolist(), hi.tolist())
+            rows = inbox.broadcasts
+            picks = inbox.row.tolist()
         outbox = []
-        for eid in sorted(self.entities):
-            e = self.entities[eid]
+        for e, (a, b) in zip(self._order, spans):
             try:
                 model.begin_entity_step(e, t)
-                pending = by_dest.get(eid)
-                if pending:
-                    pending.sort(key=_envelope_order)
-                    for env in pending:
-                        b = model.process_delivery(e, env, t, report)
-                        if b is not None:
-                            outbox.append(b)
+                for k in range(a, b):
+                    relay = model.process_delivery(e, rows[picks[k]], t,
+                                                   report)
+                    if relay is not None:
+                        outbox.append(relay)
                 model.move(e, t)
-                b = model.generate(e, t, report)
-                if b is not None:
-                    outbox.append(b)
+                fresh = model.generate(e, t, report)
+                if fresh is not None:
+                    outbox.append(fresh)
             except Exception as exc:
-                raise StepExecutionError(self.lp_id, t, eid, exc) from exc
+                raise StepExecutionError(self.lp_id, t, e.entity_id,
+                                         exc) from exc
         return outbox
 
     def positions(self):
-        n = len(self.entities)
-        ids = np.fromiter(sorted(self.entities), dtype=np.int64, count=n)
-        xs = np.array([self.entities[i].x for i in ids])
-        ys = np.array([self.entities[i].y for i in ids])
-        return ids, xs, ys
+        order = self._order
+        xs = np.fromiter((e.x for e in order), dtype=np.float64,
+                         count=len(order))
+        ys = np.fromiter((e.y for e in order), dtype=np.float64,
+                         count=len(order))
+        return self._ids, xs, ys
 
 
 class StepBarrier:
@@ -222,34 +322,92 @@ class StepResult(NamedTuple):
     ys: np.ndarray
 
 
+# Routing cells are wider than the interaction range by this relative
+# margin, far above the rounding error of binning a coordinate, so a
+# receiver in range is never binned two cells away from its sender.
+_CELL_MARGIN = 1e-9
+
+
+def grid_cells(side: float, interaction_range: float) -> int:
+    """Routing cells per torus axis: the most that keep each cell wider
+    than the range by _CELL_MARGIN, and at least one."""
+    return max(1, int(side / interaction_range * (1.0 - _CELL_MARGIN)))
+
+
 def route_broadcasts(world: World, broadcasts, interaction_range: float,
                      t: int, frozen, owner_of) -> tuple:
     """Turn this step's broadcasts into next step's per-LP inboxes.
 
     Reach is computed against the global position table (squared
-    toroidal distance, sender excluded). Envelopes addressed to frozen
-    entities are dropped here and counted; everything else is delivered
-    at t + 1. Returns (inboxes by lp, routed count, frozen drop count).
+    toroidal distance, sender excluded), for each broadcast over the
+    entities binned in its sender's cell and the neighbouring cells:
+    offsets -1, 0, +1 per axis, or every cell of an axis with fewer than
+    three. Copies addressed to frozen entities are dropped here and
+    counted; everything else is delivered at t + 1. owner_of maps entity
+    id to lp id. Returns (EnvelopeBatch by lp, routed count, frozen drop
+    count).
     """
-    inboxes = {}
-    routed = 0
+    if not broadcasts:
+        return {}, 0, 0
+    table = broadcast_table(broadcasts)
+    side = world.side
+    n = grid_cells(side, interaction_range)
+    scale = n / side
+
+    def cell_of(x):
+        return np.minimum((x * scale).astype(np.intp), n - 1)
+
+    # entities grouped by cell: members[starts[c]:starts[c] + counts[c]];
+    # the narrowest dtype lets the stable argsort use a radix sort
+    cell = (cell_of(world.pos_x) * n + cell_of(world.pos_y)).astype(
+        np.min_scalar_type(n * n - 1))
+    members = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=n * n)
+    starts = np.cumsum(counts) - counts
+
+    # every broadcast's neighbourhood, then every entity binned in it
+    bx = table["sender_x"]
+    by = table["sender_y"]
+    offsets = np.arange(-1, 2) if n >= 3 else np.arange(n)
+    nx = (cell_of(bx)[:, None] + offsets) % n
+    ny = (cell_of(by)[:, None] + offsets) % n
+    near = (nx[:, :, None] * n + ny[:, None, :]).ravel()
+    span = counts[near]
+    first = np.cumsum(span) - span
+    bidx = np.repeat(np.arange(len(table)), len(offsets) ** 2)
+    bidx = np.repeat(bidx, span)
+    cand = members[np.repeat(starts[near] - first, span)
+                   + np.arange(len(bidx))]
+
+    dx = np.abs(world.pos_x[cand] - bx[bidx])
+    np.minimum(dx, side - dx, out=dx)
+    dy = np.abs(world.pos_y[cand] - by[bidx])
+    np.minimum(dy, side - dy, out=dy)
+    hit = dx * dx + dy * dy <= interaction_range * interaction_range
+    hit &= cand != table["sender"][bidx]
+    dest = cand[hit]
+    row = bidx[hit]
+    routed = len(dest)
+
     frozen_drops = 0
-    for b in broadcasts:
-        receivers = broadcast_reach(world, (b.sender_x, b.sender_y),
-                                    interaction_range, exclude=b.sender)
-        routed += len(receivers)
-        for r in receivers:
-            r = int(r)
-            if r in frozen:
-                frozen_drops += 1
-                continue
-            env = InterLpEnvelope(t, r, b.sender, b.sender_x, b.sender_y,
-                                  b.message)
-            lp = owner_of[r]
-            if lp in inboxes:
-                inboxes[lp].append(env)
-            else:
-                inboxes[lp] = [env]
+    if frozen:
+        is_frozen = np.zeros(world.num_entities, dtype=bool)
+        is_frozen[np.fromiter(frozen, dtype=np.intp, count=len(frozen))] = True
+        live = ~is_frozen[dest]
+        frozen_drops = routed - int(np.count_nonzero(live))
+        dest = dest[live]
+        row = row[live]
+
+    lp = owner_of[dest]
+    order = np.lexsort((table["sender"][row], table["message_id"][row],
+                        dest, lp))
+    # int32 halves what the process backend pickles per copy
+    dest = dest[order].astype(np.int32)
+    row = row[order].astype(np.int32)
+    end = np.cumsum(np.bincount(lp)).tolist()
+    inboxes = {lp_id: EnvelopeBatch(t, table, dest[a:b], row[a:b],
+                                    broadcasts)
+               for lp_id, (a, b) in enumerate(zip([0] + end, end)) if a < b}
     return inboxes, routed, frozen_drops
 
 
@@ -270,8 +428,7 @@ class InProcessBackend:
                                         config.num_lps, config.master_seed)
         self.lps = {lp_id: LogicalProcess(lp_id, self.model.build_entities(ids))
                     for lp_id, ids in assignment.items()}
-        self.owner_of = {eid: lp_id for lp_id, ids in assignment.items()
-                         for eid in ids}
+        self.owner_of = owner_array(assignment, model_spec.num_entities)
         self.barrier = StepBarrier(assignment.keys())
 
     def initial_positions(self):
@@ -281,7 +438,7 @@ class InProcessBackend:
         self.barrier.begin_step(t)
         for lp_id in sorted(self.lps):
             lp = self.lps[lp_id]
-            lp.inbox = inboxes.get(lp_id, [])
+            lp.inbox = inboxes.get(lp_id)
             report = StepReport()
             outbox = lp.run_step(t, self.model, report)
             ids, xs, ys = lp.positions()
@@ -290,17 +447,19 @@ class InProcessBackend:
         return self.barrier.wait_complete(t, self.config.barrier_timeout)
 
     def extract(self, entity_ids) -> list:
-        """Serialize and remove entities from their LPs."""
-        records = []
-        for eid in entity_ids:
-            lp = self.lps[self.owner_of[eid]]
-            records.append(entity_to_record(lp.entities.pop(eid)))
-        return records
+        """Serialize and remove entities from their LPs, in input order."""
+        records = {}
+        for lp_id, eids in split_by_owner(self.owner_of, entity_ids).items():
+            for rec in self.lps[lp_id].extract(eids):
+                records[rec.entity_id] = rec
+        return [records[eid] for eid in entity_ids]
 
     def restore(self, records) -> None:
-        for rec in records:
-            e = record_to_entity(rec, self.config.master_seed, self.params)
-            self.lps[self.owner_of[e.entity_id]].entities[e.entity_id] = e
+        by_lp = split_by_owner(self.owner_of, records,
+                               key=lambda rec: rec.entity_id)
+        for lp_id, recs in by_lp.items():
+            self.lps[lp_id].restore(recs, self.config.master_seed,
+                                    self.params)
 
     def entity_count(self) -> int:
         return sum(len(lp.entities) for lp in self.lps.values())

@@ -138,6 +138,32 @@ class Broadcast(NamedTuple):
     message: DisseminationMessage
 
 
+# One step's broadcasts as columns: (sender, sender_x, sender_y) followed
+# by the DisseminationMessage fields in declaration order.
+BROADCAST_COLUMNS = np.dtype([
+    ("sender", np.int64), ("sender_x", np.float64), ("sender_y", np.float64),
+    ("message_id", np.int64), ("origin_entity", np.int64),
+    ("origin_x", np.float64), ("origin_y", np.float64),
+    ("ttl_remaining", np.int64), ("hop_count", np.int64),
+    ("created_at", np.int64),
+])
+
+
+def broadcast_table(broadcasts) -> np.ndarray:
+    """Broadcasts as one BROADCAST_COLUMNS array, a row per broadcast.
+
+    Every field round-trips exactly, and the table pickles as raw bytes.
+    """
+    return np.array([(s, x, y, *m) for s, x, y, m in broadcasts],
+                    dtype=BROADCAST_COLUMNS)
+
+
+def table_broadcasts(table: np.ndarray) -> list:
+    """Inverse of broadcast_table: one Broadcast per row."""
+    return [Broadcast(s, x, y, DisseminationMessage(*m))
+            for s, x, y, *m in table.tolist()]
+
+
 class LruSet:
     """Fixed-capacity LRU set of message ids (the duplicate cache)."""
 
@@ -397,16 +423,14 @@ def broadcast_reach(world: World, sender_pos, interaction_range: float,
     """Ids of all entities within toroidal range of sender_pos.
 
     Comparison is on squared distance; the sender itself is excluded via
-    the exclude id. Returned ids are ascending.
+    the exclude id. Returned ids are ascending. This flat O(N) scan is
+    the reference the engine's cell-grid router is tested against.
     """
     side = world.side
-    half = side * 0.5
     dx = np.abs(world.pos_x - sender_pos[0])
     np.minimum(dx, side - dx, out=dx)
     dy = np.abs(world.pos_y - sender_pos[1])
     np.minimum(dy, side - dy, out=dy)
-    np.clip(dx, 0.0, half, out=dx)
-    np.clip(dy, 0.0, half, out=dy)
     mask = dx * dx + dy * dy <= interaction_range * interaction_range
     if exclude is not None:
         mask[exclude] = False

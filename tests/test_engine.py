@@ -3,24 +3,27 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from hybridsim.engine import (
     BarrierTimeoutError,
     EngineConfig,
     EngineError,
-    InterLpEnvelope,
     LogicalProcess,
     StepBarrier,
     StepExecutionError,
     partition_entities,
+    route_broadcasts,
     run_simulation,
 )
 from hybridsim.metrics import InvariantMonitor, StepReport
 from hybridsim.territory import (
+    Broadcast,
     DisseminationParams,
     TerritoryModel,
     TerritorySpec,
+    World,
     make_message_id,
     DisseminationMessage,
 )
@@ -106,6 +109,24 @@ class _CountingModel(TerritoryModel):
         return super().process_delivery(entity, envelope, t, report)
 
 
+def _inbox(produced_at, dest, pos, sends, num_entities=4):
+    """lp 0's inbox after routing (sender, message) broadcasts made at pos.
+
+    In the routing world only entity dest stands at pos; every other
+    entity is far out of range, and lp 0 owns them all.
+    """
+    world = World(10_000.0, num_entities)
+    world.pos_x[:] = world.pos_y[:] = 5_000.0
+    world.update([dest], [pos[0]], [pos[1]])
+    broadcasts = [Broadcast(sender, pos[0], pos[1], msg)
+                  for sender, msg in sends]
+    owner_of = np.zeros(num_entities, dtype=np.intp)
+    inboxes, routed, _ = route_broadcasts(world, broadcasts, 250.0,
+                                          produced_at, {}, owner_of)
+    assert routed == len(sends) and list(inboxes) == [0]
+    return inboxes[0]
+
+
 def test_delivery_hook_invoked_exactly_once_per_envelope():
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
     monitor = InvariantMonitor()
@@ -114,7 +135,7 @@ def test_delivery_hook_invoked_exactly_once_per_envelope():
     e2 = lp.entities[2]
     mid = make_message_id(0, 0)
     msg = DisseminationMessage(mid, 0, e2.x, e2.y, 6, 0, 0)
-    lp.inbox = [InterLpEnvelope(0, 2, 0, e2.x, e2.y, msg)]
+    lp.inbox = _inbox(0, 2, (e2.x, e2.y), [(0, msg)])
     lp.run_step(1, model, StepReport())
     assert model.delivery_calls == [(2, 1, mid)]
 
@@ -127,12 +148,9 @@ def test_inbox_canonical_order():
     e2 = lp.entities[2]
     m_late = DisseminationMessage(make_message_id(1, 3), 1, e2.x, e2.y, 6, 0, 3)
     m_early = DisseminationMessage(make_message_id(0, 2), 0, e2.x, e2.y, 6, 0, 2)
-    # delivered out of order; consumption must sort by (message id, sender)
-    lp.inbox = [
-        InterLpEnvelope(3, 2, 3, e2.x, e2.y, m_late),
-        InterLpEnvelope(3, 2, 1, e2.x, e2.y, m_early),
-        InterLpEnvelope(3, 2, 0, e2.x, e2.y, m_late),
-    ]
+    # broadcast out of order; consumption must sort by (message id, sender)
+    lp.inbox = _inbox(3, 2, (e2.x, e2.y),
+                      [(3, m_late), (1, m_early), (0, m_late)])
     lp.run_step(4, model, StepReport())
     assert model.delivery_calls == [
         (2, 4, m_early.message_id),
@@ -146,7 +164,7 @@ def test_stale_envelope_rejected():
     lp, model = _build_lp(spec, seed=1)
     e2 = lp.entities[2]
     msg = DisseminationMessage(make_message_id(0, 0), 0, e2.x, e2.y, 6, 0, 0)
-    lp.inbox = [InterLpEnvelope(0, 2, 0, e2.x, e2.y, msg)]
+    lp.inbox = _inbox(0, 2, (e2.x, e2.y), [(0, msg)])
     with pytest.raises(EngineError, match="stale"):
         lp.run_step(5, model, StepReport())
 
@@ -155,7 +173,7 @@ def test_envelope_for_unowned_entity_rejected():
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
     lp, model = _build_lp(spec, seed=1)
     msg = DisseminationMessage(make_message_id(0, 0), 0, 1.0, 1.0, 6, 0, 0)
-    lp.inbox = [InterLpEnvelope(0, 99, 0, 1.0, 1.0, msg)]
+    lp.inbox = _inbox(0, 99, (1.0, 1.0), [(0, msg)], num_entities=100)
     with pytest.raises(EngineError, match="99"):
         lp.run_step(1, model, StepReport())
 

@@ -1,5 +1,6 @@
 """Process backend: bit-exact parity with in-process, failure handling."""
 
+import multiprocessing
 import threading
 import time
 from dataclasses import dataclass
@@ -111,11 +112,14 @@ def test_initial_positions_match_inprocess():
 
 @dataclass(frozen=True)
 class _StallSpec:
-    """Territory model, except one entity's step hangs for a while."""
+    """Territory model, except one hook hangs for a while in the LP that
+    owns stall_entity: its step (begin_entity_step), its start-up
+    (build_entities) or its final report (collect_cache_stats)."""
 
     num_entities: int = 6
     stall_entity: int = 0
     stall_seconds: float = 2.0
+    stall_in: str = "begin_entity_step"
     params: DisseminationParams = DisseminationParams()
 
     @property
@@ -124,22 +128,35 @@ class _StallSpec:
 
     def build_model(self, master_seed, monitor):
         inner = TerritoryModel(self.params, master_seed, self.side, monitor)
-        return _StallModel(inner, self.stall_entity, self.stall_seconds)
+        return _StallModel(inner, self.stall_entity, self.stall_seconds,
+                           self.stall_in)
 
 
 class _StallModel:
-    def __init__(self, inner, stall_entity, stall_seconds):
+    def __init__(self, inner, stall_entity, stall_seconds, stall_in):
         self._inner = inner
         self._stall = stall_entity
         self._seconds = stall_seconds
+        self._hook = stall_in
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def begin_entity_step(self, e, t):
-        if e.entity_id == self._stall:
+    def _maybe_stall(self, hook, entity_ids):
+        if hook == self._hook and self._stall in entity_ids:
             time.sleep(self._seconds)
+
+    def begin_entity_step(self, e, t):
+        self._maybe_stall("begin_entity_step", (e.entity_id,))
         self._inner.begin_entity_step(e, t)
+
+    def build_entities(self, entity_ids):
+        self._maybe_stall("build_entities", entity_ids)
+        return self._inner.build_entities(entity_ids)
+
+    def collect_cache_stats(self, entities):
+        self._maybe_stall("collect_cache_stats", entities)
+        self._inner.collect_cache_stats(entities)
 
 
 def _stalled_lp(spec, config):
@@ -173,5 +190,31 @@ def test_worker_death_mid_step_is_reported():
         with pytest.raises(EngineError, match=f"lp={lp} died"):
             pb.step(0, {})
         killer.join()
+    finally:
+        pb.close()
+
+
+def test_slow_hello_times_out_and_closes_started_workers():
+    spec = _StallSpec(stall_seconds=2.0, stall_in="build_entities")
+    config = _config(2, steps=3, timeout=0.3)
+    lp = _stalled_lp(spec, config)
+    before = set(multiprocessing.active_children())
+    t0 = time.monotonic()
+    with pytest.raises(EngineError, match=rf"hello from lp\(s\) \[{lp}\]"):
+        ProcessBackend(config, spec)
+    assert time.monotonic() - t0 < 10.0  # the stall, not a 60 s default
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_slow_finish_times_out_naming_the_lp():
+    spec = _StallSpec(stall_seconds=2.0, stall_in="collect_cache_stats")
+    config = _config(2, steps=3, timeout=0.3)
+    lp = _stalled_lp(spec, config)
+    pb = ProcessBackend(config, spec)
+    try:
+        pb.step(0, {})
+        with pytest.raises(EngineError,
+                           match=rf"finish from lp\(s\) \[{lp}\]"):
+            pb.finish()
     finally:
         pb.close()

@@ -1,8 +1,8 @@
 """Partition the same world across several logical processes and show
 that every counter comes out identical to the sequential run.
 
-The multi-process run uses real worker processes and the barrier
-protocol; physics equality is exact, not statistical.
+The multi-process run uses real worker processes, stepped in lockstep
+by the parent; physics equality is exact, not statistical.
 """
 
 import argparse

@@ -29,7 +29,6 @@ from .coordination import (
     UntilArrivedPolicy,
     WrapperFailure,
     WrapperHandle,
-    check_trigger,
     coordinate_step,
     reintegrate,
     spawn_level1,
@@ -40,7 +39,6 @@ from .engine import (
     EngineError,
     InterLpEnvelope,
     LogicalProcess,
-    StepBarrier,
     StepExecutionError,
     partition_entities,
     run_simulation,
@@ -55,7 +53,6 @@ from .territory import (
     EntityRecord,
     LruSet,
     SimulatedEntity,
-    TerritoryModel,
     TerritorySpec,
     World,
     broadcast_reach,

@@ -64,18 +64,11 @@ class WrapperFailure(EngineError):
 class TimestepAlignment:
     """How fine steps nest inside one coarse step."""
 
-    coarse_dt: float = 1.0
     fine_substeps: int = 3
 
     def __post_init__(self):
-        if self.coarse_dt <= 0:
-            raise ValueError("coarse_dt must be positive")
         if self.fine_substeps < 1:
             raise ValueError("fine_substeps must be >= 1")
-
-    @property
-    def fine_dt(self) -> float:
-        return self.coarse_dt / self.fine_substeps
 
 
 class TriggerEvent(NamedTuple):
@@ -164,13 +157,6 @@ class DensityTrigger:
                 return [TriggerEvent("density", region,
                                      tuple(int(m) for m in members))]
         return []
-
-
-def check_trigger(world, t: int, policy, frozen=frozenset()) -> list:
-    """Evaluate a trigger policy; returns the firings for this step."""
-    if policy is None:
-        return []
-    return policy.check(world, t, frozen)
 
 
 @dataclass(frozen=True)
@@ -325,8 +311,7 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
         _parse_endpoint(endpoint)  # refuse malformed config before freezing
 
     records = backend.extract(ids)
-    sock = None
-    channel = None
+    handle = None
     try:
         sock, channel = _connect(endpoint, spec.io_timeout)
         handle = WrapperHandle(wrapper_id, t, records, channel, sock)
@@ -342,13 +327,8 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
         if rstep != t:
             raise ProtocolError(f"READY for step {rstep}, expected {t}")
     except (OSError, ProtocolError) as exc:
-        if channel is not None:
-            channel.close()
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+        if handle is not None:
+            handle.close()
         backend.restore(records)
         where = endpoint or "local wrapper"
         raise WrapperFailure(
@@ -503,9 +483,9 @@ class HybridCoordinator:
                 _terminate(backend, handle, frozen, metrics, str(exc))
                 del self.active[wid]
 
-        if force_end:
+        if force_end or self.spec.trigger is None:
             return
-        for event in check_trigger(world, t, self.spec.trigger, frozen):
+        for event in self.spec.trigger.check(world, t, frozen):
             wid = self._next_id
             self._next_id += 1
             try:
@@ -529,3 +509,8 @@ class HybridCoordinator:
             raise EngineError(
                 f"wrappers still active at end of run:"
                 f" {sorted(self.active)}")
+
+    def close(self) -> None:
+        """Close every active session, so an aborted run leaks none."""
+        for handle in self.active.values():
+            handle.close()

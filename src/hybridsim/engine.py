@@ -1,14 +1,15 @@
-"""Time-stepped engine: logical processes, end-of-step barrier, routing.
+"""Time-stepped engine: logical processes, step loop, routing.
 
-Entities are partitioned across logical processes (LPs). Each timestep
-every LP updates its owned entities in ascending id order, then reports
-end-of-step. At the barrier the engine updates the global position
-table, runs any sub-simulator coordination, and routes the step's
-broadcasts in one vectorised pass. Positions are binned into torus
-cells wider than the interaction range, so each broadcast is tested
-only against the entities of its sender's cell and the neighbouring
-cells, with the same squared-distance expression as the flat scan in
-territory.broadcast_reach. One lexsort on (owner LP, receiver, message
+Entities are partitioned across logical processes (LPs). A
+LogicalProcess builds its entities, updates them once per timestep in
+ascending id order, and reports the step's broadcasts, counters and
+positions; both backends drive it. Once every LP has reported step t,
+the engine updates the global position table, runs any sub-simulator
+coordination, and routes the step's broadcasts in one vectorised pass.
+Positions are binned into torus cells wider than the interaction range,
+so each broadcast is tested only against the entities of its sender's
+cell and the neighbouring cells, with the same squared-distance
+expression as the flat scan in territory.broadcast_reach. One lexsort on (owner LP, receiver, message
 id, sender) then orders every copy, and each LP receives its share at
 the start of the next timestep as an EnvelopeBatch: the step's
 broadcast table plus two integer columns. One timestep of flight
@@ -18,16 +19,16 @@ together make results independent of the LP count.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import rng
+from . import rng, territory
 from .metrics import InvariantMonitor, RunMetrics, StepReport
 from .territory import (
+    Broadcast,
     World,
     broadcast_reach,  # noqa: F401  re-exported; the benchmark tracer wraps it
     broadcast_table,
@@ -55,7 +56,7 @@ class StepExecutionError(EngineError):
 
 
 class BarrierTimeoutError(EngineError):
-    """The end-of-step barrier did not complete in time."""
+    """Some LP did not report the end of a step in time."""
 
     def __init__(self, step: int, silent_lp_ids):
         self.step = step
@@ -71,7 +72,6 @@ class EngineConfig:
     num_lps: int = 1
     total_timesteps: int = 900
     master_seed: int = 1
-    timestep_duration: float = 1.0
     barrier_timeout: float = 60.0
 
     def __post_init__(self):
@@ -79,8 +79,6 @@ class EngineConfig:
             raise ValueError("num_lps must be >= 1")
         if self.total_timesteps < 1:
             raise ValueError("total_timesteps must be >= 1")
-        if self.timestep_duration <= 0:
-            raise ValueError("timestep_duration must be positive")
 
 
 def partition_entities(entity_ids, num_lps: int, seed: int) -> dict:
@@ -177,18 +175,35 @@ class EnvelopeBatch:
         self.row = np.delete(self.row, i)
 
 
+class StepResult(NamedTuple):
+    """What one LP reports for one step."""
+
+    report: StepReport
+    outbox: list
+    ids: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+
+
 class LogicalProcess:
-    """Owns a disjoint set of entities and steps them in id order.
+    """Builds, steps and reports a disjoint set of entities, in id order.
 
     The id-ordered entity list and id array are rebuilt only when
     membership changes, so ``entities`` must be changed only through
-    extract and restore.
+    extract and restore. Per-entity calls are looked up in the territory
+    module each time, so a function swapped in there is the one used.
     """
 
-    def __init__(self, lp_id: int, entities: dict):
+    def __init__(self, lp_id: int, entity_ids, spec, master_seed: int):
         self.lp_id = lp_id
-        self.entities = entities  # entity_id -> SimulatedEntity
-        self.inbox: Optional[EnvelopeBatch] = None
+        self.params = spec.params
+        self.side = spec.side
+        self.master_seed = master_seed
+        self.monitor = InvariantMonitor()
+        self.entities = {  # entity_id -> SimulatedEntity
+            eid: territory.build_entity(eid, master_seed, self.side,
+                                        self.params)
+            for eid in entity_ids}
         self._reindex()
 
     def _reindex(self) -> None:
@@ -203,22 +218,22 @@ class LogicalProcess:
         self._reindex()
         return records
 
-    def restore(self, records, master_seed: int, params) -> None:
+    def restore(self, records) -> None:
         """Rebuild entities from records and take them back."""
         for rec in records:
-            e = record_to_entity(rec, master_seed, params)
+            e = record_to_entity(rec, self.master_seed, self.params)
             self.entities[e.entity_id] = e
         self._reindex()
 
-    def run_step(self, t: int, model, report: StepReport) -> list:
+    def run_step(self, t: int, inbox: Optional[EnvelopeBatch],
+                 report: StepReport) -> list:
         """Update every owned entity once; returns this step's broadcasts.
 
-        Per entity: consume its inbox copies in the batch's canonical
-        order (message id, then sender id), then move, then maybe
-        generate. A failure in any hook is re-raised with lp, step and
-        entity ids.
+        Per entity: reset its relay budget, decide on its inbox copies in
+        the batch's canonical order (message id, then sender id), then
+        move if mobile, then maybe generate. A failure in any of these is
+        re-raised with lp, step and entity ids.
         """
-        inbox, self.inbox = self.inbox, None
         spans = [(0, 0)] * len(self._order)
         if inbox:
             if inbox.produced_at != t - 1:
@@ -238,19 +253,26 @@ class LogicalProcess:
             spans = zip(lo.tolist(), hi.tolist())
             rows = inbox.broadcasts
             picks = inbox.row.tolist()
+        params = self.params
+        side = self.side
+        monitor = self.monitor
         outbox = []
         for e, (a, b) in zip(self._order, spans):
             try:
-                model.begin_entity_step(e, t)
+                e.relay_budget = params.max_relays_per_step
                 for k in range(a, b):
-                    relay = model.process_delivery(e, rows[picks[k]], t,
-                                                   report)
-                    if relay is not None:
-                        outbox.append(relay)
-                model.move(e, t)
-                fresh = model.generate(e, t, report)
-                if fresh is not None:
-                    outbox.append(fresh)
+                    copy = rows[picks[k]]
+                    m = territory.decide_relay(e, copy.message, copy.sender_x,
+                                               copy.sender_y, params, side,
+                                               report, monitor)
+                    if m is not None:
+                        outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
+                if e.mobile:
+                    territory.rwp_step(e, side)
+                m = territory.generate_message(e, t, params)
+                if m is not None:
+                    report.generated += 1
+                    outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
             except Exception as exc:
                 raise StepExecutionError(self.lp_id, t, e.entity_id,
                                          exc) from exc
@@ -264,62 +286,17 @@ class LogicalProcess:
                          count=len(order))
         return self._ids, xs, ys
 
+    def step(self, t: int, inbox: Optional[EnvelopeBatch]) -> StepResult:
+        """Run step t on inbox and report broadcasts, counts, positions."""
+        report = StepReport()
+        outbox = self.run_step(t, inbox, report)
+        return StepResult(report, outbox, *self.positions())
 
-class StepBarrier:
-    """End-of-step bookkeeping: which LPs have reported for step t.
-
-    wait_complete raises a timeout error naming the silent LPs. With a
-    single LP the barrier completes immediately on its arrival. Arrival
-    wall-clock times are kept for scheduling audits.
-    """
-
-    def __init__(self, lp_ids):
-        self.lp_ids = frozenset(lp_ids)
-        self._cond = threading.Condition()
-        self._arrived = {}
-        self._step = None
-        self.trace = []  # (step, lp_id, perf_counter arrival)
-
-    def begin_step(self, t: int) -> None:
-        with self._cond:
-            self._step = t
-            self._arrived = {}
-
-    def arrive(self, lp_id: int, t: int, payload=None) -> None:
-        with self._cond:
-            if t != self._step:
-                raise EngineError(
-                    f"lp={lp_id} reported end of step {t} during step"
-                    f" {self._step}"
-                )
-            if lp_id not in self.lp_ids:
-                raise EngineError(f"unknown lp_id {lp_id} at barrier")
-            self._arrived[lp_id] = payload
-            self.trace.append((t, lp_id, time.perf_counter()))
-            self._cond.notify_all()
-
-    def wait_complete(self, t: int, timeout: float) -> dict:
-        """Block until every LP has arrived for step t; return payloads."""
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while set(self._arrived) != self.lp_ids:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    silent = sorted(self.lp_ids - set(self._arrived))
-                    raise BarrierTimeoutError(t, silent)
-                self._cond.wait(remaining)
-            return dict(self._arrived)
-
-
-class StepResult(NamedTuple):
-    """What one LP hands to the barrier for one step."""
-
-    lp_id: int
-    report: StepReport
-    outbox: list
-    ids: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
+    def finish(self) -> InvariantMonitor:
+        """The run's invariant extrema, with every cache's high water."""
+        for e in self.entities.values():
+            self.monitor.note_cache(e.cache.high_water)
+        return self.monitor
 
 
 # Routing cells are wider than the interaction range by this relative
@@ -415,36 +392,25 @@ class InProcessBackend:
     """All LPs stepped round-robin on one thread.
 
     With num_lps == 1 this is the plain sequential simulator; with more
-    it keeps exactly the same barrier semantics as the process backend,
-    which is what makes the two comparable event for event.
+    it steps the same LogicalProcess objects over the same partition as
+    the process backend, which is what makes the two comparable event
+    for event.
     """
 
     def __init__(self, config: EngineConfig, model_spec):
-        self.config = config
-        self.params = model_spec.params
-        self.monitor = InvariantMonitor()
-        self.model = model_spec.build_model(config.master_seed, self.monitor)
         assignment = partition_entities(range(model_spec.num_entities),
                                         config.num_lps, config.master_seed)
-        self.lps = {lp_id: LogicalProcess(lp_id, self.model.build_entities(ids))
+        self.lps = {lp_id: LogicalProcess(lp_id, ids, model_spec,
+                                          config.master_seed)
                     for lp_id, ids in assignment.items()}
         self.owner_of = owner_array(assignment, model_spec.num_entities)
-        self.barrier = StepBarrier(assignment.keys())
 
     def initial_positions(self):
         return [lp.positions() for lp in self.lps.values()]
 
     def step(self, t: int, inboxes: dict) -> dict:
-        self.barrier.begin_step(t)
-        for lp_id in sorted(self.lps):
-            lp = self.lps[lp_id]
-            lp.inbox = inboxes.get(lp_id)
-            report = StepReport()
-            outbox = lp.run_step(t, self.model, report)
-            ids, xs, ys = lp.positions()
-            self.barrier.arrive(lp_id, t,
-                                StepResult(lp_id, report, outbox, ids, xs, ys))
-        return self.barrier.wait_complete(t, self.config.barrier_timeout)
+        return {lp_id: self.lps[lp_id].step(t, inboxes.get(lp_id))
+                for lp_id in sorted(self.lps)}
 
     def extract(self, entity_ids) -> list:
         """Serialize and remove entities from their LPs, in input order."""
@@ -458,24 +424,24 @@ class InProcessBackend:
         by_lp = split_by_owner(self.owner_of, records,
                                key=lambda rec: rec.entity_id)
         for lp_id, recs in by_lp.items():
-            self.lps[lp_id].restore(recs, self.config.master_seed,
-                                    self.params)
+            self.lps[lp_id].restore(recs)
 
     def entity_count(self) -> int:
         return sum(len(lp.entities) for lp in self.lps.values())
 
     def finish(self) -> InvariantMonitor:
-        for lp in self.lps.values():
-            self.model.collect_cache_stats(lp.entities)
-        return self.monitor
+        merged = InvariantMonitor()
+        for lp_id in sorted(self.lps):
+            merged.merge(self.lps[lp_id].finish())
+        return merged
 
     def close(self) -> None:
         pass
 
 
 def run_simulation(config: EngineConfig, model_spec, hybrid=None,
-                   mode: str = "auto", config_echo: Optional[dict] = None,
-                   trace_barriers: bool = False) -> RunMetrics:
+                   mode: str = "auto",
+                   config_echo: Optional[dict] = None) -> RunMetrics:
     """Run a complete simulation and return its metrics.
 
     mode selects the execution backend: "inprocess" steps every LP on
@@ -488,8 +454,6 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
         mode = "process" if config.num_lps > 1 else "inprocess"
-    if config.num_lps > model_spec.num_entities:
-        raise ValueError("num_lps exceeds entity count")
 
     start = time.perf_counter()
     if mode == "process":
@@ -568,9 +532,9 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
                 for h in coordinator.history
             ]
         metrics.monitor = backend.finish()
-        if trace_barriers:
-            metrics.barrier_trace = list(backend.barrier.trace)
     finally:
+        if coordinator is not None:
+            coordinator.close()
         backend.close()
 
     metrics.wall_clock_seconds = time.perf_counter() - start

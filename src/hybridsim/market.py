@@ -231,7 +231,6 @@ class MarketRun:
         self.fine_clock = 0
         self.messages = 0
         self.route_discoveries = 0
-        self.failed_discoveries = 0
 
     def _inject(self) -> None:
         extent = self.scene.extent
@@ -253,7 +252,6 @@ class MarketRun:
         self.route_discoveries += 1
         self.messages += outcome.request_transmissions
         if outcome.hops is None:
-            self.failed_discoveries += 1
             ped.retries += 1
             ped.retry_wait = min(2 ** (ped.retries - 1), _RETRY_CAP_FINE_STEPS)
             return
@@ -333,23 +331,3 @@ class MarketRun:
         return sum(self.draws[rec.entity_id].cursor - rec.cursor
                    for rec in self.records if rec.entity_id in self.draws)
 
-
-def run_market(scene: MarketScene, n_customers: int,
-               substeps_per_coarse: int, coarse_steps: int,
-               master_seed: int = 0, records=None) -> tuple:
-    """Scripted market session: returns (status bodies, final records, run).
-
-    Synthesizes minimal entity records (ids 0..n-1, fresh streams) when
-    none are given; advances substeps_per_coarse fine steps per coarse
-    step and collects one STATUS body after each.
-    """
-    from .territory import EntityRecord
-    if records is None:
-        records = [EntityRecord(i, "mobile", 0.0, 0.0, None, 0.0, (), 0)
-                   for i in range(n_customers)]
-    run = MarketRun(scene, records, n_customers, master_seed)
-    bodies = []
-    for _ in range(coarse_steps):
-        run.advance(substeps_per_coarse)
-        bodies.append(run.status())
-    return bodies, run.result_records(), run

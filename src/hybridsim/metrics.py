@@ -139,7 +139,6 @@ class RunMetrics:
     level1: Level1Totals = field(default_factory=Level1Totals)
     wall_clock_seconds: float = 0.0
     config_echo: dict = field(default_factory=dict)
-    barrier_trace: list = field(default_factory=list)
     wrapper_transcripts: list = field(default_factory=list)
 
     def check_accounting(self) -> None:

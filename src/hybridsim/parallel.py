@@ -1,10 +1,11 @@
 """Process-parallel backend: one OS process per logical process.
 
-The parent owns the barrier, routing and coordination; workers own
-entity state and step it on command. Command/response traffic runs
-over pipes. Counters are bit-identical to the in-process backend
-because partitioning, per-entity streams and the canonical inbox
-order are all independent of where an entity happens to live.
+The parent keeps the step loop, routing and coordination; each worker
+holds one LogicalProcess and answers the parent's commands with it
+(step, extract, restore, finish) over a pipe. Counters are
+bit-identical to the in-process backend because partitioning,
+per-entity streams and the canonical inbox order are all independent
+of where an entity happens to live.
 """
 
 from __future__ import annotations
@@ -17,51 +18,48 @@ from .engine import (
     BarrierTimeoutError,
     EngineError,
     LogicalProcess,
-    StepBarrier,
     StepExecutionError,
-    StepResult,
     owner_array,
     partition_entities,
     split_by_owner,
 )
-from .metrics import InvariantMonitor, StepReport
+from .metrics import InvariantMonitor
 
 
 def _worker(lp_id: int, conn, config, model_spec, entity_ids) -> None:
     """Serve one LP: every reply is (op, payload), or ("error", ...)."""
-    monitor = InvariantMonitor()
-    model = model_spec.build_model(config.master_seed, monitor)
-    lp = LogicalProcess(lp_id, model.build_entities(entity_ids))
+    lp = LogicalProcess(lp_id, entity_ids, model_spec, config.master_seed)
     conn.send(("hello", lp.positions()))
-    while True:
-        op, *args = conn.recv()
-        if op == "step":
-            t, lp.inbox = args
-            report = StepReport()
-            try:
-                outbox = lp.run_step(t, model, report)
-            except StepExecutionError as exc:
-                conn.send(("error", lp_id, t, exc.entity_id, str(exc)))
-                continue
-            except EngineError as exc:
-                conn.send(("error", lp_id, t, None, str(exc)))
-                continue
-            ids, xs, ys = lp.positions()
-            conn.send(("step",
-                       StepResult(lp_id, report, outbox, ids, xs, ys)))
-        elif op == "extract":
-            conn.send(("extract", lp.extract(args[0])))
-        elif op == "restore":
-            lp.restore(args[0], config.master_seed, model_spec.params)
-            conn.send(("restore", len(args[0])))
-        elif op == "finish":
-            model.collect_cache_stats(lp.entities)
-            conn.send(("finish", monitor))
-        elif op == "close":
-            conn.close()
-            return
-        else:
-            raise EngineError(f"worker {lp_id}: unknown command {op!r}")
+    while _serve(lp, conn):
+        pass
+    conn.close()
+
+
+def _serve(lp: LogicalProcess, conn) -> bool:
+    """Answer one command; False on close. Its locals die on return, so
+    no step's inbox or result is held while the next one is received."""
+    op, *args = conn.recv()
+    if op == "step":
+        t, inbox = args
+        try:
+            reply = ("step", lp.step(t, inbox))
+        except StepExecutionError as exc:  # the parent re-adds lp, step, id
+            reply = ("error", lp.lp_id, t, exc.entity_id, str(exc.__cause__))
+        except EngineError as exc:
+            reply = ("error", lp.lp_id, t, None, str(exc))
+    elif op == "extract":
+        reply = ("extract", lp.extract(args[0]))
+    elif op == "restore":
+        lp.restore(args[0])
+        reply = ("restore", len(args[0]))
+    elif op == "finish":
+        reply = ("finish", lp.finish())
+    elif op == "close":
+        return False
+    else:
+        raise EngineError(f"worker {lp.lp_id}: unknown command {op!r}")
+    conn.send(reply)
+    return True
 
 
 class ProcessBackend:
@@ -82,7 +80,6 @@ class ProcessBackend:
         assignment = partition_entities(range(model_spec.num_entities),
                                         config.num_lps, config.master_seed)
         self.owner_of = owner_array(assignment, model_spec.num_entities)
-        self.barrier = StepBarrier(assignment.keys())
         self._counts = {lp_id: len(ids) for lp_id, ids in assignment.items()}
         self._conns = {}
         self._procs = {}
@@ -144,7 +141,6 @@ class ProcessBackend:
         return list(self._hello)
 
     def step(self, t: int, inboxes: dict) -> dict:
-        self.barrier.begin_step(t)
         for lp_id, conn in self._conns.items():
             conn.send(("step", t, inboxes.get(lp_id)))
         results = {}
@@ -158,9 +154,7 @@ class ProcessBackend:
             if msg[0] != "step":
                 raise EngineError(
                     f"worker {lp_id} sent {msg[0]!r} during step")
-            res = msg[1]
-            self.barrier.arrive(lp_id, t, res)
-            results[lp_id] = res
+            results[lp_id] = msg[1]
         return results
 
     def extract(self, entity_ids) -> list:
@@ -195,16 +189,21 @@ class ProcessBackend:
         return merged
 
     def close(self) -> None:
-        for lp_id, conn in self._conns.items():
+        """Stop every worker, terminating any still alive after one
+        deadline that all of them share."""
+        for conn in self._conns.values():
             try:
                 conn.send(("close",))
-            except (OSError, BrokenPipeError):
+            except OSError:
                 pass
-        for lp_id, proc in self._procs.items():
+        deadline = time.monotonic() + 5.0
+        for proc in self._procs.values():
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        stuck = [proc for proc in self._procs.values() if proc.is_alive()]
+        for proc in stuck:
+            proc.terminate()
+        for proc in stuck:
             proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
         for conn in self._conns.values():
             try:
                 conn.close()

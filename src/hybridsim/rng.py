@@ -78,11 +78,6 @@ def entity_stream(master_seed: int, entity_id: int, cursor: int = 0) -> Stream:
     return Stream(master_seed, entity_id, cursor)
 
 
-def named_stream(master_seed: int, tag: str) -> Stream:
-    """Engine-internal stream identified by a string tag."""
-    return Stream(master_seed, _NAMED_BIT | zlib.crc32(tag.encode("utf-8")))
-
-
 def named_generator(master_seed: int, tag: str) -> np.random.Generator:
     """Raw numpy generator for engine-internal bulk use (e.g. permutation)."""
     sid = _NAMED_BIT | zlib.crc32(tag.encode("utf-8"))

@@ -20,6 +20,8 @@ Within one timestep an entity first decides on all deliveries from the
 previous step (at its current position), then moves, then possibly
 generates a fresh message at its new position. Relay decisions therefore
 use exactly the geometry the router used when it addressed the envelope.
+The engine's LogicalProcess makes these per-entity calls (build_entity,
+decide_relay, rwp_step, generate_message) in that order.
 """
 
 from __future__ import annotations
@@ -437,52 +439,11 @@ def broadcast_reach(world: World, sender_pos, interaction_range: float,
     return np.nonzero(mask)[0]
 
 
-class TerritoryModel:
-    """Hook implementation driven by the engine for each owned entity."""
-
-    def __init__(self, params: DisseminationParams, master_seed: int,
-                 side: float, monitor: InvariantMonitor):
-        self.params = params
-        self.master_seed = master_seed
-        self.side = side
-        self.monitor = monitor
-
-    def build_entities(self, entity_ids) -> dict:
-        return {eid: build_entity(eid, self.master_seed, self.side, self.params)
-                for eid in entity_ids}
-
-    def begin_entity_step(self, entity: SimulatedEntity, t: int) -> None:
-        entity.relay_budget = self.params.max_relays_per_step
-
-    def process_delivery(self, entity: SimulatedEntity, envelope, t: int,
-                         report: StepReport) -> Optional[Broadcast]:
-        m = decide_relay(entity, envelope.message,
-                         envelope.sender_x, envelope.sender_y,
-                         self.params, self.side, report, self.monitor)
-        if m is None:
-            return None
-        return Broadcast(entity.entity_id, entity.x, entity.y, m)
-
-    def move(self, entity: SimulatedEntity, t: int) -> None:
-        if entity.mobile:
-            rwp_step(entity, self.side)
-
-    def generate(self, entity: SimulatedEntity, t: int,
-                 report: StepReport) -> Optional[Broadcast]:
-        m = generate_message(entity, t, self.params)
-        if m is None:
-            return None
-        report.generated += 1
-        return Broadcast(entity.entity_id, entity.x, entity.y, m)
-
-    def collect_cache_stats(self, entities) -> None:
-        for e in entities.values():
-            self.monitor.note_cache(e.cache.high_water)
-
-
 @dataclass(frozen=True)
 class TerritorySpec:
-    """Picklable recipe for building the model inside any process."""
+    """Picklable description of a territory: entity count and gossip
+    parameters. A LogicalProcess builds its entities from it in any
+    process."""
 
     num_entities: int
     params: DisseminationParams = DisseminationParams()
@@ -490,7 +451,3 @@ class TerritorySpec:
     @property
     def side(self) -> float:
         return world_side(self.num_entities)
-
-    def build_model(self, master_seed: int,
-                    monitor: InvariantMonitor) -> TerritoryModel:
-        return TerritoryModel(self.params, master_seed, self.side, monitor)

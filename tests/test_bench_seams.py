@@ -1,0 +1,41 @@
+"""The benchmark's probes still find and count what they wrap.
+
+perfbench/ times the library from outside by swapping wrappers in for
+library functions and methods, looked up by name. A rename, or a call
+that stops going through the patched attribute, would leave a probe
+counting nothing without failing anything; this test fails instead.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from hybridsim.engine import EngineConfig, run_simulation
+from hybridsim.territory import TerritorySpec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return (importlib.import_module("layertrace"),
+            importlib.import_module("probes"))
+
+
+def test_probes_resolve_and_count_a_run(bench, tmp_path):
+    layertrace, probes = bench
+    tracer = layertrace.Tracer(str(tmp_path), cost=layertrace.NO_COST)
+    for owner, name, _ in tracer.probes() + probes.RunClock().probes():
+        assert hasattr(owner, name), f"{owner.__name__}.{name} is gone"
+
+    cfg = EngineConfig(num_lps=1, total_timesteps=20, master_seed=11)
+    with probes.patched(tracer.probes()):
+        m = run_simulation(cfg, TerritorySpec(200), mode="inprocess")
+    metrics, _ = layertrace.summarize(tracer.states, m.totals,
+                                      m.wall_clock_seconds)
+    for key in ("territory.decide_relay.calls", "territory.rwp_step.calls",
+                "territory.generate.calls", "engine.run_step.s"):
+        assert metrics[key] > 0, key
+    assert metrics["territory.generate.calls"] == 200 * 20

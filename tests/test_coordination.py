@@ -22,13 +22,14 @@ from hybridsim.coordination import (
     UntilArrivedPolicy,
     WrapperFailure,
     WrapperHandle,
-    check_trigger,
     coordinate_step,
     reintegrate,
     resolve_endpoint,
     spawn_level1,
 )
-from hybridsim.engine import EngineConfig, EngineError, InProcessBackend
+from hybridsim import coordination, market
+from hybridsim.engine import (EngineConfig, EngineError, InProcessBackend,
+                              run_simulation)
 from hybridsim.metrics import RunMetrics
 from hybridsim.protocol import ProtocolError, entity_fields, format_value
 from hybridsim.rng import derive_seed
@@ -185,19 +186,21 @@ def test_scripted_validation():
         ScriptedTrigger(transfer_count=0)
 
 
-def test_check_trigger_none_is_quiet():
-    w = _world_at(100.0, [0.0], [0.0])
-    assert check_trigger(w, 0, None) == []
+def test_no_trigger_is_quiet():
+    config, spec, backend, world = _bench()
+    coord = HybridCoordinator(HybridSpec(trigger=None), config, spec)
+    frozen = {}
+    metrics = RunMetrics()
+    coord.at_barrier(0, world, backend, frozen, metrics)
+    assert coord.active == {} and coord.history == [] and frozen == {}
+    assert metrics.level1.spawns == 0 and metrics.level1.failures == 0
 
 
 # --- alignment and policies ----------------------------------------------
 
 
 def test_alignment_fine_dt():
-    a = TimestepAlignment(coarse_dt=1.0, fine_substeps=4)
-    assert a.fine_dt == 0.25
-    with pytest.raises(ValueError):
-        TimestepAlignment(coarse_dt=0.0)
+    assert TimestepAlignment(fine_substeps=4).fine_substeps == 4
     with pytest.raises(ValueError):
         TimestepAlignment(fine_substeps=0)
 
@@ -655,3 +658,35 @@ def test_concurrent_sessions_commute():
                 metrics.level1.emissions_g)
 
     assert run((0, 1)) == run((1, 0))
+
+
+def test_aborted_run_closes_every_active_wrapper(monkeypatch):
+    # two wrappers spawned at once; wrapper 0 (entities 0 and 1) claims
+    # one draw more in RESULT than its cursors show, which aborts the
+    # run while wrapper 1 is still waiting for its answer
+    total_draws = market.MarketRun.total_draws
+
+    def miscounted(run):
+        lies = any(rec.entity_id == 0 for rec in run.records)
+        return total_draws(run) + (1 if lies else 0)
+
+    monkeypatch.setattr(market.MarketRun, "total_draws", miscounted)
+    handles = []
+    spawn = coordination.spawn_level1
+
+    def recording(*args):
+        handles.append(spawn(*args))
+        return handles[-1]
+
+    monkeypatch.setattr(coordination, "spawn_level1", recording)
+    hybrid = HybridSpec(trigger=ScriptedTrigger(spawn_at=(2, 2),
+                                                transfer_count=2),
+                        policy=FixedDurationPolicy(1))
+    with pytest.raises(ConservationError, match="wrapper 0 draw accounting"):
+        run_simulation(EngineConfig(num_lps=1, total_timesteps=6,
+                                    master_seed=7),
+                       TerritorySpec(num_entities=12), hybrid=hybrid)
+    assert [h.entity_ids for h in handles] == [(0, 1), (2, 3)]
+    for h in handles:
+        with pytest.raises(ProtocolError, match="send failed"):
+            h.channel.send("CONTINUE", 3)

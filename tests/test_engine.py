@@ -1,27 +1,22 @@
-"""Engine: partitioning, stepping, barrier, routing, LP-count equivalence."""
-
-import threading
-import time
+"""Engine: partitioning, stepping, routing, LP-count equivalence."""
 
 import numpy as np
 import pytest
 
+from hybridsim import territory
 from hybridsim.engine import (
-    BarrierTimeoutError,
     EngineConfig,
     EngineError,
     LogicalProcess,
-    StepBarrier,
     StepExecutionError,
     partition_entities,
     route_broadcasts,
     run_simulation,
 )
-from hybridsim.metrics import InvariantMonitor, StepReport
+from hybridsim.metrics import StepReport
 from hybridsim.territory import (
     Broadcast,
     DisseminationParams,
-    TerritoryModel,
     TerritorySpec,
     World,
     make_message_id,
@@ -69,22 +64,17 @@ def test_engine_config_validation():
         EngineConfig(num_lps=0)
     with pytest.raises(ValueError):
         EngineConfig(total_timesteps=0)
-    with pytest.raises(ValueError):
-        EngineConfig(timestep_duration=0.0)
 
 
 def _build_lp(spec, seed, lp_id=0):
-    monitor = InvariantMonitor()
-    model = spec.build_model(seed, monitor)
-    lp = LogicalProcess(lp_id, model.build_entities(range(spec.num_entities)))
-    return lp, model
+    return LogicalProcess(lp_id, range(spec.num_entities), spec, seed)
 
 
 def test_run_step_null():
     spec = TerritorySpec(10, DisseminationParams(generation_probability=0.0))
-    lp, model = _build_lp(spec, seed=1)
+    lp = _build_lp(spec, seed=1)
     report = StepReport()
-    outbox = lp.run_step(0, model, report)
+    outbox = lp.run_step(0, None, report)
     assert outbox == []
     assert report == StepReport()
 
@@ -98,15 +88,25 @@ def test_per_step_generation_rate():
     assert abs(mean - 1.0) < 0.11  # ~3 sigma for 900k Bernoulli(0.001)
 
 
-class _CountingModel(TerritoryModel):
-    def __init__(self, *a, **k):
-        super().__init__(*a, **k)
-        self.delivery_calls = []
+@pytest.fixture
+def delivery_calls(monkeypatch):
+    """(entity id, step, message id) of every relay decision, in order."""
+    calls = []
+    step = []
+    run_step = LogicalProcess.run_step
+    decide_relay = territory.decide_relay
 
-    def process_delivery(self, entity, envelope, t, report):
-        self.delivery_calls.append((entity.entity_id, t,
-                                    envelope.message.message_id))
-        return super().process_delivery(entity, envelope, t, report)
+    def stepping(lp, t, inbox, report):
+        step[:] = [t]
+        return run_step(lp, t, inbox, report)
+
+    def counting(entity, msg, *rest):
+        calls.append((entity.entity_id, step[0], msg.message_id))
+        return decide_relay(entity, msg, *rest)
+
+    monkeypatch.setattr(LogicalProcess, "run_step", stepping)
+    monkeypatch.setattr(territory, "decide_relay", counting)
+    return calls
 
 
 def _inbox(produced_at, dest, pos, sends, num_entities=4):
@@ -127,32 +127,27 @@ def _inbox(produced_at, dest, pos, sends, num_entities=4):
     return inboxes[0]
 
 
-def test_delivery_hook_invoked_exactly_once_per_envelope():
+def test_delivery_hook_invoked_exactly_once_per_envelope(delivery_calls):
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
-    monitor = InvariantMonitor()
-    model = _CountingModel(spec.params, 1, spec.side, monitor)
-    lp = LogicalProcess(0, model.build_entities(range(4)))
+    lp = _build_lp(spec, seed=1)
     e2 = lp.entities[2]
     mid = make_message_id(0, 0)
     msg = DisseminationMessage(mid, 0, e2.x, e2.y, 6, 0, 0)
-    lp.inbox = _inbox(0, 2, (e2.x, e2.y), [(0, msg)])
-    lp.run_step(1, model, StepReport())
-    assert model.delivery_calls == [(2, 1, mid)]
+    lp.run_step(1, _inbox(0, 2, (e2.x, e2.y), [(0, msg)]), StepReport())
+    assert delivery_calls == [(2, 1, mid)]
 
 
-def test_inbox_canonical_order():
+def test_inbox_canonical_order(delivery_calls):
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
-    monitor = InvariantMonitor()
-    model = _CountingModel(spec.params, 1, spec.side, monitor)
-    lp = LogicalProcess(0, model.build_entities(range(4)))
+    lp = _build_lp(spec, seed=1)
     e2 = lp.entities[2]
     m_late = DisseminationMessage(make_message_id(1, 3), 1, e2.x, e2.y, 6, 0, 3)
     m_early = DisseminationMessage(make_message_id(0, 2), 0, e2.x, e2.y, 6, 0, 2)
     # broadcast out of order; consumption must sort by (message id, sender)
-    lp.inbox = _inbox(3, 2, (e2.x, e2.y),
-                      [(3, m_late), (1, m_early), (0, m_late)])
-    lp.run_step(4, model, StepReport())
-    assert model.delivery_calls == [
+    inbox = _inbox(3, 2, (e2.x, e2.y),
+                   [(3, m_late), (1, m_early), (0, m_late)])
+    lp.run_step(4, inbox, StepReport())
+    assert delivery_calls == [
         (2, 4, m_early.message_id),
         (2, 4, m_late.message_id),   # sender 0 before sender 3
         (2, 4, m_late.message_id),
@@ -161,92 +156,43 @@ def test_inbox_canonical_order():
 
 def test_stale_envelope_rejected():
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
-    lp, model = _build_lp(spec, seed=1)
+    lp = _build_lp(spec, seed=1)
     e2 = lp.entities[2]
     msg = DisseminationMessage(make_message_id(0, 0), 0, e2.x, e2.y, 6, 0, 0)
-    lp.inbox = _inbox(0, 2, (e2.x, e2.y), [(0, msg)])
+    inbox = _inbox(0, 2, (e2.x, e2.y), [(0, msg)])
     with pytest.raises(EngineError, match="stale"):
-        lp.run_step(5, model, StepReport())
+        lp.run_step(5, inbox, StepReport())
 
 
 def test_envelope_for_unowned_entity_rejected():
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
-    lp, model = _build_lp(spec, seed=1)
+    lp = _build_lp(spec, seed=1)
     msg = DisseminationMessage(make_message_id(0, 0), 0, 1.0, 1.0, 6, 0, 0)
-    lp.inbox = _inbox(0, 99, (1.0, 1.0), [(0, msg)], num_entities=100)
+    inbox = _inbox(0, 99, (1.0, 1.0), [(0, msg)], num_entities=100)
     with pytest.raises(EngineError, match="99"):
-        lp.run_step(1, model, StepReport())
+        lp.run_step(1, inbox, StepReport())
 
 
-class _FaultyModel(TerritoryModel):
-    def generate(self, entity, t, report):
+def test_step_failure_names_lp_step_entity(monkeypatch):
+    generate_message = territory.generate_message
+
+    def faulty(entity, t, params):
         if entity.entity_id == 7 and t == 3:
             raise RuntimeError("boom")
-        return super().generate(entity, t, report)
+        return generate_message(entity, t, params)
 
-
-class _FaultySpec(TerritorySpec):
-    def build_model(self, master_seed, monitor):
-        return _FaultyModel(self.params, master_seed, self.side, monitor)
-
-
-def test_step_failure_names_lp_step_entity():
+    monkeypatch.setattr(territory, "generate_message", faulty)
+    cfg = EngineConfig(num_lps=1, total_timesteps=10, master_seed=1)
     with pytest.raises(StepExecutionError) as ei:
-        run_simulation(EngineConfig(num_lps=1, total_timesteps=10,
-                                    master_seed=1), _FaultySpec(20))
+        run_simulation(cfg, TerritorySpec(20))
     err = ei.value
     assert err.lp_id == 0 and err.step == 3 and err.entity_id == 7
     assert "lp=0" in str(err) and "step=3" in str(err) and "entity=7" in str(err)
-
-
-def test_barrier_single_lp_completes_immediately():
-    b = StepBarrier([0])
-    b.begin_step(0)
-    b.arrive(0, 0, "payload")
-    assert b.wait_complete(0, timeout=0.001) == {0: "payload"}
-
-
-def test_barrier_timeout_names_silent_lps():
-    b = StepBarrier([0, 1, 2])
-    b.begin_step(4)
-    b.arrive(0, 4)
-    with pytest.raises(BarrierTimeoutError) as ei:
-        b.wait_complete(4, timeout=0.05)
-    assert ei.value.step == 4
-    assert ei.value.silent_lp_ids == (1, 2)
-    assert "1, 2" in str(ei.value)
-
-
-def test_barrier_waits_for_delayed_lp():
-    b = StepBarrier([0, 1, 2])
-    b.begin_step(0)
-
-    def late(lp_id, delay):
-        time.sleep(delay)
-        b.arrive(lp_id, 0)
-
-    threads = [threading.Thread(target=late, args=(1, 0.05)),
-               threading.Thread(target=late, args=(2, 0.15))]
-    for th in threads:
-        th.start()
-    b.arrive(0, 0)
-    t0 = time.perf_counter()
-    b.wait_complete(0, timeout=5.0)
-    waited = time.perf_counter() - t0
-    for th in threads:
-        th.join()
-    assert waited >= 0.10  # completion gated on the slowest LP
-    arrival_order = [lp for (_, lp, _) in b.trace]
-    assert arrival_order == [0, 1, 2]
-
-
-def test_barrier_rejects_wrong_step_and_unknown_lp():
-    b = StepBarrier([0, 1])
-    b.begin_step(2)
-    with pytest.raises(EngineError):
-        b.arrive(0, 3)
-    with pytest.raises(EngineError):
-        b.arrive(9, 2)
+    # a worker process reports the same failure in the same words
+    with pytest.raises(StepExecutionError) as ei:
+        run_simulation(cfg, TerritorySpec(20), mode="process")
+    assert (ei.value.lp_id, ei.value.step, ei.value.entity_id) == (0, 3, 7)
+    assert str(ei.value) == str(err)
 
 
 def test_lp_count_equivalence_quick():

@@ -16,9 +16,26 @@ from hybridsim.market import (
     pedestrian_step,
     perimeter_point,
     route_discover,
-    run_market,
 )
 from hybridsim.territory import EntityRecord
+
+
+def run_market(scene, n_customers, substeps_per_coarse, coarse_steps,
+               master_seed=0):
+    """Scripted market session: returns (status bodies, final records, run).
+
+    Synthesizes minimal entity records (ids 0..n-1, fresh streams);
+    advances substeps_per_coarse fine steps per coarse step and collects
+    one STATUS body after each.
+    """
+    records = [EntityRecord(i, "mobile", 0.0, 0.0, None, 0.0, (), 0)
+               for i in range(n_customers)]
+    run = MarketRun(scene, records, n_customers, master_seed)
+    bodies = []
+    for _ in range(coarse_steps):
+        run.advance(substeps_per_coarse)
+        bodies.append(run.status())
+    return bodies, run.result_records(), run
 
 
 def bfs_hops(scene, src, dst, hop_limit):

@@ -3,7 +3,6 @@
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass
 
 import pytest
 
@@ -13,16 +12,12 @@ from hybridsim.engine import (
     EngineConfig,
     EngineError,
     InProcessBackend,
+    LogicalProcess,
     partition_entities,
     run_simulation,
 )
 from hybridsim.parallel import ProcessBackend
-from hybridsim.territory import (
-    DisseminationParams,
-    TerritoryModel,
-    TerritorySpec,
-    world_side,
-)
+from hybridsim.territory import TerritorySpec
 
 
 def _config(num_lps, steps=30, seed=11, timeout=60.0):
@@ -110,67 +105,38 @@ def test_initial_positions_match_inprocess():
 # --- failure paths -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _StallSpec:
-    """Territory model, except one hook hangs for a while in the LP that
-    owns stall_entity: its step (begin_entity_step), its start-up
-    (build_entities) or its final report (collect_cache_stats)."""
-
-    num_entities: int = 6
-    stall_entity: int = 0
-    stall_seconds: float = 2.0
-    stall_in: str = "begin_entity_step"
-    params: DisseminationParams = DisseminationParams()
-
-    @property
-    def side(self) -> float:
-        return world_side(self.num_entities)
-
-    def build_model(self, master_seed, monitor):
-        inner = TerritoryModel(self.params, master_seed, self.side, monitor)
-        return _StallModel(inner, self.stall_entity, self.stall_seconds,
-                           self.stall_in)
+_STALL_SPEC = TerritorySpec(num_entities=6)
+_STALL_ENTITY = 0
 
 
-class _StallModel:
-    def __init__(self, inner, stall_entity, stall_seconds, stall_in):
-        self._inner = inner
-        self._stall = stall_entity
-        self._seconds = stall_seconds
-        self._hook = stall_in
+def _stall(monkeypatch, method, seconds, every_lp=False):
+    """Make LogicalProcess.method sleep first in the LP that owns
+    _STALL_ENTITY (in every LP with every_lp): its start-up (__init__),
+    its step (run_step) or its final report (finish). Workers are forked
+    after the patch, so they inherit it."""
+    orig = getattr(LogicalProcess, method)
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    def stalled(lp, *args):
+        owned = args[1] if method == "__init__" else lp.entities
+        if every_lp or _STALL_ENTITY in owned:
+            time.sleep(seconds)
+        return orig(lp, *args)
 
-    def _maybe_stall(self, hook, entity_ids):
-        if hook == self._hook and self._stall in entity_ids:
-            time.sleep(self._seconds)
-
-    def begin_entity_step(self, e, t):
-        self._maybe_stall("begin_entity_step", (e.entity_id,))
-        self._inner.begin_entity_step(e, t)
-
-    def build_entities(self, entity_ids):
-        self._maybe_stall("build_entities", entity_ids)
-        return self._inner.build_entities(entity_ids)
-
-    def collect_cache_stats(self, entities):
-        self._maybe_stall("collect_cache_stats", entities)
-        self._inner.collect_cache_stats(entities)
+    monkeypatch.setattr(LogicalProcess, method, stalled)
 
 
-def _stalled_lp(spec, config):
-    assignment = partition_entities(range(spec.num_entities), config.num_lps,
-                                    config.master_seed)
+def _stalled_lp(config):
+    assignment = partition_entities(range(_STALL_SPEC.num_entities),
+                                    config.num_lps, config.master_seed)
     return next(lp for lp, ids in assignment.items()
-                if spec.stall_entity in ids)
+                if _STALL_ENTITY in ids)
 
 
-def test_barrier_timeout_names_the_silent_lp():
-    spec = _StallSpec(stall_seconds=2.0)
+def test_barrier_timeout_names_the_silent_lp(monkeypatch):
+    _stall(monkeypatch, "run_step", 2.0)
     config = _config(2, steps=3, timeout=0.3)
-    lp = _stalled_lp(spec, config)
-    pb = ProcessBackend(config, spec)
+    lp = _stalled_lp(config)
+    pb = ProcessBackend(config, _STALL_SPEC)
     try:
         with pytest.raises(BarrierTimeoutError) as info:
             pb.step(0, {})
@@ -179,11 +145,11 @@ def test_barrier_timeout_names_the_silent_lp():
         pb.close()
 
 
-def test_worker_death_mid_step_is_reported():
-    spec = _StallSpec(stall_seconds=30.0)
+def test_worker_death_mid_step_is_reported(monkeypatch):
+    _stall(monkeypatch, "run_step", 30.0)
     config = _config(2, steps=3, timeout=60.0)
-    lp = _stalled_lp(spec, config)
-    pb = ProcessBackend(config, spec)
+    lp = _stalled_lp(config)
+    pb = ProcessBackend(config, _STALL_SPEC)
     try:
         killer = threading.Timer(0.3, pb._procs[lp].terminate)
         killer.start()
@@ -194,23 +160,23 @@ def test_worker_death_mid_step_is_reported():
         pb.close()
 
 
-def test_slow_hello_times_out_and_closes_started_workers():
-    spec = _StallSpec(stall_seconds=2.0, stall_in="build_entities")
+def test_slow_hello_times_out_and_closes_started_workers(monkeypatch):
+    _stall(monkeypatch, "__init__", 2.0)
     config = _config(2, steps=3, timeout=0.3)
-    lp = _stalled_lp(spec, config)
+    lp = _stalled_lp(config)
     before = set(multiprocessing.active_children())
     t0 = time.monotonic()
     with pytest.raises(EngineError, match=rf"hello from lp\(s\) \[{lp}\]"):
-        ProcessBackend(config, spec)
+        ProcessBackend(config, _STALL_SPEC)
     assert time.monotonic() - t0 < 10.0  # the stall, not a 60 s default
     assert set(multiprocessing.active_children()) <= before
 
 
-def test_slow_finish_times_out_naming_the_lp():
-    spec = _StallSpec(stall_seconds=2.0, stall_in="collect_cache_stats")
+def test_slow_finish_times_out_naming_the_lp(monkeypatch):
+    _stall(monkeypatch, "finish", 2.0)
     config = _config(2, steps=3, timeout=0.3)
-    lp = _stalled_lp(spec, config)
-    pb = ProcessBackend(config, spec)
+    lp = _stalled_lp(config)
+    pb = ProcessBackend(config, _STALL_SPEC)
     try:
         pb.step(0, {})
         with pytest.raises(EngineError,
@@ -218,3 +184,20 @@ def test_slow_finish_times_out_naming_the_lp():
             pb.finish()
     finally:
         pb.close()
+
+
+def test_close_gives_every_hung_worker_one_shared_deadline(monkeypatch):
+    _stall(monkeypatch, "run_step", 30.0, every_lp=True)
+    config = _config(2, steps=3, timeout=0.3)
+    before = set(multiprocessing.active_children())
+    pb = ProcessBackend(config, _STALL_SPEC)
+    try:
+        with pytest.raises(BarrierTimeoutError) as info:
+            pb.step(0, {})
+        assert info.value.silent_lp_ids == (0, 1)
+    finally:
+        t0 = time.monotonic()
+        pb.close()
+        closed_in = time.monotonic() - t0
+    assert closed_in < 8.0  # one 5 s deadline for both, not 5 s each
+    assert set(multiprocessing.active_children()) <= before

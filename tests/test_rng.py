@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hybridsim.rng import Stream, derive_seed, entity_stream, named_stream
+from hybridsim.rng import Stream, derive_seed, entity_stream, named_generator
 
 
 def test_same_key_same_sequence():
@@ -71,10 +71,11 @@ def test_randrange_bounds_and_coverage():
 
 def test_named_stream_disjoint_from_entities():
     # tag-derived ids live in the high-bit namespace
-    ns = named_stream(42, "partition")
-    assert ns.stream_id >= 1 << 63
-    assert ns.uniform() != entity_stream(42, 0).uniform()
-    assert named_stream(42, "partition").uniform() != named_stream(42, "other").uniform()
+    ng = named_generator(42, "partition")
+    assert int(ng.bit_generator.state["state"]["key"][1]) >= 1 << 63
+    assert ng.random() != entity_stream(42, 0).uniform()
+    assert (named_generator(42, "partition").random()
+            != named_generator(42, "other").random())
 
 
 def test_derive_seed_stable():

@@ -3,19 +3,19 @@ repetitions each, results written as CSV next to this script."""
 
 import os
 
-from hybridsim.campaign import CampaignSpec, emit_results, run_campaign
+from hybridsim import RunSettings, emit_results, run_campaign
 
 
 def main():
-    spec = CampaignSpec(
-        ses_values=(500, 1000),
-        lps_values=(1,),
-        presets=("good", "bad"),
+    settings = RunSettings(
+        ses=(500, 1000),
+        lps=(1,),
+        preset=("good", "bad"),
         repetitions=3,
-        base_seed=400,
+        seed=400,  # repetition rep runs with seed 400 + rep
         steps=150,
     )
-    result = run_campaign(spec, log=lambda msg: print("  " + msg))
+    result = run_campaign(settings, log=lambda msg: print("  " + msg))
 
     print()
     for cell in result.cells:

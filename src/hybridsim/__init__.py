@@ -7,7 +7,7 @@ network) that borrow entities for a while and hand them back, keeping
 every random stream and counter exactly reproducible.
 """
 
-from .campaign import CampaignSpec, emit_results, run_campaign
+from .campaign import emit_results, run_campaign
 from .config import (
     ConfigError,
     PRESETS,
@@ -37,7 +37,6 @@ from .engine import (
     BarrierTimeoutError,
     EngineConfig,
     EngineError,
-    InterLpEnvelope,
     LogicalProcess,
     StepExecutionError,
     partition_entities,

@@ -1,9 +1,9 @@
 """Seeded experiment campaigns: sweep cells, aggregate, emit CSV.
 
 A campaign is the cross product of entity counts, LP counts and
-presets. Every cell runs the same repetition seeds (base_seed + rep
-index), so cells differ only in the axis under study. Cells execute
-sequentially to keep wall-clock measurements honest.
+presets. Every cell runs the same repetition seeds (the seed setting
+plus the rep index), so cells differ only in the axis under study.
+Cells execute sequentially to keep wall-clock measurements honest.
 
 Output is two CSV files with a fixed, documented column order:
 detail.csv has one row per (cell, repetition); summary.csv has one row
@@ -15,19 +15,15 @@ when that cell exists and completed.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import statistics
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .config import make_params
-from .coordination import (
-    FixedDurationPolicy,
-    HybridSpec,
-    ScriptedTrigger,
-    TimestepAlignment,
-)
+from .config import RunSettings, make_params
 from .engine import EngineConfig, run_simulation
+from .metrics import RunMetrics
 from .territory import TerritorySpec
 
 DETAIL_COLUMNS = (
@@ -58,65 +54,16 @@ class CellKey(NamedTuple):
     preset: str
 
 
-def hybrid_from(spawn_at, transfer_count=1, substeps=3, duration=3,
-                endpoint=None) -> Optional[HybridSpec]:
-    """Scripted hand-off shape shared by runs and campaigns; None if
-    no spawn steps are configured."""
-    if not spawn_at:
-        return None
-    return HybridSpec(
-        trigger=ScriptedTrigger(spawn_at=tuple(spawn_at),
-                                transfer_count=transfer_count),
-        align=TimestepAlignment(fine_substeps=substeps),
-        policy=FixedDurationPolicy(coarse_steps=duration),
-        endpoint=endpoint or None,
-    )
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One sweep: axes, repetitions, seeding, shared run shape."""
-
-    ses_values: tuple = (4000,)
-    lps_values: tuple = (1,)
-    presets: tuple = ("good",)
-    repetitions: int = 5
-    base_seed: int = 1
-    steps: int = 900
-    mode: str = "auto"
-    spawn_at: tuple = ()
-    transfer_count: int = 1
-    substeps: int = 3
-    duration: int = 3
-    endpoint: Optional[str] = None
-    barrier_timeout: float = 60.0
-    param_overrides: tuple = ()
-    seeds: Optional[tuple] = None  # explicit per-repetition seeds
-
-    def __post_init__(self):
-        if not self.ses_values or not self.lps_values or not self.presets:
-            raise ValueError("every sweep axis needs at least one value")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.seeds is not None and len(self.seeds) != self.repetitions:
-            raise ValueError(
-                f"{len(self.seeds)} explicit seeds for"
-                f" {self.repetitions} repetitions")
-
-    def rep_seed(self, rep: int) -> int:
-        if self.seeds is not None:
-            return self.seeds[rep]
-        return self.base_seed + rep
-
-    def cells(self) -> list:
-        return [CellKey(ses, lps, preset)
-                for ses in self.ses_values
-                for lps in self.lps_values
-                for preset in self.presets]
-
-    def hybrid_spec(self) -> Optional[HybridSpec]:
-        return hybrid_from(self.spawn_at, self.transfer_count,
-                           self.substeps, self.duration, self.endpoint)
+def run_one(settings: RunSettings, ses: int, lps: int, preset: str,
+            seed: int, config_echo: dict) -> RunMetrics:
+    """Build and run one simulation: a single run or a campaign repetition."""
+    cfg = EngineConfig(num_lps=lps, total_timesteps=settings.steps,
+                       master_seed=seed,
+                       barrier_timeout=settings.barrier_timeout)
+    params = make_params(preset, dict(settings.param_overrides))
+    return run_simulation(cfg, TerritorySpec(ses, params),
+                          hybrid=settings.hybrid(), mode=settings.mode,
+                          config_echo=config_echo)
 
 
 @dataclass
@@ -150,7 +97,7 @@ class CellResult:
 
 @dataclass
 class CampaignResult:
-    spec: CampaignSpec
+    settings: RunSettings
     cells: list = field(default_factory=list)
 
     @property
@@ -182,28 +129,25 @@ def _detail_row(key: CellKey, rep: int, metrics) -> dict:
     return {col: row[col] for col in DETAIL_COLUMNS}
 
 
-def run_campaign(spec: CampaignSpec, log=None) -> CampaignResult:
-    """Execute every cell x repetition; failures never stop the sweep."""
+def run_campaign(settings: RunSettings, log=None) -> CampaignResult:
+    """Execute every cell x repetition; failures never stop the sweep.
+
+    Cells are settings.ses x lps x preset in that nesting order, and
+    repetition rep of every cell runs with seed settings.seed + rep.
+    """
     say = log or (lambda msg: None)
-    hybrid = spec.hybrid_spec()
-    result = CampaignResult(spec=spec)
-    for key in spec.cells():
+    result = CampaignResult(settings=settings)
+    for key in itertools.starmap(CellKey, itertools.product(
+            settings.ses, settings.lps, settings.preset)):
         cell = CellResult(key)
         result.cells.append(cell)
-        params = make_params(key.preset, dict(spec.param_overrides))
-        for rep in range(spec.repetitions):
-            seed = spec.rep_seed(rep)
+        for rep in range(settings.repetitions):
+            seed = settings.seed + rep
             say(f"cell ses={key.ses} lps={key.lps} preset={key.preset}"
                 f" rep={rep} seed={seed}")
             try:
-                cfg = EngineConfig(num_lps=key.lps,
-                                   total_timesteps=spec.steps,
-                                   master_seed=seed,
-                                   barrier_timeout=spec.barrier_timeout)
-                metrics = run_simulation(
-                    cfg, TerritorySpec(key.ses, params),
-                    hybrid=hybrid, mode=spec.mode,
-                    config_echo={"preset": key.preset, "rep": rep})
+                metrics = run_one(settings, *key, seed,
+                                  {"preset": key.preset, "rep": rep})
             except Exception as exc:
                 message = f"{type(exc).__name__}: {exc}"
                 cell.errors.append((rep, seed, message))
@@ -235,7 +179,7 @@ def emit_results(result: CampaignResult, out_dir: str) -> tuple:
                 "ses": cell.key.ses,
                 "lps": cell.key.lps,
                 "preset": cell.key.preset,
-                "repetitions": result.spec.repetitions,
+                "repetitions": result.settings.repetitions,
                 "completed": len(cell.rows),
             }
             for col in STAT_COLUMNS:

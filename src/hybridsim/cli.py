@@ -14,10 +14,9 @@ import os
 import sys
 
 from . import conformance
-from .campaign import CampaignSpec, emit_results, hybrid_from, run_campaign
-from .config import ConfigError, load_settings, make_params
-from .engine import EngineConfig, EngineError, run_simulation
-from .territory import TerritorySpec
+from .campaign import emit_results, run_campaign, run_one
+from .config import load_settings
+from .engine import EngineError
 
 _RUN_FLAGS = (
     # (flag, schema key, help)
@@ -73,16 +72,8 @@ def _flag_values(args: argparse.Namespace) -> dict:
 def _cmd_run(args) -> int:
     settings = load_settings(args.config, _flag_values(args))
     ses, lps, preset = settings.single_run()
-    params = make_params(preset, dict(settings.param_overrides))
-    cfg = EngineConfig(num_lps=lps, total_timesteps=settings.steps,
-                       master_seed=settings.seed,
-                       barrier_timeout=settings.barrier_timeout)
-    hybrid = hybrid_from(settings.spawn_at, settings.transfer_count,
-                         settings.substeps, settings.duration,
-                         settings.endpoint)
-    metrics = run_simulation(
-        cfg, TerritorySpec(ses, params), hybrid=hybrid, mode=settings.mode,
-        config_echo={"preset": preset, "spawn_at": list(settings.spawn_at)})
+    metrics = run_one(settings, ses, lps, preset, settings.seed,
+                      {"preset": preset, "spawn_at": list(settings.spawn_at)})
 
     t = metrics.totals
     print(f"ses={ses} lps={lps} preset={preset} steps={settings.steps}"
@@ -108,16 +99,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_campaign(args) -> int:
     settings = load_settings(args.config, _flag_values(args))
-    spec = CampaignSpec(
-        ses_values=settings.ses, lps_values=settings.lps,
-        presets=settings.preset, repetitions=settings.repetitions,
-        base_seed=settings.seed, steps=settings.steps, mode=settings.mode,
-        spawn_at=settings.spawn_at, transfer_count=settings.transfer_count,
-        substeps=settings.substeps, duration=settings.duration,
-        endpoint=settings.endpoint or None,
-        barrier_timeout=settings.barrier_timeout,
-        param_overrides=settings.param_overrides)
-    result = run_campaign(spec, log=lambda m: print(m, file=sys.stderr))
+    result = run_campaign(settings, log=lambda m: print(m, file=sys.stderr))
     detail_path, summary_path = emit_results(result, settings.out)
     print(f"detail rows: {sum(len(c.rows) for c in result.cells)}"
           f" -> {detail_path}")
@@ -151,7 +133,7 @@ def main(argv=None) -> int:
         if args.command == "campaign":
             return _cmd_campaign(args)
         return _cmd_conformance(args)
-    except (ConfigError, EngineError) as exc:
+    except (ValueError, EngineError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,9 +13,16 @@ dataclasses they feed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
+from .coordination import (
+    FixedDurationPolicy,
+    HybridSpec,
+    ScriptedTrigger,
+    TimestepAlignment,
+    parse_endpoint,
+)
 from .territory import DisseminationParams
 
 # Named tunings. "good" is the reference configuration; "bad" is the
@@ -90,13 +97,6 @@ def _mode_known(v):
     return v in ("auto", "inprocess", "process")
 
 
-def _endpoint_ok(v):
-    if v == "":
-        return True
-    host, sep, port = v.rpartition(":")
-    return bool(sep and host) and port.isdigit()
-
-
 # key -> (parser, validator, accepted-range text, default)
 SCHEMA = {
     "ses": (_parse_int_list, _all_positive,
@@ -123,8 +123,8 @@ SCHEMA = {
     "transfer_count": (_parse_int, _positive, "integer >= 1", 1),
     "substeps": (_parse_int, _positive, "integer >= 1", 3),
     "duration": (_parse_int, _positive, "integer >= 1", 3),
-    "endpoint": (_parse_str, _endpoint_ok, "HOST:PORT, or empty for local",
-                 ""),
+    "endpoint": (_parse_str, lambda v: v == "" or parse_endpoint(v),
+                 "HOST:PORT with PORT in 1-65535, or empty for local", ""),
     "repetitions": (_parse_int, _positive, "integer >= 1", 5),
     "out": (_parse_str, lambda v: True, "directory path", "results"),
     "barrier_timeout": (_parse_float, _positive, "number > 0 (seconds)",
@@ -133,40 +133,64 @@ SCHEMA = {
 
 
 def parse_config_file(path: str) -> dict:
-    """Read `key = value` lines into raw strings; `#` starts a comment."""
+    """Read `key = value` lines into raw strings; `#` starts a comment.
+
+    The file must be ASCII throughout, comments included.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read config file {path}: {exc.strerror}") from None
     raw = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key = key.strip()
-            if key not in SCHEMA:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown config key {key!r};"
-                    f" known keys: {', '.join(sorted(SCHEMA))}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value.strip()
+    for lineno, data in enumerate(lines, start=1):
+        try:
+            line = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: non-ASCII byte {data[exc.start]:#04x}"
+                f" at column {exc.start + 1}") from None
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key = key.strip()
+        if key not in SCHEMA:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown config key {key!r};"
+                f" known keys: {', '.join(sorted(SCHEMA))}")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value.strip()
     return raw
 
 
+def _check(key: str, value, shown) -> None:
+    """Raise ConfigError unless SCHEMA's validator for key accepts value."""
+    _, validator, accepted, _ = SCHEMA[key]
+    try:
+        ok = validator(value)
+    except (ValueError, TypeError):
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"config key {key!r}: value {shown!r} out of range;"
+            f" accepted: {accepted}")
+
+
 def _convert(key: str, text: str):
-    parser, validator, accepted, _ = SCHEMA[key]
+    parser, _, accepted, _ = SCHEMA[key]
     try:
         value = parser(text)
     except (ValueError, TypeError):
         raise ConfigError(
             f"config key {key!r}: cannot parse {text!r};"
             f" accepted: {accepted}") from None
-    if not validator(value):
-        raise ConfigError(
-            f"config key {key!r}: value {text!r} out of range;"
-            f" accepted: {accepted}")
+    _check(key, value, text)
     return value
 
 
@@ -176,7 +200,8 @@ class RunSettings:
 
     ses, lps and preset stay lists so one settings object can describe
     either a single run (each must then have exactly one element) or a
-    campaign sweep.
+    campaign sweep. However it is built, every field must pass its
+    SCHEMA validator and the overrides must suit every preset.
     """
 
     ses: tuple = SCHEMA["ses"][3]
@@ -195,6 +220,15 @@ class RunSettings:
     barrier_timeout: float = SCHEMA["barrier_timeout"][3]
     param_overrides: tuple = ()  # ((field, value), ...) beating the preset
 
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name in SCHEMA:
+                value = getattr(self, f.name)
+                _check(f.name, value, value)
+        # a bad override combination fails here rather than mid-campaign
+        for preset in self.preset:
+            make_params(preset, dict(self.param_overrides))
+
     def single_run(self) -> tuple:
         """The (ses, lps, preset) of a non-campaign run."""
         for name in ("ses", "lps", "preset"):
@@ -204,6 +238,18 @@ class RunSettings:
                     f"a single run needs exactly one {name!r} value,"
                     f" got {list(values)}")
         return self.ses[0], self.lps[0], self.preset[0]
+
+    def hybrid(self) -> Optional[HybridSpec]:
+        """The scripted hand-off shape; None if no spawn steps are set."""
+        if not self.spawn_at:
+            return None
+        return HybridSpec(
+            trigger=ScriptedTrigger(spawn_at=tuple(self.spawn_at),
+                                    transfer_count=self.transfer_count),
+            align=TimestepAlignment(fine_substeps=self.substeps),
+            policy=FixedDurationPolicy(coarse_steps=self.duration),
+            endpoint=self.endpoint or None,
+        )
 
 
 def make_params(preset: str, overrides: Optional[dict] = None) -> DisseminationParams:
@@ -245,10 +291,6 @@ def resolve_settings(file_values: Optional[dict] = None,
         for key in list(typed)
         if key in _DISSEMINATION_KEYS
     ))
-    # validate the override set against every preset in play now, so a
-    # bad combination fails at parse time rather than mid-campaign
-    for preset in typed.get("preset", SCHEMA["preset"][3]):
-        make_params(preset, dict(overrides))
     return RunSettings(param_overrides=overrides, **typed)
 
 

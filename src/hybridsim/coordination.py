@@ -228,17 +228,19 @@ class HybridSpec:
         if self.io_timeout <= 0:
             raise ValueError("io_timeout must be positive")
         if self.endpoint is not None:
-            _parse_endpoint(self.endpoint)
+            parse_endpoint(self.endpoint)
 
 
-def _parse_endpoint(endpoint: str) -> tuple:
+def parse_endpoint(endpoint: str) -> tuple:
+    """(host, port) from HOST:PORT; the port is decimal digits in 1-65535."""
     host, sep, port = endpoint.rpartition(":")
     if not sep or not host:
         raise ValueError(f"endpoint must be HOST:PORT, got {endpoint!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ValueError(f"endpoint port is not an integer: {endpoint!r}") from None
+    if not (port.isascii() and port.isdigit()
+            and 1 <= int(port) <= 65535):
+        raise ValueError(
+            f"endpoint port must be an integer in 1-65535: {endpoint!r}")
+    return host, int(port)
 
 
 def resolve_endpoint(spec: HybridSpec) -> Optional[str]:
@@ -283,7 +285,7 @@ def _connect(endpoint: Optional[str], timeout: float):
         from . import wrapper
         sock = wrapper.start_local()
     else:
-        host, port = _parse_endpoint(endpoint)
+        host, port = parse_endpoint(endpoint)
         sock = socket.create_connection((host, port), timeout=timeout)
     sock.settimeout(timeout)
     channel = LineChannel(sock.makefile("rb"), sock.makefile("wb"),
@@ -308,7 +310,7 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
         raise ValueError(f"duplicate entity ids in transfer: {ids}")
     endpoint = resolve_endpoint(spec)
     if endpoint is not None:
-        _parse_endpoint(endpoint)  # refuse malformed config before freezing
+        parse_endpoint(endpoint)  # refuse malformed config before freezing
 
     records = backend.extract(ids)
     handle = None

@@ -136,8 +136,9 @@ class EnvelopeBatch:
     entity ``dest[i]`` and carries row ``row[i]``; copies are ordered by
     (dest, message id, sender), the order in which they are consumed.
     Pickling ships only the table and the two columns; the receiving
-    side rebuilds the Broadcast rows once. Reads as a sequence of
-    InterLpEnvelope rows.
+    side rebuilds the Broadcast rows once. Iterating yields
+    InterLpEnvelope rows, and a row can be deleted; the benchmark's
+    reach check (perfbench/checks.py) reads and its test deletes them.
     """
 
     __slots__ = ("produced_at", "table", "dest", "row", "broadcasts")
@@ -158,17 +159,11 @@ class EnvelopeBatch:
     def __len__(self) -> int:
         return len(self.dest)
 
-    def _envelope(self, dest: int, r: int) -> InterLpEnvelope:
-        b = self.broadcasts[r]
-        return InterLpEnvelope(self.produced_at, dest, b.sender, b.sender_x,
-                               b.sender_y, b.message)
-
-    def __getitem__(self, i: int) -> InterLpEnvelope:
-        return self._envelope(int(self.dest[i]), int(self.row[i]))
-
     def __iter__(self):
         for dest, r in zip(self.dest.tolist(), self.row.tolist()):
-            yield self._envelope(dest, r)
+            b = self.broadcasts[r]
+            yield InterLpEnvelope(self.produced_at, dest, b.sender,
+                                  b.sender_x, b.sender_y, b.message)
 
     def __delitem__(self, i: int) -> None:
         self.dest = np.delete(self.dest, i)

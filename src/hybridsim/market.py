@@ -86,10 +86,6 @@ class MarketScene:
     def set_node(self, node_id: int, pos) -> None:
         self.node_pos[node_id] = (float(pos[0]), float(pos[1]))
 
-    def drop_node(self, node_id: int) -> None:
-        self.node_pos.pop(node_id, None)
-        self.route_tables.pop(node_id, None)
-
     def neighbors(self, node_id: int):
         """Nodes within radio range, ascending id (deterministic flood)."""
         x, y = self.node_pos[node_id]

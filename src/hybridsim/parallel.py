@@ -83,6 +83,7 @@ class ProcessBackend:
         self._counts = {lp_id: len(ids) for lp_id, ids in assignment.items()}
         self._conns = {}
         self._procs = {}
+        self._silent = set()  # LPs that missed a reply deadline
         try:
             for lp_id, ids in assignment.items():
                 parent, child = ctx.Pipe()
@@ -104,7 +105,8 @@ class ProcessBackend:
         """Yield (lp_id, reply) as each LP answers, within barrier_timeout.
 
         A worker that exits raises EngineError; if any is still silent at
-        the deadline, on_timeout(silent lp ids) is raised.
+        the deadline, on_timeout(silent lp ids) is raised and close() will
+        not wait for those LPs.
         """
         deadline = time.monotonic() + self.config.barrier_timeout
         pending = {self._conns[lp_id]: lp_id for lp_id in lp_ids}
@@ -113,6 +115,7 @@ class ProcessBackend:
             ready = (conn_wait(list(pending), timeout=remaining)
                      if remaining > 0 else [])
             if not ready:
+                self._silent.update(pending.values())
                 raise on_timeout(sorted(pending.values()))
             for conn in ready:
                 lp_id = pending.pop(conn)
@@ -189,9 +192,13 @@ class ProcessBackend:
         return merged
 
     def close(self) -> None:
-        """Stop every worker, terminating any still alive after one
-        deadline that all of them share."""
-        for conn in self._conns.values():
+        """Stop every worker. One that missed a reply deadline is busy and
+        cannot read the close command, so it is terminated at once; the
+        rest share one deadline before any still alive is terminated."""
+        for lp_id, conn in self._conns.items():
+            if lp_id in self._silent:
+                self._procs[lp_id].terminate()
+                continue
             try:
                 conn.send(("close",))
             except OSError:

@@ -10,66 +10,49 @@ from hybridsim.campaign import (
     STAT_COLUMNS,
     SUMMARY_COLUMNS,
     CampaignResult,
-    CampaignSpec,
     CellKey,
     CellResult,
     emit_results,
-    hybrid_from,
     run_campaign,
 )
+from hybridsim.config import ConfigError, RunSettings
 
 
-def _small_spec(**kw):
+def _small_settings(**kw):
     # generation cranked up so tiny cells still produce traffic
-    base = dict(ses_values=(48,), lps_values=(1,), presets=("good",),
-                repetitions=2, base_seed=170, steps=15,
+    base = dict(ses=(48,), lps=(1,), preset=("good",),
+                repetitions=2, seed=170, steps=15,
                 param_overrides=(("generation_probability", 0.05),))
     base.update(kw)
-    return CampaignSpec(**base)
+    return RunSettings(**base)
 
 
-def test_rep_seeds_are_base_plus_index():
-    spec = _small_spec(repetitions=4, base_seed=100)
-    assert [spec.rep_seed(r) for r in range(4)] == [100, 101, 102, 103]
-
-
-def test_explicit_seeds_override():
-    spec = _small_spec(repetitions=3, seeds=(7, 7, 7))
-    assert [spec.rep_seed(r) for r in range(3)] == [7, 7, 7]
-    with pytest.raises(ValueError):
-        _small_spec(repetitions=3, seeds=(7, 7))
+def test_repetition_seeds_are_base_plus_index():
+    result = run_campaign(_small_settings(repetitions=4, seed=100, steps=1))
+    assert [r["seed"] for r in result.cells[0].rows] == [100, 101, 102, 103]
 
 
 def test_cells_are_the_full_cross_product():
-    spec = _small_spec(ses_values=(10, 20), lps_values=(1, 2),
-                       presets=("good", "bad"))
-    cells = spec.cells()
+    settings = _small_settings(ses=(10, 20), lps=(1, 2),
+                               preset=("good", "bad"), repetitions=1, steps=1)
+    cells = [c.key for c in run_campaign(settings).cells]
     assert len(cells) == 8
     assert cells[0] == CellKey(10, 1, "good")
+    assert cells[1] == CellKey(10, 1, "bad")
     assert cells[-1] == CellKey(20, 2, "bad")
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        _small_spec(ses_values=())
-    with pytest.raises(ValueError):
-        _small_spec(repetitions=0)
-
-
-def test_hybrid_from_none_when_unconfigured():
-    assert hybrid_from(()) is None
-    spec = hybrid_from((4, 9), transfer_count=2, substeps=5, duration=7,
-                       endpoint="")
-    assert spec.trigger.spawn_at == (4, 9)
-    assert spec.trigger.transfer_count == 2
-    assert spec.align.fine_substeps == 5
-    assert spec.policy.coarse_steps == 7
-    assert spec.endpoint is None  # empty string means local
+    for axis in ("ses", "lps", "preset"):
+        with pytest.raises(ConfigError, match=repr(axis)):
+            _small_settings(**{axis: ()})
+    with pytest.raises(ConfigError, match="'repetitions'"):
+        _small_settings(repetitions=0)
 
 
 def test_run_campaign_rows_and_determinism(tmp_path):
-    spec = _small_spec()
-    result = run_campaign(spec)
+    settings = _small_settings()
+    result = run_campaign(settings)
     assert result.complete
     assert len(result.cells) == 1
     cell = result.cells[0]
@@ -83,7 +66,7 @@ def test_run_campaign_rows_and_determinism(tmp_path):
     assert cell.rows[0]["generated"] != cell.rows[1]["generated"] or \
         cell.rows[0]["delivered"] != cell.rows[1]["delivered"]
     # rerun reproduces every deterministic column
-    again = run_campaign(spec).cells[0]
+    again = run_campaign(settings).cells[0]
     skip = {"wall_clock_seconds"}
     for a, b in zip(cell.rows, again.rows):
         assert {k: v for k, v in a.items() if k not in skip} == \
@@ -91,8 +74,11 @@ def test_run_campaign_rows_and_determinism(tmp_path):
 
 
 def test_forced_identical_seeds_give_zero_sd():
-    spec = _small_spec(repetitions=2, seeds=(9, 9))
-    cell = run_campaign(spec).cells[0]
+    # two one-repetition campaigns at the same seed, pooled into one cell
+    settings = _small_settings(repetitions=1, seed=9)
+    cell = CellResult(CellKey(48, 1, "good"))
+    for _ in range(2):
+        cell.rows += run_campaign(settings).cells[0].rows
     stats = cell.stats()
     for col in STAT_COLUMNS:
         if col == "wall_clock_seconds":
@@ -103,8 +89,8 @@ def test_forced_identical_seeds_give_zero_sd():
 
 
 def test_lp_sweep_means_agree(tmp_path):
-    spec = _small_spec(lps_values=(1, 2), repetitions=2, steps=10)
-    result = run_campaign(spec)
+    settings = _small_settings(lps=(1, 2), repetitions=2, steps=10)
+    result = run_campaign(settings)
     one = result.cell(48, 1, "good")
     two = result.cell(48, 2, "good")
     sone, stwo = one.stats(), two.stats()
@@ -115,9 +101,9 @@ def test_lp_sweep_means_agree(tmp_path):
 
 
 def test_bad_preset_floods_more():
-    spec = _small_spec(ses_values=(64,), presets=("good", "bad"),
-                       repetitions=1, steps=20)
-    result = run_campaign(spec)
+    settings = _small_settings(ses=(64,), preset=("good", "bad"),
+                               repetitions=1, steps=20)
+    result = run_campaign(settings)
     good = result.cell(64, 1, "good").rows[0]
     bad = result.cell(64, 1, "bad").rows[0]
     assert bad["relayed"] > good["relayed"]
@@ -125,10 +111,10 @@ def test_bad_preset_floods_more():
 
 def test_failed_repetition_is_isolated():
     # lps > ses cannot start; the other cell still runs
-    spec = _small_spec(ses_values=(4, 48), lps_values=(8,), repetitions=1,
-                       steps=5, mode="inprocess")
+    settings = _small_settings(ses=(4, 48), lps=(8,), repetitions=1,
+                               steps=5, mode="inprocess")
     log = []
-    result = run_campaign(spec, log=log.append)
+    result = run_campaign(settings, log=log.append)
     assert not result.complete
     sick = result.cell(4, 8, "good")
     healthy = result.cell(48, 8, "good")
@@ -141,8 +127,8 @@ def test_failed_repetition_is_isolated():
 
 
 def test_emit_results_layout(tmp_path):
-    spec = _small_spec(lps_values=(1, 2), repetitions=2, steps=10)
-    result = run_campaign(spec)
+    settings = _small_settings(lps=(1, 2), repetitions=2, steps=10)
+    result = run_campaign(settings)
     detail_path, summary_path = emit_results(result, str(tmp_path / "out"))
 
     with open(detail_path, newline="") as fh:
@@ -164,8 +150,8 @@ def test_emit_results_layout(tmp_path):
 
 
 def test_summary_means_recomputed_by_independent_reader(tmp_path):
-    spec = _small_spec(repetitions=3, steps=12)
-    result = run_campaign(spec)
+    settings = _small_settings(repetitions=3, steps=12)
+    result = run_campaign(settings)
     detail_path, summary_path = emit_results(result, str(tmp_path / "out"))
 
     with open(detail_path, newline="") as fh:
@@ -183,8 +169,8 @@ def test_summary_means_recomputed_by_independent_reader(tmp_path):
 
 
 def test_speedup_definition_from_crafted_cells():
-    spec = _small_spec(lps_values=(1, 4), repetitions=1)
-    result = CampaignResult(spec=spec)
+    settings = _small_settings(lps=(1, 4), repetitions=1)
+    result = CampaignResult(settings=settings)
     base = CellResult(CellKey(48, 1, "good"))
     fast = CellResult(CellKey(48, 4, "good"))
     row = {c: 0 for c in DETAIL_COLUMNS}
@@ -199,8 +185,8 @@ def test_speedup_definition_from_crafted_cells():
 
 
 def test_speedup_missing_baseline_is_none():
-    spec = _small_spec(lps_values=(2,), repetitions=1)
-    result = run_campaign(spec)
+    settings = _small_settings(lps=(2,), repetitions=1)
+    result = run_campaign(settings)
     cell = result.cells[0]
     assert result.speedup(cell) is None
     detail_path, summary_path = emit_results(result, "/tmp/hybridsim-test-sp")
@@ -210,9 +196,9 @@ def test_speedup_missing_baseline_is_none():
 
 
 def test_campaign_hybrid_cells_report_level1(tmp_path):
-    spec = _small_spec(ses_values=(48,), repetitions=1, steps=12,
-                       spawn_at=(4,), transfer_count=3)
-    result = run_campaign(spec)
+    settings = _small_settings(ses=(48,), repetitions=1, steps=12,
+                               spawn_at=(4,), transfer_count=3)
+    result = run_campaign(settings)
     assert result.complete
     row = result.cells[0].rows[0]
     assert row["spawns"] == 1

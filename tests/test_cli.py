@@ -66,6 +66,31 @@ def test_bad_flag_value_is_a_config_error(capsys):
     assert "'steps'" in err and "integer >= 1" in err
 
 
+def test_missing_config_file_is_an_error_line(tmp_path, capsys):
+    rc = main(["run", "--config", str(tmp_path / "nope.conf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file")
+    assert "nope.conf" in err and err.count("\n") == 1
+
+
+def test_non_ascii_config_file_is_an_error_line(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_bytes("ses = 64  # \u00fcber\n".encode("utf-8"))
+    rc = main(["run", "--config", str(conf)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-ASCII byte" in err
+    assert "exp.conf:1" in err and err.count("\n") == 1
+
+
+def test_more_lps_than_entities_is_an_error_line(capsys):
+    rc = main(["run", "--ses", "64", "--lps", "100"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: num_lps (100) exceeds entity count (64)\n"
+
+
 def test_campaign_emits_csv(tmp_path, capsys):
     out = str(tmp_path / "camp")
     rc = main(["campaign", "--ses", "48", "--lps", "1,2", "--steps", "10",

@@ -99,6 +99,15 @@ def test_parse_config_file_diagnostics(tmp_path):
     with pytest.raises(ConfigError, match=r"run\.conf:1.*key = value"):
         parse_config_file(path)
 
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        parse_config_file(str(tmp_path / "missing.conf"))
+
+    path = tmp_path / "latin.conf"
+    path.write_bytes(b"steps = 10\n# caf\xe9\n")
+    with pytest.raises(ConfigError,
+                       match=r"latin\.conf:2: non-ASCII byte 0xe9"):
+        parse_config_file(str(path))
+
     path = _write(tmp_path, "sess = 4000\n")
     with pytest.raises(ConfigError, match="unknown config key 'sess'") as info:
         parse_config_file(path)
@@ -121,6 +130,11 @@ def test_out_of_range_values_name_key_and_range():
         resolve_settings({"mode": "threads"})
     with pytest.raises(ConfigError, match="'endpoint'"):
         resolve_settings({"endpoint": "nocolon"})
+    for endpoint in ("h:-1", "h:+80", "h:0", "h:99999"):
+        with pytest.raises(ConfigError, match="'endpoint'.*1-65535"):
+            resolve_settings({"endpoint": endpoint})
+    for endpoint in ("h:1", "h:65535"):
+        assert resolve_settings({"endpoint": endpoint}).endpoint == endpoint
     with pytest.raises(ConfigError, match="cannot parse"):
         resolve_settings({"steps": "ninety"})
 
@@ -184,3 +198,24 @@ def test_schema_defaults_are_self_consistent():
                 "duration", "endpoint", "repetitions", "out",
                 "barrier_timeout"):
         assert getattr(s, key) == SCHEMA[key][3]
+
+
+def test_run_settings_validate_however_built():
+    with pytest.raises(ConfigError, match="'steps'"):
+        RunSettings(steps=0)
+    with pytest.raises(ConfigError, match="'endpoint'"):
+        RunSettings(endpoint="h:0")
+    with pytest.raises(ConfigError):
+        RunSettings(preset=("bad",),
+                    param_overrides=(("interaction_range", 50.0),))
+
+
+def test_hybrid_none_when_unconfigured():
+    assert RunSettings().hybrid() is None
+    spec = RunSettings(spawn_at=(4, 9), transfer_count=2, substeps=5,
+                       duration=7, endpoint="").hybrid()
+    assert spec.trigger.spawn_at == (4, 9)
+    assert spec.trigger.transfer_count == 2
+    assert spec.align.fine_substeps == 5
+    assert spec.policy.coarse_steps == 7
+    assert spec.endpoint is None  # empty string means local

@@ -246,6 +246,19 @@ def test_hybrid_spec_endpoint_validation():
         HybridSpec(io_timeout=0.0)
 
 
+@pytest.mark.parametrize("endpoint", ["h:-1", "h:+80", "h:0", "h:99999"])
+def test_endpoint_port_outside_1_to_65535_is_refused(endpoint, monkeypatch):
+    with pytest.raises(ValueError, match="1-65535"):
+        HybridSpec(endpoint=endpoint)
+    # the environment path: refused before any entity is frozen
+    config, spec, backend, world = _bench()
+    monkeypatch.setenv(ENDPOINT_ENV_VAR, endpoint)
+    with pytest.raises(ValueError, match="1-65535"):
+        spawn_level1(backend, [2, 5], 4, HybridSpec(), config.master_seed,
+                     spec.side, 0)
+    assert backend.entity_count() == 12
+
+
 def test_resolve_endpoint_env_beats_spec(monkeypatch):
     spec = HybridSpec(endpoint="10.0.0.1:9000")
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)

@@ -199,5 +199,5 @@ def test_close_gives_every_hung_worker_one_shared_deadline(monkeypatch):
         t0 = time.monotonic()
         pb.close()
         closed_in = time.monotonic() - t0
-    assert closed_in < 8.0  # one 5 s deadline for both, not 5 s each
+    assert closed_in < 2.0  # hung LPs are terminated, not given 5 s
     assert set(multiprocessing.active_children()) <= before

@@ -3,13 +3,16 @@
 Entities are partitioned across logical processes (LPs). A
 LogicalProcess builds its entities, updates them once per timestep in
 ascending id order, and reports the step's broadcasts, counters and
-positions; both backends drive it. Once every LP has reported step t,
-the engine updates the global position table, runs any sub-simulator
-coordination, and routes the step's broadcasts in one vectorised pass.
-Positions are binned into torus cells wider than the interaction range,
-so each broadcast is tested only against the entities of its sender's
-cell and the neighbouring cells, with the same squared-distance
-expression as the flat scan in territory.broadcast_reach. One lexsort on (owner LP, receiver, message
+positions. InProcessBackend writes every backend operation (step,
+extract, restore, finish) once, over one primitive that asks an LP;
+the process backend (parallel.py) replaces only that primitive. Once
+every LP has reported step t, the engine updates the global position
+table, runs any sub-simulator coordination, and routes the step's
+broadcasts in one vectorised pass. Positions are binned into torus
+cells wider than the interaction range, so each broadcast is tested
+only against the entities of its sender's cell and the neighbouring
+cells, with the same squared-distance expression as the flat scan in
+territory.broadcast_reach. One lexsort on (owner LP, receiver, message
 id, sender) then orders every copy, and each LP receives its share at
 the start of the next timestep as an EnvelopeBatch: the step's
 broadcast table plus two integer columns. One timestep of flight
@@ -213,12 +216,13 @@ class LogicalProcess:
         self._reindex()
         return records
 
-    def restore(self, records) -> None:
-        """Rebuild entities from records and take them back."""
+    def restore(self, records) -> int:
+        """Rebuild entities from records and take them back; how many."""
         for rec in records:
             e = record_to_entity(rec, self.master_seed, self.params)
             self.entities[e.entity_id] = e
         self._reindex()
+        return len(records)
 
     def run_step(self, t: int, inbox: Optional[EnvelopeBatch],
                  report: StepReport) -> list:
@@ -388,8 +392,8 @@ class InProcessBackend:
 
     With num_lps == 1 this is the plain sequential simulator; with more
     it steps the same LogicalProcess objects over the same partition as
-    the process backend, which is what makes the two comparable event
-    for event.
+    the process backend, which inherits every operation written here
+    over _ask and replaces only _ask, how an LP is asked.
     """
 
     def __init__(self, config: EngineConfig, model_spec):
@@ -400,34 +404,39 @@ class InProcessBackend:
                     for lp_id, ids in assignment.items()}
         self.owner_of = owner_array(assignment, model_spec.num_entities)
 
+    def _ask(self, op: str, args_by_lp: dict) -> dict:
+        """lp_id -> LogicalProcess.<op>(*args), each named LP in turn."""
+        return {lp_id: getattr(self.lps[lp_id], op)(*args)
+                for lp_id, args in args_by_lp.items()}
+
     def initial_positions(self):
         return [lp.positions() for lp in self.lps.values()]
 
     def step(self, t: int, inboxes: dict) -> dict:
-        return {lp_id: self.lps[lp_id].step(t, inboxes.get(lp_id))
-                for lp_id in sorted(self.lps)}
+        return self._ask("step", {lp_id: (t, inboxes.get(lp_id))
+                                  for lp_id in sorted(self.lps)})
 
     def extract(self, entity_ids) -> list:
         """Serialize and remove entities from their LPs, in input order."""
-        records = {}
-        for lp_id, eids in split_by_owner(self.owner_of, entity_ids).items():
-            for rec in self.lps[lp_id].extract(eids):
-                records[rec.entity_id] = rec
+        by_lp = split_by_owner(self.owner_of, entity_ids)
+        got = self._ask("extract", {lp: (ids,) for lp, ids in by_lp.items()})
+        records = {r.entity_id: r for recs in got.values() for r in recs}
         return [records[eid] for eid in entity_ids]
 
     def restore(self, records) -> None:
         by_lp = split_by_owner(self.owner_of, records,
                                key=lambda rec: rec.entity_id)
-        for lp_id, recs in by_lp.items():
-            self.lps[lp_id].restore(recs)
+        self._ask("restore", {lp: (recs,) for lp, recs in by_lp.items()})
 
     def entity_count(self) -> int:
         return sum(len(lp.entities) for lp in self.lps.values())
 
     def finish(self) -> InvariantMonitor:
+        """Every LP's invariant extrema, merged in LP order."""
         merged = InvariantMonitor()
-        for lp_id in sorted(self.lps):
-            merged.merge(self.lps[lp_id].finish())
+        every_lp = dict.fromkeys(sorted(self.lps), ())
+        for monitor in self._ask("finish", every_lp).values():
+            merged.merge(monitor)
         return merged
 
     def close(self) -> None:

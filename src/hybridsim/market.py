@@ -4,11 +4,12 @@ A 10x10 grid of fixed seller nodes spaced so only lateral neighbors are
 in radio range. Pedestrians enter on the square's boundary, flood a
 route request to find their target seller, receive the seller's
 position over the discovered route, then walk straight to it. Routing
-is on-demand: a request floods hop by hop with duplicate suppression;
-the reply unicasts back along the reverse path, installing next-hop
-entries. Store-and-forward timing: each routed hop consumes one fine
-step, so a reply over an h-hop route lands 2h fine steps after the
-query left. Positions here are planar (no torus inside the market).
+is on-demand: a request floods hop by hop with duplicate suppression
+and the reply unicasts back along the reverse path; nodes keep no route
+tables, so every query floods afresh. Store-and-forward timing: each
+routed hop consumes one fine step, so a reply over an h-hop route lands
+2h fine steps after the query left. Positions here are planar (no torus
+inside the market).
 
 Pedestrian randomness (entry point, target seller) comes from the
 entity streams carried in from the coarse level: two draws per injected
@@ -48,12 +49,6 @@ class MarketParams:
             raise ValueError("hop_limit must be >= 1")
 
 
-class RouteEntry(NamedTuple):
-    next_hop: int
-    hops: int
-    seq: int
-
-
 class RouteOutcome(NamedTuple):
     hops: Optional[int]  # None when unreachable
     path: tuple  # node ids src..dst, empty when unreachable
@@ -61,7 +56,7 @@ class RouteOutcome(NamedTuple):
 
 
 class MarketScene:
-    """Seller grid, live pedestrian nodes, and per-node route tables."""
+    """Seller grid and live pedestrian nodes."""
 
     def __init__(self, params: MarketParams = MarketParams()):
         self.params = params
@@ -71,8 +66,6 @@ class MarketScene:
         self.node_pos = {s: (float(s % g) * params.spacing,
                              float(s // g) * params.spacing)
                          for s in range(self.num_sellers)}
-        self.route_tables = {}  # node id -> {dst: RouteEntry}
-        self.seq_counter = 0
 
     @property
     def extent(self) -> float:
@@ -99,19 +92,15 @@ class MarketScene:
                 out.append(other)
         return out
 
-    def route_entry(self, node_id: int, dst: int) -> Optional[RouteEntry]:
-        return self.route_tables.get(node_id, {}).get(dst)
-
 
 def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
-    """Flood a route request from src; install routes if dst is reached.
+    """Flood a route request from src; the path to dst if reached.
 
     Breadth-first over radio adjacency with duplicate suppression and
     the scene hop limit. Every reached node except dst rebroadcasts the
     request exactly once (that is the request transmission count). When
-    dst is reached, the reply unicasts back over the discovered parents,
-    installing forward and reverse next-hop entries at every node on the
-    path.
+    dst is reached, the path is read back over the discovered parents,
+    the way the reply unicasts back to src.
     """
     if src == dst:
         raise ValueError("route_discover requires src != dst")
@@ -136,16 +125,7 @@ def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     path.reverse()  # src .. dst
-    hops = len(path) - 1
-    scene.seq_counter += 1
-    seq = scene.seq_counter
-    for i, node in enumerate(path):
-        table = scene.route_tables.setdefault(node, {})
-        if i + 1 < len(path):
-            table[dst] = RouteEntry(path[i + 1], hops - i, seq)
-        if i > 0:
-            table[src] = RouteEntry(path[i - 1], i, seq)
-    return RouteOutcome(hops, tuple(path), transmissions)
+    return RouteOutcome(len(path) - 1, tuple(path), transmissions)
 
 
 class PedestrianNode:

@@ -1,8 +1,10 @@
 """Process-parallel backend: one OS process per logical process.
 
 The parent keeps the step loop, routing and coordination; each worker
-holds one LogicalProcess and answers the parent's commands with it
-(step, extract, restore, finish) over a pipe. Counters are
+holds one LogicalProcess and answers the parent's commands with it over
+a pipe. ProcessBackend inherits step, extract, restore and finish from
+engine.InProcessBackend and replaces only how an LP is asked: a command
+down each LP's pipe, then one wait for all the replies. Counters are
 bit-identical to the in-process backend because partitioning,
 per-entity streams and the canonical inbox order are all independent
 of where an entity happens to live.
@@ -17,17 +19,17 @@ from multiprocessing.connection import wait as conn_wait
 from .engine import (
     BarrierTimeoutError,
     EngineError,
+    InProcessBackend,
     LogicalProcess,
     StepExecutionError,
     owner_array,
     partition_entities,
-    split_by_owner,
 )
-from .metrics import InvariantMonitor
 
 
 def _worker(lp_id: int, conn, config, model_spec, entity_ids) -> None:
-    """Serve one LP: every reply is (op, payload), or ("error", ...)."""
+    """Serve one LP: every reply is (op, payload), or ("error", lp id,
+    step or None, entity id or None, text)."""
     lp = LogicalProcess(lp_id, entity_ids, model_spec, config.master_seed)
     conn.send(("hello", lp.positions()))
     while _serve(lp, conn):
@@ -36,52 +38,47 @@ def _worker(lp_id: int, conn, config, model_spec, entity_ids) -> None:
 
 
 def _serve(lp: LogicalProcess, conn) -> bool:
-    """Answer one command; False on close. Its locals die on return, so
-    no step's inbox or result is held while the next one is received."""
+    """Answer one (op, *args) command with LogicalProcess.<op>(*args);
+    False on close. A failure is relayed as an error reply and the
+    worker serves on. Its locals die on return, so no step's inbox or
+    result is held while the next one is received."""
     op, *args = conn.recv()
-    if op == "step":
-        t, inbox = args
-        try:
-            reply = ("step", lp.step(t, inbox))
-        except StepExecutionError as exc:  # the parent re-adds lp, step, id
-            reply = ("error", lp.lp_id, t, exc.entity_id, str(exc.__cause__))
-        except EngineError as exc:
-            reply = ("error", lp.lp_id, t, None, str(exc))
-    elif op == "extract":
-        reply = ("extract", lp.extract(args[0]))
-    elif op == "restore":
-        lp.restore(args[0])
-        reply = ("restore", len(args[0]))
-    elif op == "finish":
-        reply = ("finish", lp.finish())
-    elif op == "close":
+    if op == "close":
         return False
-    else:
-        raise EngineError(f"worker {lp.lp_id}: unknown command {op!r}")
+    try:
+        reply = (op, getattr(lp, op)(*args))
+    except StepExecutionError as exc:  # the parent re-adds lp, step, id
+        reply = ("error", lp.lp_id, exc.step, exc.entity_id,
+                 str(exc.__cause__))
+    except Exception as exc:
+        text = (str(exc) if isinstance(exc, EngineError) else
+                f"worker for lp={lp.lp_id} failed in {op}:"
+                f" {type(exc).__name__}: {exc}")
+        reply = ("error", lp.lp_id, args[0] if op == "step" else None, None,
+                 text)
     conn.send(reply)
     return True
 
 
-class ProcessBackend:
-    """Drives the worker pool and mirrors entity ownership.
+class ProcessBackend(InProcessBackend):
+    """InProcessBackend's operations, each LP in its own worker process.
 
-    The parent tracks per-LP entity counts so conservation checks and
-    frozen-entity bookkeeping never need a round trip. Every reply the
-    parent waits for (hello, step, extract, restore, finish) must arrive
-    within barrier_timeout.
+    ``lps`` maps each lp id to the parent's end of its worker's pipe, and
+    only _ask, how an LP is asked, differs from the in-process backend.
+    The parent mirrors per-LP entity counts from the extract and restore
+    replies, so conservation checks and frozen-entity bookkeeping never
+    need a round trip.
     """
 
     def __init__(self, config, model_spec):
         self.config = config
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            ctx = mp.get_context("spawn")
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
+                             else "spawn")
         assignment = partition_entities(range(model_spec.num_entities),
                                         config.num_lps, config.master_seed)
         self.owner_of = owner_array(assignment, model_spec.num_entities)
         self._counts = {lp_id: len(ids) for lp_id, ids in assignment.items()}
-        self._conns = {}
+        self.lps = {}
         self._procs = {}
         self._silent = set()  # LPs that missed a reply deadline
         try:
@@ -91,111 +88,80 @@ class ProcessBackend:
                                    args=(lp_id, child, config, model_spec,
                                          ids),
                                    daemon=True)
-                self._conns[lp_id] = parent
+                self.lps[lp_id] = parent
                 proc.start()
                 child.close()
                 self._procs[lp_id] = proc
-            hello = self._collect(assignment, "hello")
+            hello = self._ask("hello", dict.fromkeys(assignment, ()))
         except BaseException:
             self.close()
             raise
-        self._hello = [hello[lp_id] for lp_id in assignment]
+        self._hello = list(hello.values())
 
-    def _replies(self, lp_ids, on_timeout):
-        """Yield (lp_id, reply) as each LP answers, within barrier_timeout.
+    def _ask(self, op: str, args_by_lp: dict) -> dict:
+        """Send each named LP (op, *args), then wait for every reply
+        within barrier_timeout; lp_id -> payload, in the given order.
 
-        A worker that exits raises EngineError; if any is still silent at
-        the deadline, on_timeout(silent lp ids) is raised and close() will
-        not wait for those LPs.
-        """
-        deadline = time.monotonic() + self.config.barrier_timeout
-        pending = {self._conns[lp_id]: lp_id for lp_id in lp_ids}
+        Workers send hello unasked. A worker that exits raises at once.
+        LPs silent at the deadline raise BarrierTimeoutError (a step) or
+        EngineError, and close() terminates them without waiting. An
+        error reply is raised once every LP has answered."""
+        if op != "hello":
+            for lp_id, args in args_by_lp.items():
+                self.lps[lp_id].send((op, *args))
+        timeout = self.config.barrier_timeout
+        deadline = time.monotonic() + timeout
+        pending = {self.lps[lp_id]: lp_id for lp_id in args_by_lp}
+        replies = {}
         while pending:
             remaining = deadline - time.monotonic()
             ready = (conn_wait(list(pending), timeout=remaining)
                      if remaining > 0 else [])
             if not ready:
-                self._silent.update(pending.values())
-                raise on_timeout(sorted(pending.values()))
+                silent = sorted(pending.values())
+                self._silent.update(silent)
+                if op == "step":
+                    raise BarrierTimeoutError(args_by_lp[silent[0]][0],
+                                              silent)
+                raise EngineError(f"no reply to {op} from lp(s) {silent}"
+                                  f" within {timeout:g} s")
             for conn in ready:
                 lp_id = pending.pop(conn)
                 try:
-                    reply = conn.recv()
+                    replies[lp_id] = conn.recv()
                 except EOFError:
                     raise EngineError(f"worker for lp={lp_id} died") from None
-                yield lp_id, reply
-
-    def _collect(self, lp_ids, op: str) -> dict:
-        """Each LP's payload in its reply to op."""
-        timeout = self.config.barrier_timeout
-
-        def silent(lps):
-            return EngineError(f"no reply to {op} from lp(s) {lps}"
-                               f" within {timeout:g} s")
-
         payloads = {}
-        for lp_id, reply in self._replies(lp_ids, silent):
-            if reply[0] != op:
-                raise EngineError(f"worker {lp_id} sent {reply[0]!r} to {op}")
-            payloads[lp_id] = reply[1]
+        error = None
+        for lp_id in args_by_lp:
+            kind, *rest = replies[lp_id]
+            if kind == "error":
+                elp, estep, eid, text = rest
+                error = error or (EngineError(text) if eid is None else
+                                  StepExecutionError(elp, estep, eid, text))
+                continue
+            if kind != op:
+                raise EngineError(f"worker {lp_id} sent {kind!r} to {op}")
+            payloads[lp_id] = payload = rest[0]
+            if op == "extract":
+                self._counts[lp_id] -= len(payload)
+            elif op == "restore":
+                self._counts[lp_id] += payload
+        if error is not None:
+            raise error
         return payloads
 
     def initial_positions(self):
         return list(self._hello)
 
-    def step(self, t: int, inboxes: dict) -> dict:
-        for lp_id, conn in self._conns.items():
-            conn.send(("step", t, inboxes.get(lp_id)))
-        results = {}
-        for lp_id, msg in self._replies(
-                self._conns, lambda silent: BarrierTimeoutError(t, silent)):
-            if msg[0] == "error":
-                _, elp, estep, eid, text = msg
-                if eid is not None:
-                    raise StepExecutionError(elp, estep, eid, text)
-                raise EngineError(text)
-            if msg[0] != "step":
-                raise EngineError(
-                    f"worker {lp_id} sent {msg[0]!r} during step")
-            results[lp_id] = msg[1]
-        return results
-
-    def extract(self, entity_ids) -> list:
-        by_lp = split_by_owner(self.owner_of, entity_ids)
-        for lp_id, eids in by_lp.items():
-            self._conns[lp_id].send(("extract", eids))
-        records = {}
-        for lp_id, recs in self._collect(by_lp, "extract").items():
-            for rec in recs:
-                records[rec.entity_id] = rec
-            self._counts[lp_id] -= len(recs)
-        return [records[eid] for eid in entity_ids]
-
-    def restore(self, records) -> None:
-        by_lp = split_by_owner(self.owner_of, records,
-                               key=lambda rec: rec.entity_id)
-        for lp_id, recs in by_lp.items():
-            self._conns[lp_id].send(("restore", recs))
-        for lp_id, n in self._collect(by_lp, "restore").items():
-            self._counts[lp_id] += n
-
     def entity_count(self) -> int:
         return sum(self._counts.values())
-
-    def finish(self) -> InvariantMonitor:
-        merged = InvariantMonitor()
-        for conn in self._conns.values():
-            conn.send(("finish",))
-        monitors = self._collect(self._conns, "finish")
-        for lp_id in self._conns:
-            merged.merge(monitors[lp_id])
-        return merged
 
     def close(self) -> None:
         """Stop every worker. One that missed a reply deadline is busy and
         cannot read the close command, so it is terminated at once; the
         rest share one deadline before any still alive is terminated."""
-        for lp_id, conn in self._conns.items():
+        for lp_id, conn in self.lps.items():
             if lp_id in self._silent:
                 self._procs[lp_id].terminate()
                 continue
@@ -211,7 +177,7 @@ class ProcessBackend:
             proc.terminate()
         for proc in stuck:
             proc.join(timeout=5.0)
-        for conn in self._conns.values():
+        for conn in self.lps.values():
             try:
                 conn.close()
             except OSError:

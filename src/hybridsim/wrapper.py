@@ -12,6 +12,9 @@ Runs in-process behind a socketpair for local sessions, or as a
 standalone TCP server for remote ones:
 
     python -m hybridsim.wrapper --listen 0.0.0.0:7420
+
+--listen follows the HOST:PORT rule of coordination.parse_endpoint; an
+address it refuses ends in one error line and exit status 2, unbound.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import socket
 import sys
 import threading
 
+from .coordination import parse_endpoint
 from .market import MarketParams, MarketRun, MarketScene
 from .protocol import (
     LineChannel,
@@ -167,11 +171,12 @@ def main(argv=None) -> int:
     ap.add_argument("--listen", metavar="HOST:PORT", required=True,
                     help="address to accept coarse-side connections on")
     args = ap.parse_args(argv)
-    host, sep, port = args.listen.rpartition(":")
-    if not sep:
-        ap.error("--listen must look like HOST:PORT")
     try:
-        serve(host or "0.0.0.0", int(port))
+        host, port = parse_endpoint(args.listen)
+    except ValueError as exc:
+        ap.error(f"--listen: {exc}")
+    try:
+        serve(host, port)
     except KeyboardInterrupt:
         pass
     return 0

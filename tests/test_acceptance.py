@@ -16,6 +16,7 @@ import random
 import statistics
 from collections import deque
 
+import numpy as np
 import pytest
 
 from hybridsim.config import make_params
@@ -31,11 +32,13 @@ from hybridsim.coordination import (
     ScriptedTrigger,
     TimestepAlignment,
 )
-from hybridsim.engine import EngineConfig, run_simulation
+from hybridsim.engine import EngineConfig, route_broadcasts, run_simulation
 from hybridsim.market import MarketParams, MarketRun, MarketScene, route_discover
 from hybridsim.protocol import decode_record
 from hybridsim.territory import (
     DENSITY_AREA_PER_ENTITY,
+    Broadcast,
+    DisseminationMessage,
     EntityRecord,
     LruSet,
     TerritorySpec,
@@ -241,19 +244,26 @@ class _ListLru:
 
 
 def test_c5_fast_paths_match_reference_oracles(capsys):
-    # broadcast reach vs the flat scan
+    # broadcast reach, as the cell-grid router and the flat reference
+    # scan find it, vs a plain loop over every entity
     rng = random.Random(505)
     n = 1000
     side = world_side(n)
+    one_lp = np.zeros(n, dtype=np.intp)
     reach_ok = 0
-    for _ in range(100):
+    for k in range(100):
         world = World(side, n)
         world.pos_x[:] = [rng.uniform(0.0, side) for _ in range(n)]
         world.pos_y[:] = [rng.uniform(0.0, side) for _ in range(n)]
         sender = rng.randrange(n)
         pos = world.position(sender)
-        fast = list(broadcast_reach(world, pos, 250.0, exclude=sender))
-        if fast == _scan_reach(world, pos, 250.0, sender):
+        want = _scan_reach(world, pos, 250.0, sender)
+        msg = DisseminationMessage(k, sender, *pos, 5, 0, 0)
+        inboxes, _, _ = route_broadcasts(world, [Broadcast(sender, *pos, msg)],
+                                         250.0, 0, {}, one_lp)
+        routed = inboxes[0].dest.tolist() if inboxes else []
+        flat = list(broadcast_reach(world, pos, 250.0, exclude=sender))
+        if routed == want and flat == want:
             reach_ok += 1
 
     # route discovery vs breadth-first search on the raw adjacency

@@ -3,7 +3,9 @@
 perfbench/ times the library from outside by swapping wrappers in for
 library functions and methods, looked up by name. A rename, or a call
 that stops going through the patched attribute, would leave a probe
-counting nothing without failing anything; this test fails instead.
+counting nothing without failing anything; these tests fail instead,
+for the layer tracer, for the run clock on both backends and for the
+benchmark's reach check on the router's output.
 """
 
 import importlib
@@ -11,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from hybridsim import engine
 from hybridsim.engine import EngineConfig, run_simulation
+from hybridsim.parallel import ProcessBackend
 from hybridsim.territory import TerritorySpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,3 +43,28 @@ def test_probes_resolve_and_count_a_run(bench, tmp_path):
                 "territory.generate.calls", "engine.run_step.s"):
         assert metrics[key] > 0, key
     assert metrics["territory.generate.calls"] == 200 * 20
+
+
+def test_run_clock_counts_a_process_run(bench):
+    _, probes = bench
+    clock = probes.RunClock()
+    cfg = EngineConfig(num_lps=2, total_timesteps=12, master_seed=11)
+    with probes.patched(clock.probes()):
+        run_simulation(cfg, TerritorySpec(120), mode="process")
+    assert len(clock.steps) == 12  # one timestamp per step, not two
+    assert clock.finish_at is not None
+    assert clock.active_at_finish == 120
+    # the probes leave the inherited operations inherited
+    assert "step" not in vars(ProcessBackend)
+    assert "finish" not in vars(ProcessBackend)
+
+
+def test_reach_sampler_compares_routed_broadcasts(bench, monkeypatch):
+    checks = importlib.import_module("checks")  # perfbench/ is on the path
+    sampler = checks.ReachSampler(engine.route_broadcasts)
+    monkeypatch.setattr(engine, "route_broadcasts", sampler)
+    cfg = EngineConfig(num_lps=1, total_timesteps=sampler.EVERY_STEPS + 2,
+                       master_seed=11)
+    run_simulation(cfg, TerritorySpec(200), mode="inprocess")
+    assert sampler.compared > 0
+    assert sampler.errors == []

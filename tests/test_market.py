@@ -83,28 +83,6 @@ def test_route_discover_grid_is_manhattan():
     assert len(out.path) == 19
 
 
-def test_route_discover_installs_forward_and_reverse():
-    scene = MarketScene(MarketParams())
-    out = route_discover(scene, 0, 3)
-    assert out.hops == 3
-    # forward entries point toward dst with decreasing hop counts
-    hop = out.hops
-    for node in out.path[:-1]:
-        entry = scene.route_entry(node, 3)
-        assert entry is not None and entry.hops == hop
-        hop -= 1
-    # reverse entries point back toward src
-    for i, node in enumerate(out.path[1:], 1):
-        entry = scene.route_entry(node, 0)
-        assert entry is not None and entry.hops == i
-    # next_hop chains actually walk the path
-    node, seen = 0, [0]
-    while node != 3:
-        node = scene.route_entry(node, 3).next_hop
-        seen.append(node)
-    assert tuple(seen) == out.path
-
-
 def test_request_transmissions_counts_rebroadcasts():
     # every reached node except dst forwards once; on the full grid with
     # dst reachable that is num_sellers - 1

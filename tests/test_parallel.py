@@ -83,6 +83,22 @@ def test_extract_restore_through_pipes():
         pb.close()
 
 
+def test_worker_failure_outside_a_step_names_its_cause():
+    spec = TerritorySpec(num_entities=24)
+    pb = ProcessBackend(_config(2, steps=5), spec)
+    try:
+        lp = int(pb.owner_of[5])
+        pb.extract([5])
+        # in-process this is a KeyError; the worker relays it and serves on
+        with pytest.raises(EngineError,
+                           match=rf"lp={lp} failed in extract: KeyError"):
+            pb.extract([5])
+        assert pb.entity_count() == 23
+        assert sorted(pb.step(0, {})) == [0, 1]
+    finally:
+        pb.close()
+
+
 def test_initial_positions_match_inprocess():
     spec = TerritorySpec(num_entities=30)
     config = _config(2, steps=5)

@@ -21,6 +21,7 @@ from hybridsim.protocol import (
     entity_from_fields,
 )
 from hybridsim.territory import EntityRecord
+from hybridsim import wrapper
 from hybridsim.wrapper import main, start_local
 
 _RECORDS = (
@@ -155,6 +156,22 @@ def test_session_rejects_step_mismatch():
 def test_main_rejects_malformed_listen():
     with pytest.raises(SystemExit):
         main(["--listen", "no-port-here"])
+
+
+@pytest.mark.parametrize("listen", ["127.0.0.1:abc", "h:0", "h:99999",
+                                    ":7420"])
+def test_main_refuses_listen_outside_the_endpoint_rule(listen, monkeypatch,
+                                                       capsys):
+    def bind(*args, **kwargs):
+        raise AssertionError(f"bound a socket for {listen!r}")
+
+    monkeypatch.setattr(wrapper.socket, "create_server", bind)
+    with pytest.raises(SystemExit) as info:
+        main(["--listen", listen])
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("hybridsim.wrapper: error: --listen")
+    assert repr(listen) in err[-1]
 
 
 # --- golden transcripts --------------------------------------------------

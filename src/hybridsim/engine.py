@@ -23,6 +23,7 @@ together make results independent of the LP count.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -210,7 +211,18 @@ class LogicalProcess:
         self._ids = np.array(ids, dtype=np.int64)
 
     def extract(self, entity_ids) -> list:
-        """Serialize and remove the given entities, in the given order."""
+        """Serialize and remove the given entities, in the given order.
+
+        Every id is checked before any is removed, so an extract that
+        raises leaves the LP as it was.
+        """
+        counts = Counter(int(eid) for eid in entity_ids)
+        twice = sorted(eid for eid, n in counts.items() if n > 1)
+        unowned = sorted(eid for eid in counts if eid not in self.entities)
+        if twice or unowned:
+            raise EngineError(
+                f"lp={self.lp_id} refused extract: ids listed twice"
+                f" {twice}, ids not owned {unowned}")
         records = [entity_to_record(self.entities.pop(eid))
                    for eid in entity_ids]
         self._reindex()

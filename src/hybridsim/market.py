@@ -8,7 +8,10 @@ is on-demand: a request floods hop by hop with duplicate suppression
 and the reply unicasts back along the reverse path; nodes keep no route
 tables, so every query floods afresh. Store-and-forward timing: each
 routed hop consumes one fine step, so a reply over an h-hop route lands
-2h fine steps after the query left. Positions here are planar (no torus
+2h fine steps after the query left. Each discovery builds the radio
+adjacency of the whole scene once, as one boolean matrix, and floods
+over its rows; MarketScene.neighbors is the per-node reference
+definition of that adjacency. Positions here are planar (no torus
 inside the market).
 
 Pedestrian randomness (entry point, target seller) comes from the
@@ -22,6 +25,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 QUERYING = "QUERYING"
 WALKING = "WALKING"
@@ -80,7 +85,7 @@ class MarketScene:
         self.node_pos[node_id] = (float(pos[0]), float(pos[1]))
 
     def neighbors(self, node_id: int):
-        """Nodes within radio range, ascending id (deterministic flood)."""
+        """Nodes within radio range, ascending id: the reference adjacency."""
         x, y = self.node_pos[node_id]
         r2 = self.params.radio_range ** 2
         out = []
@@ -92,20 +97,39 @@ class MarketScene:
                 out.append(other)
         return out
 
+    def adjacency(self):
+        """Every node's neighbours at once: (ids, boolean matrix).
+
+        ids ascend; row i of the matrix marks the neighbours of ids[i]
+        by the same in-range test as neighbors, so each row read in
+        column order is neighbors(ids[i]).
+        """
+        ids = sorted(self.node_pos)
+        xy = np.array([self.node_pos[node] for node in ids])
+        dx = xy[:, 0, None] - xy[None, :, 0]
+        dy = xy[:, 1, None] - xy[None, :, 1]
+        adjacent = dx ** 2 + dy ** 2 <= self.params.radio_range ** 2
+        np.fill_diagonal(adjacent, False)
+        return ids, adjacent
+
 
 def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
     """Flood a route request from src; the path to dst if reached.
 
     Breadth-first over radio adjacency with duplicate suppression and
-    the scene hop limit. Every reached node except dst rebroadcasts the
-    request exactly once (that is the request transmission count). When
-    dst is reached, the path is read back over the discovered parents,
-    the way the reply unicasts back to src.
+    the scene hop limit, over an adjacency built once per discovery;
+    its rows list neighbours in ascending id, as neighbors does, so the
+    flood order is unchanged. Every reached node except dst rebroadcasts
+    the request exactly once (that is the request transmission count).
+    When dst is reached, the path is read back over the discovered
+    parents, the way the reply unicasts back to src.
     """
     if src == dst:
         raise ValueError("route_discover requires src != dst")
     if src not in scene.node_pos or dst not in scene.node_pos:
         raise ValueError("src and dst must be nodes in the scene")
+    ids, adjacent = scene.adjacency()
+    row_of = {node: i for i, node in enumerate(ids)}
     parent = {src: None}
     depth = {src: 0}
     frontier = deque([src])
@@ -113,7 +137,8 @@ def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
         node = frontier.popleft()
         if depth[node] >= scene.params.hop_limit:
             continue
-        for nb in scene.neighbors(node):
+        for i in np.flatnonzero(adjacent[row_of[node]]).tolist():
+            nb = ids[i]
             if nb not in parent:
                 parent[nb] = node
                 depth[nb] = depth[node] + 1

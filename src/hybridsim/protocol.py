@@ -17,6 +17,10 @@ followed by one ENTITY per transferred entity; the wrapper answers
 READY. Then once per coarse step the wrapper sends STATUS and the
 coarse side replies CONTINUE or END. After END the wrapper sends
 RESULT, one ENTITY per returned entity, then BYE, and closes.
+
+A received line may hold at most MAX_LINE_BYTES bytes, newline included;
+a longer one ends the session with a ProtocolError instead of growing
+the reader without bound.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ from __future__ import annotations
 import re
 import socket
 from urllib.parse import quote, unquote
+
+# far above the longest legitimate record: an ENTITY carrying a full
+# 128-id duplicate cache is about 1 KB
+MAX_LINE_BYTES = 64 * 1024
 
 RECORD_KINDS = ("INIT", "ENTITY", "READY", "STATUS", "CONTINUE", "END",
                 "RESULT", "BYE")
@@ -191,13 +199,16 @@ class LineChannel:
     def recv(self, expect=None) -> tuple:
         """Read one record; expect may name the allowed kind(s)."""
         try:
-            raw = self._rfile.readline()
+            raw = self._rfile.readline(MAX_LINE_BYTES)
         except socket.timeout as exc:
             raise ProtocolError("timed out waiting for record") from exc
         except (OSError, ValueError) as exc:
             raise ProtocolError(f"recv failed: {exc}") from exc
         if not raw:
             raise ProtocolError("connection closed mid-session")
+        if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            raise ProtocolError(
+                f"no newline within the {MAX_LINE_BYTES}-byte line limit")
         kind, step, fields = decode_record(raw)
         if self.transcript is not None:
             self.transcript.append("< " + raw.decode("ascii").rstrip("\n"))

@@ -33,7 +33,13 @@ from hybridsim.coordination import (
     TimestepAlignment,
 )
 from hybridsim.engine import EngineConfig, route_broadcasts, run_simulation
-from hybridsim.market import MarketParams, MarketRun, MarketScene, route_discover
+from hybridsim.market import (
+    MarketParams,
+    MarketRun,
+    MarketScene,
+    RouteOutcome,
+    route_discover,
+)
 from hybridsim.protocol import decode_record
 from hybridsim.territory import (
     DENSITY_AREA_PER_ENTITY,
@@ -208,20 +214,27 @@ def _scan_reach(world, pos, radius, exclude):
     return out
 
 
-def _bfs_hops(scene, src, dst, hop_limit):
+def _flat_route_discover(scene, src, dst):
+    """The same flood and path read-back, one neighbors scan per node."""
+    parent = {src: None}
     depth = {src: 0}
     q = deque([src])
     while q:
         node = q.popleft()
-        if node == dst:
-            return depth[node]
-        if depth[node] >= hop_limit:
+        if depth[node] >= scene.params.hop_limit:
             continue
         for nb in scene.neighbors(node):
-            if nb not in depth:
+            if nb not in parent:
+                parent[nb] = node
                 depth[nb] = depth[node] + 1
                 q.append(nb)
-    return depth.get(dst)
+    transmissions = len(parent) - (1 if dst in parent else 0)
+    if dst not in parent:
+        return RouteOutcome(None, (), transmissions)
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return RouteOutcome(len(path) - 1, tuple(reversed(path)), transmissions)
 
 
 class _ListLru:
@@ -266,7 +279,7 @@ def test_c5_fast_paths_match_reference_oracles(capsys):
         if routed == want and flat == want:
             reach_ok += 1
 
-    # route discovery vs breadth-first search on the raw adjacency
+    # route discovery vs the same flood over per-node neighbors scans
     rng = random.Random(515)
     route_ok = 0
     trials = 0
@@ -277,11 +290,11 @@ def test_c5_fast_paths_match_reference_oracles(capsys):
             scene.set_node(1000 + k,
                            (rng.uniform(-20, 100), rng.uniform(-20, 100)))
         src, dst = rng.sample(sorted(scene.node_pos), 2)
-        expect = _bfs_hops(scene, src, dst, params.hop_limit)
-        if expect is None:
+        expect = _flat_route_discover(scene, src, dst)
+        if expect.hops is None:
             continue  # only connected topologies count
         trials += 1
-        if route_discover(scene, src, dst).hops == expect:
+        if route_discover(scene, src, dst) == expect:  # hops, path, requests
             route_ok += 1
 
     # the duplicate cache vs the list reference, two op traces

@@ -436,6 +436,50 @@ def test_spawn_over_tcp_endpoint():
         srv.close()
 
 
+def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
+    # a remote wrapper that answers READY, then sends 1 MiB with no newline
+    srv = socket.create_server(("127.0.0.1", 0))
+    port = srv.getsockname()[1]
+
+    def flood():
+        conn, _ = srv.accept()
+        with conn, conn.makefile("rb") as rfile:
+            init = rfile.readline().decode("ascii")
+            n = int(init.split("entities=")[1].split()[0])
+            for _ in range(n):
+                rfile.readline()
+            try:
+                conn.sendall(b"READY step=4\n" + b"x" * (1 << 20))
+            except OSError:
+                pass  # the coarse side hung up mid-flood
+
+    th = threading.Thread(target=flood, daemon=True)
+    th.start()
+    try:
+        config, spec, backend, world = _bench()
+        before = backend.extract([3, 8])
+        backend.restore(before)
+        hs = HybridSpec(endpoint=f"127.0.0.1:{port}", io_timeout=10.0)
+        coord = HybridCoordinator(hs, config, spec)
+        handle = spawn_level1(backend, [3, 8], 4, hs, config.master_seed,
+                              spec.side, 0)
+        coord.active[0] = handle
+        frozen = {3: handle, 8: handle}
+        metrics = RunMetrics()
+        coord.at_barrier(5, world, backend, frozen, metrics)
+        th.join(timeout=10.0)
+        assert not th.is_alive()
+    finally:
+        srv.close()
+    assert "wrapper 0 terminated: no newline within the 65536-byte line" \
+        " limit" in capsys.readouterr().err
+    assert handle.state == FAILED and metrics.level1.failures == 1
+    assert coord.active == {} and frozen == {}
+    assert backend.entity_count() == 12
+    assert backend.extract([3, 8]) == before
+    assert handle._sock.fileno() == -1  # closed, not leaked
+
+
 # --- conservation checks with a scripted fake wrapper --------------------
 
 

@@ -1,9 +1,11 @@
-"""Market scene: grid topology, route discovery vs BFS oracle, pedestrians."""
+"""Market scene: grid topology, route discovery vs a flat oracle, pedestrians."""
 
 import random
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridsim.market import (
     ARRIVED,
@@ -13,6 +15,7 @@ from hybridsim.market import (
     MarketRun,
     MarketScene,
     PedestrianNode,
+    RouteOutcome,
     pedestrian_step,
     perimeter_point,
     route_discover,
@@ -38,21 +41,70 @@ def run_market(scene, n_customers, substeps_per_coarse, coarse_steps,
     return bodies, run.result_records(), run
 
 
-def bfs_hops(scene, src, dst, hop_limit):
-    """Reference shortest-hop search straight off the adjacency."""
+def flat_route_discover(scene, src, dst):
+    """Reference discovery: the same flood, one neighbors scan per node."""
+    parent = {src: None}
     depth = {src: 0}
-    q = deque([src])
-    while q:
-        node = q.popleft()
-        if node == dst:
-            return depth[node]
-        if depth[node] >= hop_limit:
+    frontier = deque([src])
+    while frontier:
+        node = frontier.popleft()
+        if depth[node] >= scene.params.hop_limit:
             continue
         for nb in scene.neighbors(node):
-            if nb not in depth:
+            if nb not in parent:
+                parent[nb] = node
                 depth[nb] = depth[node] + 1
-                q.append(nb)
-    return depth.get(dst)
+                frontier.append(nb)
+    transmissions = len(parent) - (1 if dst in parent else 0)
+    if dst not in parent:
+        return RouteOutcome(None, (), transmissions)
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return RouteOutcome(len(path) - 1, tuple(path), transmissions)
+
+
+@st.composite
+def scenes(draw):
+    """A seller grid plus stray nodes: some coincident with a node, some
+    exactly radio range from one, some anywhere, some far away; stray
+    ids sit above the sellers and are placed in no particular order."""
+    spacing = draw(st.sampled_from([10.0, 25.0, 30.0]))
+    radio = draw(st.sampled_from([spacing, 12.5, 30.0, 37.5]))
+    params = MarketParams(grid_side=draw(st.integers(1, 5)), spacing=spacing,
+                          radio_range=radio, hop_limit=draw(st.integers(1, 8)))
+    scene = MarketScene(params)
+    lo, hi = -radio, scene.extent + radio
+    n = draw(st.integers(1 if params.grid_side == 1 else 0, 6))
+    ids = draw(st.permutations(range(scene.num_sellers,
+                                     scene.num_sellers + 2 * n)))[:n]
+    for node in ids:
+        ax, ay = scene.node_pos[draw(st.sampled_from(sorted(scene.node_pos)))]
+        scene.set_node(node, draw(st.one_of(
+            st.just((ax, ay)),
+            st.sampled_from([(ax + radio, ay), (ax, ay - radio)]),
+            st.tuples(st.floats(lo, hi), st.floats(lo, hi)),
+            st.just((1e6, 1e6)))))
+    return scene
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=scenes())
+def test_adjacency_rows_are_neighbors(scene):
+    ids, adjacent = scene.adjacency()
+    assert ids == sorted(scene.node_pos)
+    for i, node in enumerate(ids):
+        row = [ids[j] for j in np.flatnonzero(adjacent[i]).tolist()]
+        assert row == scene.neighbors(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scene=scenes())
+def test_route_discover_matches_flat_oracle(data, scene):
+    src, dst = data.draw(st.permutations(sorted(scene.node_pos)))[:2]
+    assert route_discover(scene, src, dst) == \
+        flat_route_discover(scene, src, dst)
 
 
 def test_grid_geometry():
@@ -125,9 +177,8 @@ def test_route_discover_matches_bfs_oracle_random_topologies():
             scene.set_node(1000 + k, (rng.uniform(-20, 100), rng.uniform(-20, 100)))
         nodes = sorted(scene.node_pos)
         src, dst = rng.sample(nodes, 2)
-        expect = bfs_hops(scene, src, dst, params.hop_limit)
-        got = route_discover(scene, src, dst)
-        assert got.hops == expect, (trial, src, dst)
+        expect = flat_route_discover(scene, src, dst)
+        assert route_discover(scene, src, dst) == expect, (trial, src, dst)
 
 
 def test_perimeter_point_walks_the_boundary():

@@ -88,15 +88,39 @@ def test_worker_failure_outside_a_step_names_its_cause():
     pb = ProcessBackend(_config(2, steps=5), spec)
     try:
         lp = int(pb.owner_of[5])
-        pb.extract([5])
-        # in-process this is a KeyError; the worker relays it and serves on
+        [rec] = pb.extract([5])
+        # a record whose target is not a pair: in-process this is a
+        # ValueError; the worker relays it and serves on
         with pytest.raises(EngineError,
-                           match=rf"lp={lp} failed in extract: KeyError"):
-            pb.extract([5])
+                           match=rf"lp={lp} failed in restore: ValueError"):
+            pb.restore([rec._replace(target=(1.0,))])
         assert pb.entity_count() == 23
         assert sorted(pb.step(0, {})) == [0, 1]
     finally:
         pb.close()
+
+
+@pytest.mark.parametrize("backend", [InProcessBackend, ProcessBackend])
+def test_refused_extract_changes_nothing(backend):
+    spec = TerritorySpec(num_entities=24)
+    b = backend(_config(2, steps=5), spec)
+    try:
+        lp = int(b.owner_of[5])
+        with pytest.raises(EngineError, match=rf"lp={lp} refused extract:"
+                           r" ids listed twice \[5\], ids not owned \[\]"):
+            b.extract([5, 5])
+        other = next(i for i in range(6, 24) if b.owner_of[i] == lp)
+        [rec] = b.extract([other])
+        with pytest.raises(EngineError, match=r"ids listed twice \[\],"
+                           rf" ids not owned \[{other}\]"):
+            b.extract([5, other])
+        b.restore([rec])
+        assert b.entity_count() == 24
+        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        assert ids == list(range(24))
+        assert [r.entity_id for r in b.extract([other, 5])] == [other, 5]
+    finally:
+        b.close()
 
 
 def test_initial_positions_match_inprocess():

@@ -7,13 +7,11 @@ from hybridsim.transport import TransportParams, simulate_arrivals
 def main():
     capacity = 10
     print(f"parking capacity {capacity}, stochastic phase durations\n")
-    print(f"{'vehicles':>8} {'customers':>9} {'emissions g':>12}"
-          f" {'mean search tu':>14}")
+    print(f"{'vehicles':>8} {'customers':>9} {'emissions g':>12}")
     for n in (0, 5, 10, 20, 40):
         r = simulate_arrivals(TransportParams(
             n_vehicles=n, parking_capacity=capacity, seed=2026))
-        print(f"{n:>8} {r.customers_entering:>9}"
-              f" {r.total_emissions:>12.1f} {r.mean_parking_search:>14.2f}")
+        print(f"{n:>8} {r.customers_entering:>9} {r.total_emissions:>12.1f}")
 
     # a scripted cohort is exactly reproducible by hand: one vehicle
     # cruising 10 tu at 2 g/tu then idling 5 tu at 1 g/tu is 25 g

@@ -1,15 +1,15 @@
 """Multi-level orchestration: freeze, hand off, supervise, reintegrate.
 
-A trigger fires at a coarse barrier and names a set of entities. They
-are serialized, removed from their logical processes and sent to a
-sub-simulator wrapper together with the full session configuration
-(spawn). From the next barrier on, the wrapper reports one STATUS per
-coarse step and the coordinator answers CONTINUE or END per policy;
-the barrier does not complete until every active wrapper's STATUS has
-been processed, so coarse simulated time never outruns a wrapper. On
-END the wrapper returns RESULT plus the updated entity records, which
-are validated (set equality, rng cursor accounting) and restored
-(reintegrate).
+A trigger fires at a coarse barrier and returns one tuple of entity
+ids per firing. They are serialized, removed from their logical
+processes and sent to a sub-simulator wrapper together with the full
+session configuration (spawn). From the next barrier on, the wrapper
+reports one STATUS per coarse step and the coordinator answers
+CONTINUE or END per policy; the barrier does not complete until every
+active wrapper's STATUS has been processed, so coarse simulated time
+never outruns a wrapper. On END the wrapper returns RESULT plus the
+updated entity records, which are validated (set equality, rng cursor
+accounting) and restored (reintegrate).
 
 The transfer snapshot is retained until RESULT validates. A wrapper
 that breaks protocol mid-session is terminated and its entities are
@@ -29,11 +29,11 @@ import os
 import socket
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .engine import EngineError
+from .engine import EngineError, torus_pairs
 from .protocol import (
     LineChannel,
     ProtocolError,
@@ -71,14 +71,6 @@ class TimestepAlignment:
             raise ValueError("fine_substeps must be >= 1")
 
 
-class TriggerEvent(NamedTuple):
-    """One firing: which entities leave, and why."""
-
-    tag: str
-    region: Optional[tuple]  # (center_x, center_y, radius) or None
-    entity_ids: tuple
-
-
 @dataclass(frozen=True)
 class ScriptedTrigger:
     """Fire at fixed coarse steps, taking the lowest-id free entities.
@@ -100,16 +92,19 @@ class ScriptedTrigger:
             raise ValueError("transfer_count must be >= 1")
 
     def check(self, world, t: int, frozen) -> list:
-        fires = self.spawn_at.count(t)
-        if fires == 0:
+        """The entity id tuples that leave at step t, one per firing."""
+        if t not in self.spawn_at:
             return []
         pool = [eid for eid in range(world.num_entities) if eid not in frozen]
-        events = []
-        for _ in range(fires):
-            take, pool = pool[:self.transfer_count], pool[self.transfer_count:]
-            if take:
-                events.append(TriggerEvent("scripted", None, tuple(take)))
-        return events
+        k = self.transfer_count
+        takes = (tuple(pool[i:i + k])
+                 for i in range(0, k * self.spawn_at.count(t), k))
+        return [take for take in takes if take]
+
+
+# Centers per torus_pairs call, ascending: the first block that fires
+# holds the lowest-id winner, and no block makes more pairs per point.
+DENSITY_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -120,6 +115,8 @@ class DensityTrigger:
     free entity (the center counts itself; the disk boundary is
     inclusive). The lowest-id firing center wins and every free entity
     inside its disk is transferred. An infinite threshold never fires.
+    Disk members come from engine.torus_pairs, the query the router
+    uses, over blocks of DENSITY_BLOCK centers.
     """
 
     threshold: float = float("inf")
@@ -132,30 +129,22 @@ class DensityTrigger:
             raise ValueError("radius must be positive")
 
     def check(self, world, t: int, frozen) -> list:
-        eligible = np.array(
+        """[ids in the winning disk, ascending], or [] if none fires."""
+        free = np.array(
             [eid for eid in range(world.num_entities) if eid not in frozen],
             dtype=np.int64)
-        if eligible.size == 0 or self.threshold > eligible.size:
+        if self.threshold > free.size:
             return []
-        xs = world.pos_x[eligible]
-        ys = world.pos_y[eligible]
-        side = world.side
-        r2 = self.radius * self.radius
-        for lo in range(0, eligible.size, 512):
-            hi = min(lo + 512, eligible.size)
-            dx = np.abs(xs[None, :] - xs[lo:hi, None])
-            dy = np.abs(ys[None, :] - ys[lo:hi, None])
-            np.minimum(dx, side - dx, out=dx)
-            np.minimum(dy, side - dy, out=dy)
-            inside = dx * dx + dy * dy <= r2
-            counts = inside.sum(axis=1)
-            hits = np.nonzero(counts >= self.threshold)[0]
-            if hits.size:
-                k = int(hits[0])  # chunks scan ids ascending: first hit wins
-                members = eligible[inside[k]]
-                region = (float(xs[lo + k]), float(ys[lo + k]), self.radius)
-                return [TriggerEvent("density", region,
-                                     tuple(int(m) for m in members))]
+        xs = world.pos_x[free]
+        ys = world.pos_y[free]
+        for lo in range(0, free.size, DENSITY_BLOCK):
+            block = slice(lo, lo + DENSITY_BLOCK)
+            center, point = torus_pairs(xs, ys, xs[block], ys[block],
+                                        world.side, self.radius)
+            fires = np.nonzero(np.bincount(center) >= self.threshold)[0]
+            if fires.size:
+                inside = np.sort(point[center == fires[0]])
+                return [tuple(free[inside].tolist())]
         return []
 
 
@@ -487,11 +476,11 @@ class HybridCoordinator:
 
         if force_end or self.spec.trigger is None:
             return
-        for event in self.spec.trigger.check(world, t, frozen):
+        for entity_ids in self.spec.trigger.check(world, t, frozen):
             wid = self._next_id
             self._next_id += 1
             try:
-                handle = spawn_level1(backend, event.entity_ids, t, self.spec,
+                handle = spawn_level1(backend, entity_ids, t, self.spec,
                                       self.master_seed, self.side, wid)
             except WrapperFailure as exc:
                 if metrics is not None:

@@ -8,16 +8,17 @@ extract, restore, finish) once, over one primitive that asks an LP;
 the process backend (parallel.py) replaces only that primitive. Once
 every LP has reported step t, the engine updates the global position
 table, runs any sub-simulator coordination, and routes the step's
-broadcasts in one vectorised pass. Positions are binned into torus
-cells wider than the interaction range, so each broadcast is tested
-only against the entities of its sender's cell and the neighbouring
-cells, with the same squared-distance expression as the flat scan in
-territory.broadcast_reach. One lexsort on (owner LP, receiver, message
-id, sender) then orders every copy, and each LP receives its share at
-the start of the next timestep as an EnvelopeBatch: the step's
-broadcast table plus two integer columns. One timestep of flight
-latency, per-entity random streams and this canonical inbox order
-together make results independent of the LP count.
+broadcasts in one vectorised pass of torus_pairs, the one torus
+neighbourhood query (DensityTrigger asks it too): each broadcast is
+tested only against the entities binned in its sender's cell and the
+neighbouring cells, with the same squared-distance expression as the
+flat scan in territory.broadcast_reach. One lexsort on (owner LP,
+receiver, message id, sender) then orders every copy, and each LP
+receives its share at the start of the next timestep as an
+EnvelopeBatch: the step's broadcast table plus two integer columns.
+One timestep of flight latency, per-entity random streams and this
+canonical inbox order together make results independent of the LP
+count.
 """
 
 from __future__ import annotations
@@ -210,31 +211,40 @@ class LogicalProcess:
         self._order = [self.entities[i] for i in ids]
         self._ids = np.array(ids, dtype=np.int64)
 
+    def _check_ids(self, op: str, entity_ids, owned: bool) -> None:
+        """EngineError unless each id is listed once and owned iff owned."""
+        counts = Counter(int(eid) for eid in entity_ids)
+        twice = sorted(eid for eid, n in counts.items() if n > 1)
+        wrong = sorted(eid for eid in counts
+                       if (eid in self.entities) != owned)
+        if twice or wrong:
+            raise EngineError(
+                f"lp={self.lp_id} refused {op}: ids listed twice {twice},"
+                f" ids {'not' if owned else 'already'} owned {wrong}")
+
     def extract(self, entity_ids) -> list:
         """Serialize and remove the given entities, in the given order.
 
         Every id is checked before any is removed, so an extract that
         raises leaves the LP as it was.
         """
-        counts = Counter(int(eid) for eid in entity_ids)
-        twice = sorted(eid for eid, n in counts.items() if n > 1)
-        unowned = sorted(eid for eid in counts if eid not in self.entities)
-        if twice or unowned:
-            raise EngineError(
-                f"lp={self.lp_id} refused extract: ids listed twice"
-                f" {twice}, ids not owned {unowned}")
+        self._check_ids("extract", entity_ids, owned=True)
         records = [entity_to_record(self.entities.pop(eid))
                    for eid in entity_ids]
         self._reindex()
         return records
 
     def restore(self, records) -> int:
-        """Rebuild entities from records and take them back; how many."""
-        for rec in records:
-            e = record_to_entity(rec, self.master_seed, self.params)
-            self.entities[e.entity_id] = e
+        """Rebuild entities from records and take them back; how many.
+        All are checked and rebuilt before any is taken, so a restore
+        that raises leaves the LP as it was."""
+        self._check_ids("restore", (rec.entity_id for rec in records),
+                     owned=False)
+        rebuilt = [record_to_entity(rec, self.master_seed, self.params)
+                   for rec in records]
+        self.entities.update((e.entity_id, e) for e in rebuilt)
         self._reindex()
-        return len(records)
+        return len(rebuilt)
 
     def run_step(self, t: int, inbox: Optional[EnvelopeBatch],
                  report: StepReport) -> list:
@@ -310,27 +320,69 @@ class LogicalProcess:
         return self.monitor
 
 
-# Routing cells are wider than the interaction range by this relative
-# margin, far above the rounding error of binning a coordinate, so a
-# receiver in range is never binned two cells away from its sender.
+# Cells are wider than the query radius by this relative margin, far
+# above the rounding error of binning a coordinate, so a point in range
+# is never binned two cells away from its center.
 _CELL_MARGIN = 1e-9
 
 
 def grid_cells(side: float, interaction_range: float) -> int:
-    """Routing cells per torus axis: the most that keep each cell wider
-    than the range by _CELL_MARGIN, and at least one."""
+    """Cells per torus axis for a radius: the most that keep each cell
+    wider than it by _CELL_MARGIN, and at least one."""
     return max(1, int(side / interaction_range * (1.0 - _CELL_MARGIN)))
+
+
+def torus_pairs(px, py, cx, cy, side: float, radius: float) -> tuple:
+    """Every (center, point) index pair within radius on the torus, as
+    two arrays grouped by ascending center.
+
+    Points are binned into cells never narrower than the radius and at
+    most about sqrt(#points) per axis (more would only be emptier), so a
+    center is tested only against its own and the neighbouring cells:
+    offsets -1, 0, +1 per axis, or every cell of an axis with fewer than
+    three. The test is territory.broadcast_reach's squared toroidal
+    distance, boundary inclusive.
+    """
+    n = min(grid_cells(side, radius), max(1, int(np.sqrt(len(px)))))
+    scale = n / side
+
+    def cell_of(x):
+        return np.minimum((x * scale).astype(np.intp), n - 1)
+
+    # points grouped by cell: members[starts[c]:starts[c] + counts[c]];
+    # the narrowest dtype lets the stable argsort use a radix sort
+    cell = (cell_of(px) * n + cell_of(py)).astype(
+        np.min_scalar_type(n * n - 1))
+    members = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=n * n)
+    starts = np.cumsum(counts) - counts
+
+    # every center's neighbourhood, then every point binned in it
+    offsets = np.arange(-1, 2) if n >= 3 else np.arange(n)
+    nx = (cell_of(cx)[:, None] + offsets) % n
+    ny = (cell_of(cy)[:, None] + offsets) % n
+    near = (nx[:, :, None] * n + ny[:, None, :]).ravel()
+    span = counts[near]
+    first = np.cumsum(span) - span
+    center = np.repeat(np.repeat(np.arange(len(cx)), len(offsets) ** 2),
+                       span)
+    point = members[np.repeat(starts[near] - first, span)
+                    + np.arange(len(center))]
+
+    dx = np.abs(px[point] - cx[center])
+    np.minimum(dx, side - dx, out=dx)
+    dy = np.abs(py[point] - cy[center])
+    np.minimum(dy, side - dy, out=dy)
+    hit = dx * dx + dy * dy <= radius * radius
+    return center[hit], point[hit]
 
 
 def route_broadcasts(world: World, broadcasts, interaction_range: float,
                      t: int, frozen, owner_of) -> tuple:
     """Turn this step's broadcasts into next step's per-LP inboxes.
 
-    Reach is computed against the global position table (squared
-    toroidal distance, sender excluded), for each broadcast over the
-    entities binned in its sender's cell and the neighbouring cells:
-    offsets -1, 0, +1 per axis, or every cell of an axis with fewer than
-    three. Copies addressed to frozen entities are dropped here and
+    Reach is torus_pairs over the global position table, sender
+    excluded. Copies addressed to frozen entities are dropped here and
     counted; everything else is delivered at t + 1. owner_of maps entity
     id to lp id. Returns (EnvelopeBatch by lp, routed count, frozen drop
     count).
@@ -338,53 +390,17 @@ def route_broadcasts(world: World, broadcasts, interaction_range: float,
     if not broadcasts:
         return {}, 0, 0
     table = broadcast_table(broadcasts)
-    side = world.side
-    n = grid_cells(side, interaction_range)
-    scale = n / side
-
-    def cell_of(x):
-        return np.minimum((x * scale).astype(np.intp), n - 1)
-
-    # entities grouped by cell: members[starts[c]:starts[c] + counts[c]];
-    # the narrowest dtype lets the stable argsort use a radix sort
-    cell = (cell_of(world.pos_x) * n + cell_of(world.pos_y)).astype(
-        np.min_scalar_type(n * n - 1))
-    members = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell, minlength=n * n)
-    starts = np.cumsum(counts) - counts
-
-    # every broadcast's neighbourhood, then every entity binned in it
-    bx = table["sender_x"]
-    by = table["sender_y"]
-    offsets = np.arange(-1, 2) if n >= 3 else np.arange(n)
-    nx = (cell_of(bx)[:, None] + offsets) % n
-    ny = (cell_of(by)[:, None] + offsets) % n
-    near = (nx[:, :, None] * n + ny[:, None, :]).ravel()
-    span = counts[near]
-    first = np.cumsum(span) - span
-    bidx = np.repeat(np.arange(len(table)), len(offsets) ** 2)
-    bidx = np.repeat(bidx, span)
-    cand = members[np.repeat(starts[near] - first, span)
-                   + np.arange(len(bidx))]
-
-    dx = np.abs(world.pos_x[cand] - bx[bidx])
-    np.minimum(dx, side - dx, out=dx)
-    dy = np.abs(world.pos_y[cand] - by[bidx])
-    np.minimum(dy, side - dy, out=dy)
-    hit = dx * dx + dy * dy <= interaction_range * interaction_range
-    hit &= cand != table["sender"][bidx]
-    dest = cand[hit]
-    row = bidx[hit]
-    routed = len(dest)
-
-    frozen_drops = 0
+    row, dest = torus_pairs(world.pos_x, world.pos_y, table["sender_x"],
+                            table["sender_y"], world.side, interaction_range)
+    keep = dest != table["sender"][row]
+    routed = int(np.count_nonzero(keep))
     if frozen:
         is_frozen = np.zeros(world.num_entities, dtype=bool)
         is_frozen[np.fromiter(frozen, dtype=np.intp, count=len(frozen))] = True
-        live = ~is_frozen[dest]
-        frozen_drops = routed - int(np.count_nonzero(live))
-        dest = dest[live]
-        row = row[live]
+        keep &= ~is_frozen[dest]
+    dest = dest[keep]
+    row = row[keep]
+    frozen_drops = routed - len(dest)
 
     lp = owner_of[dest]
     order = np.lexsort((table["sender"][row], table["message_id"][row],
@@ -429,11 +445,18 @@ class InProcessBackend:
                                   for lp_id in sorted(self.lps)})
 
     def extract(self, entity_ids) -> list:
-        """Serialize and remove entities from their LPs, in input order."""
-        by_lp = split_by_owner(self.owner_of, entity_ids)
-        got = self._ask("extract", {lp: (ids,) for lp, ids in by_lp.items()})
-        records = {r.entity_id: r for recs in got.values() for r in recs}
-        return [records[eid] for eid in entity_ids]
+        """Serialize and remove entities from their LPs, in input order.
+        LPs are asked one at a time; if one refuses, what the others gave
+        up is restored first, so a refused extract changes nothing."""
+        got = {}
+        try:
+            for lp, ids in split_by_owner(self.owner_of, entity_ids).items():
+                got.update((r.entity_id, r)
+                           for r in self._ask("extract", {lp: (ids,)})[lp])
+        except EngineError:
+            self.restore(list(got.values()))
+            raise
+        return [got[eid] for eid in entity_ids]
 
     def restore(self, records) -> None:
         by_lp = split_by_owner(self.owner_of, records,

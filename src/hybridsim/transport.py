@@ -60,7 +60,6 @@ class TransportParams:
 class TransportResult(NamedTuple):
     total_emissions: float  # grams
     customers_entering: int
-    mean_parking_search: float  # timeunits
 
 
 def _phase_rate(params: TransportParams, phase: str) -> float:
@@ -77,7 +76,6 @@ def simulate_arrivals(params: TransportParams) -> TransportResult:
     phase. customers_entering = number parked = min(n, capacity).
     """
     total = 0.0
-    searches = []
     for i in range(params.n_vehicles):
         parked = i < params.parking_capacity
         if params.scripted_phases is not None:
@@ -90,11 +88,8 @@ def simulate_arrivals(params: TransportParams) -> TransportResult:
                 phases.append(("idle", params.idle_time))
         for phase, dur in phases:
             total += dur * _phase_rate(params, phase)
-            if phase == "search":
-                searches.append(dur)
     customers = min(params.n_vehicles, params.parking_capacity)
-    mean_search = sum(searches) / len(searches) if searches else 0.0
-    return TransportResult(total, customers, mean_search)
+    return TransportResult(total, customers)
 
 
 # --- external-command adapter -------------------------------------------
@@ -136,8 +131,7 @@ def params_from_lines(text: str) -> TransportParams:
 
 def result_to_lines(result: TransportResult) -> str:
     return (f"total_emissions={result.total_emissions!r}\n"
-            f"customers_entering={result.customers_entering}\n"
-            f"mean_parking_search={result.mean_parking_search!r}\n")
+            f"customers_entering={result.customers_entering}\n")
 
 
 def result_from_lines(text: str) -> TransportResult:
@@ -151,8 +145,7 @@ def result_from_lines(text: str) -> TransportResult:
             fields[key.strip()] = value.strip()
     try:
         return TransportResult(float(fields["total_emissions"]),
-                               int(fields["customers_entering"]),
-                               float(fields["mean_parking_search"]))
+                               int(fields["customers_entering"]))
     except KeyError as exc:
         raise ValueError(f"missing result field {exc}") from exc
 

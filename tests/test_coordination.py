@@ -1,9 +1,13 @@
 """Hand-off machinery: triggers, policies, spawn/conserve/reintegrate."""
 
+import math
+import random
 import socket
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridsim.coordination import (
     ENDPOINT_ENV_VAR,
@@ -18,7 +22,6 @@ from hybridsim.coordination import (
     Level1Settings,
     ScriptedTrigger,
     TimestepAlignment,
-    TriggerEvent,
     UntilArrivedPolicy,
     WrapperFailure,
     WrapperHandle,
@@ -29,7 +32,7 @@ from hybridsim.coordination import (
 )
 from hybridsim import coordination, market
 from hybridsim.engine import (EngineConfig, EngineError, InProcessBackend,
-                              run_simulation)
+                              grid_cells, run_simulation)
 from hybridsim.metrics import RunMetrics
 from hybridsim.protocol import ProtocolError, entity_fields, format_value
 from hybridsim.rng import derive_seed
@@ -61,6 +64,32 @@ def brute_density(world, threshold, radius, frozen=frozenset()):
     return None
 
 
+def chunked_density(world, threshold, radius, frozen=frozenset()):
+    """All-pairs reference in numpy, 512 centers at a time: what
+    DensityTrigger.check computed before it asked engine.torus_pairs."""
+    free = np.array([i for i in range(world.num_entities) if i not in frozen],
+                    dtype=np.int64)
+    xs = world.pos_x[free]
+    ys = world.pos_y[free]
+    side = world.side
+    for lo in range(0, free.size, 512):
+        dx = np.abs(xs[None, :] - xs[lo:lo + 512, None])
+        dy = np.abs(ys[None, :] - ys[lo:lo + 512, None])
+        np.minimum(dx, side - dx, out=dx)
+        np.minimum(dy, side - dy, out=dy)
+        inside = dx * dx + dy * dy <= radius * radius
+        hits = np.nonzero(inside.sum(axis=1) >= threshold)[0]
+        if hits.size:
+            k = int(hits[0])
+            return int(free[lo + k]), tuple(free[inside[k]].tolist())
+    return None
+
+
+def _density_events(expect):
+    """What DensityTrigger.check returns for an oracle's answer."""
+    return [] if expect is None else [expect[1]]
+
+
 # --- triggers ------------------------------------------------------------
 
 
@@ -87,11 +116,8 @@ def test_density_fires_against_brute_force_oracle():
             assert events == []
             continue
         c, members = expect
-        assert len(events) == 1
-        ev = events[0]
-        assert ev.tag == "density"
-        assert ev.entity_ids == members
-        assert ev.region == (xs[c], ys[c], radius)
+        assert c in members  # the center counts itself
+        assert events == [members]
 
 
 def test_density_hit_beyond_first_chunk():
@@ -106,23 +132,18 @@ def test_density_hit_beyond_first_chunk():
     expect = brute_density(w, 15, 10.0)
     assert expect is not None and expect[0] == 520
     events = DensityTrigger(15, 10.0).check(w, 0, frozenset())
-    assert len(events) == 1
-    assert events[0].entity_ids == expect[1]
-    assert events[0].entity_ids == tuple(range(520, 540))
+    assert events == [expect[1]] == [tuple(range(520, 540))]
 
 
 def test_density_counts_across_the_seam():
     # 995 and 5 are 10 apart on a side-1000 torus
     w = _world_at(1000.0, [995.0, 5.0, 500.0], [500.0, 500.0, 0.0])
-    events = DensityTrigger(2, 20.0).check(w, 0, frozenset())
-    assert len(events) == 1
-    assert events[0].entity_ids == (0, 1)
+    assert DensityTrigger(2, 20.0).check(w, 0, frozenset()) == [(0, 1)]
 
 
 def test_density_boundary_inclusive():
     w = _world_at(1000.0, [0.0, 250.0], [0.0, 0.0])
-    events = DensityTrigger(2, 250.0).check(w, 0, frozenset())
-    assert len(events) == 1 and events[0].entity_ids == (0, 1)
+    assert DensityTrigger(2, 250.0).check(w, 0, frozenset()) == [(0, 1)]
 
 
 def test_density_lowest_id_center_wins():
@@ -130,10 +151,9 @@ def test_density_lowest_id_center_wins():
     xs = [100.0, 101.0, 102.0, 800.0, 801.0, 802.0]
     ys = [100.0, 100.0, 100.0, 800.0, 800.0, 800.0]
     w = _world_at(1000.0, xs, ys)
-    events = DensityTrigger(3, 10.0).check(w, 0, frozenset())
-    assert len(events) == 1
-    assert events[0].entity_ids == (0, 1, 2)
-    assert events[0].region[:2] == (100.0, 100.0)
+    assert DensityTrigger(3, 10.0).check(w, 0, frozenset()) == [(0, 1, 2)]
+    # with 0 frozen, the cluster of 1 and 2 is one short: the far one wins
+    assert DensityTrigger(3, 10.0).check(w, 0, {0: "h"}) == [(3, 4, 5)]
 
 
 def test_density_ignores_frozen_entities():
@@ -142,8 +162,79 @@ def test_density_ignores_frozen_entities():
     w = _world_at(1000.0, xs, ys)
     assert DensityTrigger(3, 10.0).check(w, 0, frozenset({1})) == []
     # and the remaining pair still qualifies at a lower threshold
-    ev = DensityTrigger(2, 10.0).check(w, 0, frozenset({1}))[0]
-    assert ev.entity_ids == (0, 2)
+    assert DensityTrigger(2, 10.0).check(w, 0, frozenset({1})) == [(0, 2)]
+
+
+@st.composite
+def _density_scenes(draw):
+    side = draw(st.sampled_from([100.0, 250.0, 1000.0]))
+    # radius / side from 1/20 to 3/2: many cells, fewer than three, and a
+    # disk wider than the torus
+    radius = side * draw(st.sampled_from([0.05, 0.12, 0.2, 0.3, 1 / 3, 0.4,
+                                          0.5, 0.7, 1.0, 1.5]))
+    n = draw(st.integers(1, 40))
+    # cell edges of the uncapped and the capped grid, 0, just below side,
+    # and points exactly radius apart
+    edges = [0.0, np.nextafter(side, 0.0)]
+    for cells in {grid_cells(side, radius),
+                  min(grid_cells(side, radius), math.isqrt(n))}:
+        for k in range(1, cells):
+            c = k * side / cells
+            edges += [c, np.nextafter(c, 0.0), np.nextafter(c, side)]
+    if radius < side:
+        edges += [radius, side - radius]
+    coord = st.one_of(st.floats(0.0, side, exclude_max=True),
+                      st.sampled_from(edges))
+    xs = draw(st.lists(coord, min_size=n, max_size=n))
+    ys = draw(st.lists(coord, min_size=n, max_size=n))
+    # some entities stacked on others, so disks fill up
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=n)):
+        xs[i], ys[i] = xs[j], ys[j]
+    frozen = dict.fromkeys(draw(st.sets(st.integers(0, n - 1))), "handle")
+    threshold = draw(st.integers(1, n + 1))
+    return _world_at(side, xs, ys), threshold, radius, frozen
+
+
+@settings(max_examples=400, deadline=None)
+@given(_density_scenes())
+def test_density_matches_brute_force_on_edges(scene):
+    world, threshold, radius, frozen = scene
+    got = DensityTrigger(threshold, radius).check(world, 0, frozen)
+    assert got == _density_events(brute_density(world, threshold, radius,
+                                                frozen))
+
+
+def test_density_at_8000_entities_matches_chunked_scan():
+    rng = random.Random(8000)
+    n = 8000
+    side = TerritorySpec(num_entities=n).side
+    xs = [rng.uniform(0, side) for _ in range(n)]
+    ys = [rng.uniform(0, side) for _ in range(n)]
+    # clusters in the second, the sixth (straddling the seam) and the
+    # fourteenth block of 512 centers: the first of them must win
+    for lo, (x, y) in ((700, (5000.0, 5000.0)), (7000, (200.0, 300.0)),
+                       (3000, (side - 1.0, 1.0))):
+        for i in range(lo, lo + 60):
+            xs[i] = (x + rng.uniform(-40, 40)) % side
+            ys[i] = (y + rng.uniform(-40, 40)) % side
+    w = _world_at(side, xs, ys)
+    frozen = dict.fromkeys(range(0, n, 97), "handle")
+    expect = chunked_density(w, 40, 250.0, frozen)
+    assert expect is not None and expect[0] < 760  # the first cluster
+    assert DensityTrigger(40, 250.0).check(w, 0, frozen) == [expect[1]]
+
+
+def test_density_triggered_run_is_identical_across_backends():
+    spec = TerritorySpec(num_entities=400)
+    hybrid = HybridSpec(trigger=DensityTrigger(threshold=30, radius=250.0),
+                        policy=FixedDurationPolicy(2))
+    runs = [run_simulation(EngineConfig(num_lps=lps, total_timesteps=20,
+                                        master_seed=21),
+                           spec, hybrid=hybrid, mode=mode)
+            for lps, mode in ((1, "inprocess"), (2, "process"))]
+    assert runs[0].level1.spawns >= 2
+    assert runs[0].comparable() == runs[1].comparable()
 
 
 def test_density_validation():
@@ -157,23 +248,20 @@ def test_scripted_fires_at_configured_steps():
     trig = ScriptedTrigger(spawn_at=(3,), transfer_count=2)
     w = _world_at(100.0, [0.0] * 6, [0.0] * 6)
     assert trig.check(w, 2, frozenset()) == []
-    events = trig.check(w, 3, frozenset())
-    assert events == [TriggerEvent("scripted", None, (0, 1))]
+    assert trig.check(w, 3, frozenset()) == [(0, 1)]
     assert trig.check(w, 4, frozenset()) == []
 
 
 def test_scripted_repeated_step_takes_disjoint_sets():
     trig = ScriptedTrigger(spawn_at=(5, 5), transfer_count=4)
     w = _world_at(100.0, [0.0] * 8, [0.0] * 8)
-    events = trig.check(w, 5, frozenset())
-    assert [e.entity_ids for e in events] == [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert trig.check(w, 5, frozenset()) == [(0, 1, 2, 3), (4, 5, 6, 7)]
 
 
 def test_scripted_skips_frozen_and_takes_partial():
     trig = ScriptedTrigger(spawn_at=(1,), transfer_count=3)
     w = _world_at(100.0, [0.0] * 4, [0.0] * 4)
-    events = trig.check(w, 1, {0: object(), 1: object()})
-    assert [e.entity_ids for e in events] == [(2, 3)]
+    assert trig.check(w, 1, {0: object(), 1: object()}) == [(2, 3)]
     # entirely frozen pool: the firing is dropped
     frozen = {i: object() for i in range(4)}
     assert trig.check(w, 1, frozen) == []

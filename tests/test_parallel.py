@@ -123,6 +123,59 @@ def test_refused_extract_changes_nothing(backend):
         b.close()
 
 
+@pytest.mark.parametrize("backend", [InProcessBackend, ProcessBackend])
+def test_refused_extract_over_two_lps_changes_nothing(backend):
+    spec = TerritorySpec(num_entities=24)
+    b = backend(_config(2, steps=5), spec)
+    try:
+        gone = 1
+        kept = next(i for i in range(24) if b.owner_of[i] != b.owner_of[gone])
+        [rec] = b.extract([gone])
+        # the LP of kept is asked first and gives it up; the LP of gone
+        # refuses, and kept must be handed back
+        with pytest.raises(EngineError,
+                           match=rf"lp={int(b.owner_of[gone])} refused"
+                           rf" extract: ids listed twice \[\], ids not owned"
+                           rf" \[{gone}\]"):
+            b.extract([kept, gone])
+        assert b.entity_count() == 23
+        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        assert ids == [i for i in range(24) if i != gone]
+        b.restore([rec])
+        assert [r.entity_id for r in b.extract([kept, gone])] == [kept, gone]
+    finally:
+        b.close()
+
+
+@pytest.mark.parametrize("backend", [InProcessBackend, ProcessBackend])
+def test_refused_restore_changes_nothing(backend):
+    spec = TerritorySpec(num_entities=24)
+    b = backend(_config(1, steps=5), spec)
+    try:
+        good, bad = b.extract([3, 4])
+        # the second record cannot be rebuilt: the first is not taken
+        with pytest.raises((ValueError, EngineError),
+                           match="not enough values to unpack"):
+            b.restore([good, bad._replace(target=(1.0,))])
+        with pytest.raises(EngineError, match=r"lp=0 refused restore: ids"
+                           r" listed twice \[3\], ids already owned \[\]"):
+            b.restore([good, good])
+        assert b.entity_count() == 22
+        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        assert ids == [i for i in range(24) if i not in (3, 4)]
+        b.restore([good])
+        with pytest.raises(EngineError, match=r"lp=0 refused restore: ids"
+                           r" listed twice \[\], ids already owned \[3\]"):
+            b.restore([bad, good])
+        assert b.entity_count() == 23
+        ids = sorted(i for r in b.step(1, {}).values() for i in r.ids)
+        assert ids == [i for i in range(24) if i != 4]
+        b.restore([bad])
+        assert b.entity_count() == 24
+    finally:
+        b.close()
+
+
 def test_initial_positions_match_inprocess():
     spec = TerritorySpec(num_entities=30)
     config = _config(2, steps=5)

@@ -1,11 +1,15 @@
 """Cell-grid router against the flat per-broadcast reach scan."""
 
+import math
 import pickle
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from hybridsim.config import make_params
 from hybridsim.engine import (
+    EngineConfig,
+    InProcessBackend,
     InterLpEnvelope,
     grid_cells,
     owner_array,
@@ -16,6 +20,7 @@ from hybridsim.territory import (
     Broadcast,
     DisseminationMessage,
     DisseminationParams,
+    TerritorySpec,
     World,
     broadcast_reach,
     build_entity,
@@ -46,10 +51,10 @@ def _flat_route(world, broadcasts, interaction_range, t, frozen, owner_of):
     return inboxes, routed, drops
 
 
-def _assert_same(world, broadcasts, frozen, owner_of):
-    got, routed, drops = route_broadcasts(world, broadcasts, RANGE, 7,
+def _assert_same(world, broadcasts, frozen, owner_of, reach=RANGE):
+    got, routed, drops = route_broadcasts(world, broadcasts, reach, 7,
                                           frozen, owner_of)
-    want, want_routed, want_drops = _flat_route(world, broadcasts, RANGE, 7,
+    want, want_routed, want_drops = _flat_route(world, broadcasts, reach, 7,
                                                 frozen, owner_of)
     assert (routed, drops) == (want_routed, want_drops)
     assert sorted(got) == sorted(want)  # the per-LP split
@@ -68,15 +73,17 @@ def _scenes(draw):
     # side that is rarely a multiple of the cell size
     side = RANGE * draw(st.sampled_from([0.6, 1.0, 1.7, 2.0, 2.5, 3.0,
                                          3.2, 4.0, 5.3, 7.4]))
-    cells = grid_cells(side, RANGE)
+    # or a range far below side / sqrt(n), where the cell cap binds
+    reach = draw(st.sampled_from([RANGE, RANGE, RANGE / 1000.0]))
+    n = draw(st.integers(1, 40))
+    cells = min(grid_cells(side, reach), max(1, math.isqrt(n)))
     cell = side / cells
     edges = [0.0, np.nextafter(side, 0.0)]
     for k in range(1, cells):
         edges += [k * cell, np.nextafter(k * cell, 0.0),
-                  np.nextafter(k * cell, side)]
+                  np.nextafter(k * cell, side), k * cell + reach]
     coord = st.one_of(st.floats(0.0, side, exclude_max=True),
                       st.sampled_from(edges))
-    n = draw(st.integers(1, 40))
     world = World(side, n)
     world.pos_x[:] = draw(st.lists(coord, min_size=n, max_size=n))
     world.pos_y[:] = draw(st.lists(coord, min_size=n, max_size=n))
@@ -94,10 +101,10 @@ def _scenes(draw):
     num_lps = draw(st.integers(1, min(4, n)))
     owner_of = owner_array(partition_entities(range(n), num_lps,
                                               draw(st.integers(0, 9))), n)
-    return world, broadcasts, frozen, owner_of
+    return world, broadcasts, frozen, owner_of, reach
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_scenes())
 def test_router_matches_flat_scan(scene):
     _assert_same(*scene)
@@ -128,6 +135,31 @@ def test_golden_world_routes_like_the_flat_scan():
     owner_of = owner_array(partition_entities(range(n), 3, 20), n)
     got = _assert_same(world, broadcasts, {5: "h", 9: "h"}, owner_of)
     assert sum(len(b) for b in got.values()) > 100
+
+
+def test_tiny_range_at_4000_entities_routes_like_the_flat_scan():
+    # uncapped, 0.01 on this torus asked np.bincount for 4.0e11 cells
+    params = make_params("good", {"interaction_range": 0.01,
+                                  "forwarding_threshold": 0.0})
+    n = 4000
+    spec = TerritorySpec(n, params)
+    backend = InProcessBackend(EngineConfig(num_lps=2, total_timesteps=2,
+                                            master_seed=5), spec)
+    world = World(spec.side, n)
+    broadcasts = []
+    for res in backend.step(0, {}).values():
+        world.update(res.ids, res.xs, res.ys)
+        broadcasts += res.outbox
+    assert broadcasts
+    # copies that land: senders on top of, and exactly 0.01 from, others
+    msg = broadcasts[0].message
+    for s in range(0, n, 400):
+        x, y = float(world.pos_x[s + 1]), float(world.pos_y[s + 1])
+        broadcasts += [Broadcast(s, x, y, msg), Broadcast(s + 2, x, y + 0.01,
+                                                          msg)]
+    got = _assert_same(world, broadcasts, {401: "h"}, backend.owner_of,
+                       reach=params.interaction_range)
+    assert sum(len(b) for b in got.values()) >= 10
 
 
 def test_no_broadcasts_route_nothing():

@@ -16,6 +16,8 @@ flat scan in territory.broadcast_reach. One lexsort on (owner LP,
 receiver, message id, sender) then orders every copy, and each LP
 receives its share at the start of the next timestep as an
 EnvelopeBatch: the step's broadcast table plus two integer columns.
+Only the first copy of each message to an entity reaches the relay
+decision; the LP counts the later ones, all cache-filtered, in bulk.
 One timestep of flight latency, per-entity random streams and this
 canonical inbox order together make results independent of the LP
 count.
@@ -250,10 +252,12 @@ class LogicalProcess:
                  report: StepReport) -> list:
         """Update every owned entity once; returns this step's broadcasts.
 
-        Per entity: reset its relay budget, decide on its inbox copies in
-        the batch's canonical order (message id, then sender id), then
-        move if mobile, then maybe generate. A failure in any of these is
-        re-raised with lp, step and entity ids.
+        Per entity: reset its relay budget, decide on the first copy of
+        each message in its inbox in the batch's canonical order (message
+        id, then sender id), then move if mobile, then maybe generate. A
+        failure in any of these is re-raised with lp, step and entity ids.
+        Every later copy of a message to the same entity would end at the
+        cache filter the first one filled, so those are counted in bulk.
         """
         spans = [(0, 0)] * len(self._order)
         if inbox:
@@ -262,18 +266,29 @@ class LogicalProcess:
                     f"stale envelope in lp={self.lp_id} inbox at step {t}:"
                     f" produced_at={inbox.produced_at}"
                 )
-            # copies are sorted by dest: entity k's are [lo[k], hi[k])
-            lo = np.searchsorted(inbox.dest, self._ids, side="left")
-            hi = np.searchsorted(inbox.dest, self._ids, side="right")
-            if int((hi - lo).sum()) != len(inbox):
-                unknown = set(inbox.dest.tolist()).difference(self.entities)
+            # a repeat carries the message the copy before it carried to
+            # the same entity; entity k's first copies are [lo[k], hi[k])
+            dest, mid = inbox.dest, inbox.table["message_id"][inbox.row]
+            repeat = np.zeros(len(dest), dtype=bool)
+            repeat[1:] = (dest[1:] == dest[:-1]) & (mid[1:] == mid[:-1])
+            dest = dest[~repeat]
+            lo = np.searchsorted(dest, self._ids, side="left")
+            hi = np.searchsorted(dest, self._ids, side="right")
+            if int((hi - lo).sum()) != len(dest):
+                unknown = set(dest.tolist()).difference(self.entities)
                 raise EngineError(
                     f"lp={self.lp_id} received envelopes for entities it"
                     f" does not own: {sorted(unknown)}"
                 )
+            # touching the most recent id changes neither the cache nor
+            # its high water: a repeat only counts, and its hop may be higher
+            hops = inbox.table["hop_count"][inbox.row[repeat]]
+            report.delivered += len(hops)
+            report.cache_filtered += len(hops)
+            self.monitor.note_delivery(int(hops.max(initial=0)))
             spans = zip(lo.tolist(), hi.tolist())
             rows = inbox.broadcasts
-            picks = inbox.row.tolist()
+            picks = inbox.row[~repeat].tolist()
         params = self.params
         side = self.side
         monitor = self.monitor

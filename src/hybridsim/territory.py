@@ -16,12 +16,12 @@ never relay. Each entity consumes random draws only from its own
 stream, which keeps outcomes independent of how entities are
 partitioned across logical processes.
 
-Within one timestep an entity first decides on all deliveries from the
+Within one timestep an entity first decides on the deliveries from the
 previous step (at its current position), then moves, then possibly
-generates a fresh message at its new position. Relay decisions therefore
-use exactly the geometry the router used when it addressed the envelope.
-The engine's LogicalProcess makes these per-entity calls (build_entity,
-decide_relay, rwp_step, generate_message) in that order.
+generates a fresh message at its new position, so relay decisions use
+the geometry the router used. The engine's LogicalProcess calls
+build_entity, then decide_relay on the first copy of each message (later
+copies only count as cache-filtered), rwp_step and generate_message.
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridsim import territory
+from hybridsim.config import make_params
 from hybridsim.engine import (
     EngineConfig,
     EngineError,
+    EnvelopeBatch,
     LogicalProcess,
     StepExecutionError,
     partition_entities,
@@ -19,6 +22,7 @@ from hybridsim.territory import (
     DisseminationParams,
     TerritorySpec,
     World,
+    broadcast_table,
     make_message_id,
     DisseminationMessage,
 )
@@ -127,7 +131,7 @@ def _inbox(produced_at, dest, pos, sends, num_entities=4):
     return inboxes[0]
 
 
-def test_delivery_hook_invoked_exactly_once_per_envelope(delivery_calls):
+def test_delivery_hook_invoked_exactly_once_per_first_copy(delivery_calls):
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
     lp = _build_lp(spec, seed=1)
     e2 = lp.entities[2]
@@ -144,14 +148,20 @@ def test_inbox_canonical_order(delivery_calls):
     m_late = DisseminationMessage(make_message_id(1, 3), 1, e2.x, e2.y, 6, 0, 3)
     m_early = DisseminationMessage(make_message_id(0, 2), 0, e2.x, e2.y, 6, 0, 2)
     # broadcast out of order; consumption must sort by (message id, sender)
+    relayed = m_late._replace(ttl_remaining=4, hop_count=2)
     inbox = _inbox(3, 2, (e2.x, e2.y),
-                   [(3, m_late), (1, m_early), (0, m_late)])
-    lp.run_step(4, inbox, StepReport())
+                   [(3, relayed), (1, m_early), (0, m_late)])
+    report = StepReport()
+    lp.run_step(4, inbox, report)
+    # only the first copy of each message is decided: sender 0's m_late;
+    # sender 3's repeat is counted in bulk, with its own (higher) hop
     assert delivery_calls == [
         (2, 4, m_early.message_id),
-        (2, 4, m_late.message_id),   # sender 0 before sender 3
         (2, 4, m_late.message_id),
     ]
+    assert (report.delivered, report.cache_filtered) == (3, 1)
+    assert report.ring_filtered == 2
+    assert lp.monitor.max_delivered_hop == 2
 
 
 def test_stale_envelope_rejected():
@@ -238,3 +248,143 @@ def test_more_lps_than_entities_rejected():
     with pytest.raises(ValueError):
         run_simulation(EngineConfig(num_lps=64, total_timesteps=5,
                                     master_seed=1), TerritorySpec(10))
+
+
+def per_copy_run_step(lp, t, inbox, report):
+    """The per-copy definition of LogicalProcess.run_step: every copy,
+    repeats included, goes through decide_relay. The reference that the
+    first-copy step loop, which counts repeats in bulk, must match."""
+    spans = [(0, 0)] * len(lp._order)
+    if inbox:
+        assert inbox.produced_at == t - 1
+        lo = np.searchsorted(inbox.dest, lp._ids, side="left")
+        hi = np.searchsorted(inbox.dest, lp._ids, side="right")
+        assert int((hi - lo).sum()) == len(inbox)
+        spans = zip(lo.tolist(), hi.tolist())
+        rows = inbox.broadcasts
+        picks = inbox.row.tolist()
+    params = lp.params
+    outbox = []
+    for e, (a, b) in zip(lp._order, spans):
+        e.relay_budget = params.max_relays_per_step
+        for k in range(a, b):
+            copy = rows[picks[k]]
+            m = territory.decide_relay(e, copy.message, copy.sender_x,
+                                       copy.sender_y, params, lp.side,
+                                       report, lp.monitor)
+            if m is not None:
+                outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
+        if e.mobile:
+            territory.rwp_step(e, lp.side)
+        m = territory.generate_message(e, t, params)
+        if m is not None:
+            report.generated += 1
+            outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
+    return outbox
+
+
+def _entity_state(lp):
+    return {eid: (e.cache.ids(), e.cache.high_water, e.stream.cursor,
+                  e.relay_budget, e.x, e.y)
+            for eid, e in lp.entities.items()}
+
+
+@st.composite
+def relay_cases(draw):
+    """Entities, params, ids cached beforehand and a few steps' inboxes.
+
+    Copies of one message differ in sender, position, hop and ttl (0
+    included); caches hold one to three ids, so they run full; budgets
+    may be 0.
+    """
+    n = draw(st.integers(1, 5))
+    params = DisseminationParams(
+        forwarding_threshold=draw(st.sampled_from([0.0, 100.0])),
+        geofilter_distance=draw(st.sampled_from([60.0, 1000.0])),
+        gossip_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        cache_capacity=draw(st.integers(1, 3)),
+        max_relays_per_step=draw(st.integers(0, 2)))
+    spec = TerritorySpec(n, params)
+    coord = st.floats(0.0, spec.side, exclude_max=True)
+    origins = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                      st.integers(0, 3), coord, coord),
+                            min_size=1, max_size=4, unique_by=lambda o: o[:2]))
+    mids = [make_message_id(o, c) for o, c, _, _ in origins]
+    cached = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.sampled_from(mids)), max_size=6))
+    steps = []
+    for t in range(1, draw(st.integers(1, 3)) + 1):
+        broadcasts, dest, row = [], [], []
+        for _ in range(draw(st.integers(1, 8))):
+            o, c, ox, oy = draw(st.sampled_from(origins))
+            msg = DisseminationMessage(make_message_id(o, c), o, ox, oy,
+                                       draw(st.integers(0, 6)),
+                                       draw(st.integers(0, 6)), c)
+            to = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=n, unique=True))
+            dest += to
+            row += [len(broadcasts)] * len(to)
+            broadcasts.append(Broadcast(draw(st.integers(0, n - 1)),
+                                        draw(coord), draw(coord), msg))
+        table = broadcast_table(broadcasts)
+        dest, row = np.array(dest), np.array(row)
+        # the router's canonical order: (dest, message id, sender)
+        order = np.lexsort((table["sender"][row], table["message_id"][row],
+                            dest))
+        steps.append(EnvelopeBatch(t - 1, table,
+                                   dest[order].astype(np.int32),
+                                   row[order].astype(np.int32)))
+    return spec, draw(st.integers(0, 2**16)), cached, steps
+
+
+@settings(max_examples=400, deadline=None)
+@given(relay_cases())
+def test_first_copy_step_matches_per_copy_oracle(case):
+    spec, seed, cached, steps = case
+    fast, slow = _build_lp(spec, seed), _build_lp(spec, seed)
+    for lp in (fast, slow):
+        for eid, mid in cached:  # ids cached in an earlier step
+            lp.entities[eid].cache.touch(mid)
+    for t, inbox in enumerate(steps, start=1):
+        fast_report, slow_report = StepReport(), StepReport()
+        fast_out = fast.run_step(t, inbox, fast_report)
+        slow_out = per_copy_run_step(slow, t, inbox, slow_report)
+        assert fast_report == slow_report
+        assert fast_out == slow_out
+        assert fast.monitor == slow.monitor
+        assert _entity_state(fast) == _entity_state(slow)
+    assert fast.finish() == slow.finish()
+
+
+def test_first_copy_run_matches_per_copy_run(monkeypatch):
+    """A whole bad-preset run, mostly repeat copies, is the same with
+    every copy decided one by one."""
+    spec = TerritorySpec(600, make_params("bad"))
+    cfg = EngineConfig(num_lps=1, total_timesteps=60, master_seed=53)
+    finish = LogicalProcess.finish
+    decide_relay = territory.decide_relay
+
+    def run():
+        states, calls = {}, []
+
+        def finishing(lp):
+            states.update(_entity_state(lp))
+            return finish(lp)
+
+        def counting(*args):
+            calls.append(None)
+            return decide_relay(*args)
+
+        monkeypatch.setattr(LogicalProcess, "finish", finishing)
+        monkeypatch.setattr(territory, "decide_relay", counting)
+        m = run_simulation(cfg, spec, mode="inprocess")
+        return m, states, len(calls)
+
+    fast, fast_states, fast_calls = run()
+    monkeypatch.setattr(LogicalProcess, "run_step", per_copy_run_step)
+    slow, slow_states, slow_calls = run()
+    assert fast.comparable() == slow.comparable()
+    assert fast_states == slow_states
+    assert slow_calls == slow.totals.delivered
+    # the run must be mostly repeats for the comparison to mean anything
+    assert fast_calls < slow_calls / 2

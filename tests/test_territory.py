@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridsim.metrics import InvariantMonitor, StepReport
 from hybridsim.rng import entity_stream
@@ -164,9 +165,14 @@ def test_message_ids_unique_across_origin_step():
 class _OracleLru:
     """Reference LRU set: plain list, most recent last."""
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, items=()):
         self.capacity = capacity
         self.items = []
+        for key in items:  # a repeated initial id keeps its first place
+            if key not in self.items:
+                self.items.append(key)
+        self.items = self.items[-capacity:]
+        self.high_water = len(self.items)
 
     def touch(self, key):
         if key in self.items:
@@ -176,6 +182,7 @@ class _OracleLru:
         self.items.append(key)
         if len(self.items) > self.capacity:
             self.items.pop(0)
+        self.high_water = max(self.high_water, len(self.items))
         return False
 
 
@@ -199,6 +206,26 @@ def test_lru_matches_oracle_on_long_trace():
             assert lru.touch(k) == oracle.touch(k)
             assert len(lru) == len(oracle.items) <= cap
         assert list(lru.ids()) == oracle.items
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 6),
+       items=st.lists(st.integers(0, 12), max_size=10),
+       keys=st.lists(st.integers(0, 12), max_size=60))
+def test_lru_matches_list_reference(capacity, items, keys):
+    lru = LruSet(capacity, items)
+    ref = _OracleLru(capacity, items)
+    assert list(lru.ids()) == ref.items and lru.high_water == ref.high_water
+    for key in keys:
+        assert lru.touch(key) == ref.touch(key)
+        assert list(lru.ids()) == ref.items  # eviction drops the least recent
+        assert lru.high_water == ref.high_water
+        assert all(k in lru for k in ref.items) and len(lru) == len(ref.items)
+        # touching the most recent id again changes nothing, the property
+        # LogicalProcess relies on to count repeat copies in bulk
+        state = (lru.ids(), lru.high_water)
+        assert lru.touch(key)
+        assert (lru.ids(), lru.high_water) == state
 
 
 def test_lru_high_water_tracks_peak():

@@ -9,7 +9,8 @@ CONTINUE or END per policy; the barrier does not complete until every
 active wrapper's STATUS has been processed, so coarse simulated time
 never outruns a wrapper. On END the wrapper returns RESULT plus the
 updated entity records, which are validated (set equality, rng cursor
-accounting) and restored (reintegrate).
+accounting) and restored (reintegrate). The coordinator's active
+handles are the one record of which entities are frozen.
 
 The transfer snapshot is retained until RESULT validates. A wrapper
 that breaks protocol mid-session is terminated and its entities are
@@ -359,7 +360,7 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
     unchanged except position and rng cursor, cursors advanced by
     exactly the draw total the wrapper reported. Violations are
     ConservationError (hard). Positions land in the global table so
-    routing sees them immediately. The caller owns the frozen map.
+    routing sees them immediately. Dropping the handle unfreezes them.
     """
     if handle.end_sent_at is None:
         raise EngineError(
@@ -427,22 +428,19 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
     handle.close()
 
 
-def _terminate(backend, handle: WrapperHandle, frozen, metrics,
-               reason: str) -> None:
+def _terminate(backend, handle: WrapperHandle, metrics, reason: str) -> None:
     """Protocol breakdown: drop the wrapper, restore the snapshot."""
     handle.close()
     backend.restore(handle.records)
-    for eid in handle.entity_ids:
-        frozen.pop(eid, None)
-    if metrics is not None:
-        metrics.level1.failures += 1
+    metrics.level1.failures += 1
     handle.state = FAILED
     print(f"wrapper {handle.wrapper_id} terminated: {reason}",
           file=sys.stderr)
 
 
 class HybridCoordinator:
-    """Drives every wrapper session from the engine's barrier hook.
+    """Drives every wrapper session from the engine's barrier hook; the
+    entities its active handles hold are the frozen ones (frozen_ids).
 
     Active handles are serviced in wrapper id order, then triggers are
     evaluated and new wrappers spawned (their first STATUS arrives at
@@ -458,7 +456,11 @@ class HybridCoordinator:
         self.history = []  # every handle ever spawned, for audits
         self._next_id = 0
 
-    def at_barrier(self, t: int, world, backend, frozen, metrics,
+    def frozen_ids(self) -> set:
+        """The ids of every entity an active wrapper holds."""
+        return {eid for h in self.active.values() for eid in h.entity_ids}
+
+    def at_barrier(self, t: int, world, backend, metrics,
                    force_end: bool = False) -> None:
         policy = _END_POLICY if force_end else self.spec.policy
         for wid in sorted(self.active):
@@ -467,39 +469,38 @@ class HybridCoordinator:
                 coordinate_step(handle, t, policy)
                 if handle.end_sent_at is not None:
                     reintegrate(backend, handle, world, metrics)
-                    for eid in handle.entity_ids:
-                        del frozen[eid]
                     del self.active[wid]
             except ProtocolError as exc:
-                _terminate(backend, handle, frozen, metrics, str(exc))
+                _terminate(backend, handle, metrics, str(exc))
                 del self.active[wid]
 
         if force_end or self.spec.trigger is None:
             return
-        for entity_ids in self.spec.trigger.check(world, t, frozen):
+        for entity_ids in self.spec.trigger.check(world, t,
+                                                  self.frozen_ids()):
             wid = self._next_id
             self._next_id += 1
             try:
                 handle = spawn_level1(backend, entity_ids, t, self.spec,
                                       self.master_seed, self.side, wid)
             except WrapperFailure as exc:
-                if metrics is not None:
-                    metrics.level1.failures += 1
+                metrics.level1.failures += 1
                 print(str(exc), file=sys.stderr)
                 continue
             self.active[wid] = handle
             self.history.append(handle)
-            for eid in handle.entity_ids:
-                frozen[eid] = handle
-            if metrics is not None:
-                metrics.level1.spawns += 1
-                metrics.level1.entities_transferred += len(handle.entity_ids)
+            metrics.level1.spawns += 1
+            metrics.level1.entities_transferred += len(handle.entity_ids)
 
-    def finish(self, metrics) -> None:
+    def finish(self) -> list:
+        """Every session's transcript; EngineError if one is active."""
         if self.active:
             raise EngineError(
-                f"wrappers still active at end of run:"
-                f" {sorted(self.active)}")
+                f"wrappers still active at end of run: {sorted(self.active)},"
+                f" holding entities {sorted(self.frozen_ids())}")
+        return [{"wrapper_id": h.wrapper_id, "spawned_at": h.spawned_at,
+                 "state": h.state, "lines": list(h.transcript)}
+                for h in self.history]
 
     def close(self) -> None:
         """Close every active session, so an aborted run leaks none."""

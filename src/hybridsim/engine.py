@@ -4,23 +4,23 @@ Entities are partitioned across logical processes (LPs). A
 LogicalProcess builds its entities, updates them once per timestep in
 ascending id order, and reports the step's broadcasts, counters and
 positions. InProcessBackend writes every backend operation (step,
-extract, restore, finish) once, over one primitive that asks an LP;
-the process backend (parallel.py) replaces only that primitive. Once
-every LP has reported step t, the engine updates the global position
-table, runs any sub-simulator coordination, and routes the step's
-broadcasts in one vectorised pass of torus_pairs, the one torus
-neighbourhood query (DensityTrigger asks it too): each broadcast is
-tested only against the entities binned in its sender's cell and the
-neighbouring cells, with the same squared-distance expression as the
-flat scan in territory.broadcast_reach. One lexsort on (owner LP,
-receiver, message id, sender) then orders every copy, and each LP
-receives its share at the start of the next timestep as an
-EnvelopeBatch: the step's broadcast table plus two integer columns.
-Only the first copy of each message to an entity reaches the relay
-decision; the LP counts the later ones, all cache-filtered, in bulk.
-One timestep of flight latency, per-entity random streams and this
-canonical inbox order together make results independent of the LP
-count.
+extract, restore, finish) once, over one primitive that asks an LP; the
+process backend (parallel.py) replaces only that primitive. Once every
+LP has reported step t, the engine updates the global position table
+(step 0 fills all of it), hands the barrier to the hybrid coordinator,
+which alone knows the frozen entities, and routes the step's broadcasts
+in one vectorised pass of torus_pairs, the one torus neighbourhood query
+(DensityTrigger asks it too): each broadcast is tested only against the
+entities binned in its sender's cell and the neighbouring cells, with
+the same squared-distance expression as the flat scan in
+territory.broadcast_reach. One lexsort on (owner LP, receiver, message
+id, sender) then orders every copy, and each LP receives its share at
+the start of the next timestep as an EnvelopeBatch: the step's broadcast
+table plus two integer columns. Only the first copy of each message to
+an entity reaches the relay decision; the LP counts the later ones, all
+cache-filtered, in bulk. One timestep of flight latency, per-entity
+random streams and this canonical inbox order together make results
+independent of the LP count.
 """
 
 from __future__ import annotations
@@ -452,9 +452,6 @@ class InProcessBackend:
         return {lp_id: getattr(self.lps[lp_id], op)(*args)
                 for lp_id, args in args_by_lp.items()}
 
-    def initial_positions(self):
-        return [lp.positions() for lp in self.lps.values()]
-
     def step(self, t: int, inboxes: dict) -> dict:
         return self._ask("step", {lp_id: (t, inboxes.get(lp_id))
                                   for lp_id in sorted(self.lps)})
@@ -474,9 +471,17 @@ class InProcessBackend:
         return [got[eid] for eid in entity_ids]
 
     def restore(self, records) -> None:
-        by_lp = split_by_owner(self.owner_of, records,
-                               key=lambda rec: rec.entity_id)
-        self._ask("restore", {lp: (recs,) for lp, recs in by_lp.items()})
+        """Rebuild entities on their LPs, asked one at a time like extract;
+        if one refuses, what the others took back is extracted again."""
+        taken = []
+        try:
+            for lp, recs in split_by_owner(self.owner_of, records,
+                                           key=lambda r: r.entity_id).items():
+                self._ask("restore", {lp: (recs,)})
+                taken += [rec.entity_id for rec in recs]
+        except EngineError:
+            self.extract(taken)
+            raise
 
     def entity_count(self) -> int:
         return sum(len(lp.entities) for lp in self.lps.values())
@@ -501,9 +506,10 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
     mode selects the execution backend: "inprocess" steps every LP on
     this thread, "process" runs one OS process per LP, "auto" picks
     "process" when num_lps > 1. Counters are identical either way.
-    hybrid, when given, is a coordination.HybridSpec describing when to
-    hand entities off to fine-grained sub-simulators.
+    hybrid, a coordination.HybridSpec, says when to hand entities off to
+    fine-grained sub-simulators; by default nothing triggers a hand-off.
     """
+    from .coordination import HybridCoordinator, HybridSpec
     if mode not in ("auto", "inprocess", "process"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
@@ -523,18 +529,12 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
         master_seed=config.master_seed,
         config_echo=dict(config_echo or {}),
     )
-    coordinator = None
-    if hybrid is not None:
-        from .coordination import HybridCoordinator
-        coordinator = HybridCoordinator(hybrid, config, model_spec)
+    coordinator = HybridCoordinator(hybrid or HybridSpec(), config,
+                                    model_spec)
 
     try:
         world = World(model_spec.side, model_spec.num_entities)
-        for ids, xs, ys in backend.initial_positions():
-            world.update(ids, xs, ys)
-
         interaction_range = model_spec.params.interaction_range
-        frozen = {}  # entity_id -> wrapper handle
         inboxes = {}
         final_step = config.total_timesteps - 1
         for t in range(config.total_timesteps):
@@ -548,9 +548,9 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
                 all_broadcasts.extend(res.outbox)
                 world.update(res.ids, res.xs, res.ys)
 
-            if coordinator is not None:
-                coordinator.at_barrier(t, world, backend, frozen, metrics,
-                                       force_end=(t == final_step))
+            coordinator.at_barrier(t, world, backend, metrics,
+                                   force_end=(t == final_step))
+            frozen = coordinator.frozen_ids()
 
             active = backend.entity_count()
             if active + len(frozen) != model_spec.num_entities:
@@ -574,21 +574,10 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
             metrics.routed_per_step.append(routed)
             metrics.frozen_drops += drops
 
-        if coordinator is not None:
-            coordinator.finish(metrics)
-            if frozen:
-                raise EngineError(
-                    f"entities still frozen after final step: {sorted(frozen)}"
-                )
-            metrics.wrapper_transcripts = [
-                {"wrapper_id": h.wrapper_id, "spawned_at": h.spawned_at,
-                 "state": h.state, "lines": list(h.transcript)}
-                for h in coordinator.history
-            ]
+        metrics.wrapper_transcripts = coordinator.finish()
         metrics.monitor = backend.finish()
     finally:
-        if coordinator is not None:
-            coordinator.close()
+        coordinator.close()
         backend.close()
 
     metrics.wall_clock_seconds = time.perf_counter() - start

@@ -31,7 +31,7 @@ def _worker(lp_id: int, conn, config, model_spec, entity_ids) -> None:
     """Serve one LP: every reply is (op, payload), or ("error", lp id,
     step or None, entity id or None, text)."""
     lp = LogicalProcess(lp_id, entity_ids, model_spec, config.master_seed)
-    conn.send(("hello", lp.positions()))
+    conn.send(("hello", None))  # ready to serve
     while _serve(lp, conn):
         pass
     conn.close()
@@ -66,8 +66,8 @@ class ProcessBackend(InProcessBackend):
     ``lps`` maps each lp id to the parent's end of its worker's pipe, and
     only _ask, how an LP is asked, differs from the in-process backend.
     The parent mirrors per-LP entity counts from the extract and restore
-    replies, so conservation checks and frozen-entity bookkeeping never
-    need a round trip.
+    replies, so the engine's per-step conservation check never needs a
+    round trip. A worker says hello, empty, once its LP is built.
     """
 
     def __init__(self, config, model_spec):
@@ -92,11 +92,10 @@ class ProcessBackend(InProcessBackend):
                 proc.start()
                 child.close()
                 self._procs[lp_id] = proc
-            hello = self._ask("hello", dict.fromkeys(assignment, ()))
+            self._ask("hello", dict.fromkeys(assignment, ()))
         except BaseException:
             self.close()
             raise
-        self._hello = list(hello.values())
 
     def _ask(self, op: str, args_by_lp: dict) -> dict:
         """Send each named LP (op, *args), then wait for every reply
@@ -150,9 +149,6 @@ class ProcessBackend(InProcessBackend):
         if error is not None:
             raise error
         return payloads
-
-    def initial_positions(self):
-        return list(self._hello)
 
     def entity_count(self) -> int:
         return sum(self._counts.values())

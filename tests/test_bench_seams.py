@@ -5,7 +5,7 @@ library functions and methods, looked up by name. A rename, or a call
 that stops going through the patched attribute, would leave a probe
 counting nothing without failing anything; these tests fail instead,
 for the layer tracer, for the run clock on both backends and for the
-benchmark's reach check on the router's output.
+benchmark's reach check on the router's output, hand-offs included.
 """
 
 import importlib
@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from hybridsim import engine
+from hybridsim.coordination import (FixedDurationPolicy, HybridSpec,
+                                    ScriptedTrigger)
 from hybridsim.engine import EngineConfig, run_simulation
 from hybridsim.parallel import ProcessBackend
 from hybridsim.territory import TerritorySpec
@@ -66,5 +68,39 @@ def test_reach_sampler_compares_routed_broadcasts(bench, monkeypatch):
     cfg = EngineConfig(num_lps=1, total_timesteps=sampler.EVERY_STEPS + 2,
                        master_seed=11)
     run_simulation(cfg, TerritorySpec(200), mode="inprocess")
+    assert sampler.compared > 0
+    assert sampler.errors == []
+
+
+def test_probes_follow_a_hybrid_run(bench, monkeypatch):
+    # one wrapper holds 8 entities from step 5 to 13, across the reach
+    # check's sampled step 10
+    _, probes = bench
+    checks = importlib.import_module("checks")
+    route = engine.route_broadcasts
+    frozen_at = {}
+
+    def recording(world, broadcasts, interaction_range, t, frozen, owner_of):
+        frozen_at[t] = sorted(frozen)
+        return route(world, broadcasts, interaction_range, t, frozen,
+                     owner_of)
+
+    sampler = checks.ReachSampler(recording)
+    monkeypatch.setattr(engine, "route_broadcasts", sampler)
+    hybrid = HybridSpec(trigger=ScriptedTrigger(spawn_at=(5,),
+                                                transfer_count=8),
+                        policy=FixedDurationPolicy(8))
+    clock = probes.RunClock()
+    cfg = EngineConfig(num_lps=1, total_timesteps=16, master_seed=11)
+    with probes.patched(clock.probes()):
+        m = run_simulation(cfg, TerritorySpec(200), hybrid=hybrid,
+                           mode="inprocess")
+    assert m.level1.spawns == 1 and m.frozen_drops > 0
+    assert frozen_at[sampler.EVERY_STEPS] == list(range(8))
+    assert frozen_at[4] == [] and frozen_at[13] == []
+    wrappers = [tr["wrapper_id"] for tr in m.wrapper_transcripts]
+    assert sorted(clock.session_s) == wrappers == [0]
+    assert all(s > 0 for s in clock.session_s.values())
+    assert clock.active_at_finish == 200
     assert sampler.compared > 0
     assert sampler.errors == []

@@ -30,7 +30,7 @@ from hybridsim.coordination import (
     resolve_endpoint,
     spawn_level1,
 )
-from hybridsim import coordination, market
+from hybridsim import coordination, market, wrapper
 from hybridsim.engine import (EngineConfig, EngineError, InProcessBackend,
                               grid_cells, run_simulation)
 from hybridsim.metrics import RunMetrics
@@ -277,10 +277,10 @@ def test_scripted_validation():
 def test_no_trigger_is_quiet():
     config, spec, backend, world = _bench()
     coord = HybridCoordinator(HybridSpec(trigger=None), config, spec)
-    frozen = {}
     metrics = RunMetrics()
-    coord.at_barrier(0, world, backend, frozen, metrics)
-    assert coord.active == {} and coord.history == [] and frozen == {}
+    coord.at_barrier(0, world, backend, metrics)
+    assert coord.active == {} and coord.history == []
+    assert coord.frozen_ids() == set() and coord.finish() == []
     assert metrics.level1.spawns == 0 and metrics.level1.failures == 0
 
 
@@ -369,8 +369,8 @@ def _bench(n=12, num_lps=3, master_seed=7):
     spec = TerritorySpec(num_entities=n)
     backend = InProcessBackend(config, spec)
     world = World(spec.side, n)
-    for ids, xs, ys in backend.initial_positions():
-        world.update(ids, xs, ys)
+    for lp in backend.lps.values():
+        world.update(*lp.positions())
     return config, spec, backend, world
 
 
@@ -552,9 +552,9 @@ def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
         handle = spawn_level1(backend, [3, 8], 4, hs, config.master_seed,
                               spec.side, 0)
         coord.active[0] = handle
-        frozen = {3: handle, 8: handle}
+        assert coord.frozen_ids() == {3, 8}
         metrics = RunMetrics()
-        coord.at_barrier(5, world, backend, frozen, metrics)
+        coord.at_barrier(5, world, backend, metrics)
         th.join(timeout=10.0)
         assert not th.is_alive()
     finally:
@@ -562,7 +562,7 @@ def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
     assert "wrapper 0 terminated: no newline within the 65536-byte line" \
         " limit" in capsys.readouterr().err
     assert handle.state == FAILED and metrics.level1.failures == 1
-    assert coord.active == {} and frozen == {}
+    assert coord.active == {} and coord.frozen_ids() == set()
     assert backend.entity_count() == 12
     assert backend.extract([3, 8]) == before
     assert handle._sock.fileno() == -1  # closed, not leaked
@@ -701,18 +701,20 @@ def test_coordinator_full_cycle_with_scripted_trigger():
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(4,), transfer_count=2),
                     policy=FixedDurationPolicy(1))
     coord = HybridCoordinator(hs, config, spec)
-    frozen = {}
     metrics = RunMetrics()
-    coord.at_barrier(4, world, backend, frozen, metrics)
+    coord.at_barrier(4, world, backend, metrics)
     assert sorted(coord.active) == [0]
-    assert sorted(frozen) == [0, 1]
+    assert coord.frozen_ids() == {0, 1}
     assert backend.entity_count() == 10
     assert metrics.level1.spawns == 1
     assert metrics.level1.entities_transferred == 2
-    coord.at_barrier(5, world, backend, frozen, metrics)
-    assert coord.active == {} and frozen == {}
+    coord.at_barrier(5, world, backend, metrics)
+    assert coord.active == {} and coord.frozen_ids() == set()
     assert backend.entity_count() == 12
-    coord.finish(metrics)  # no active wrappers: clean
+    [transcript] = coord.finish()  # no active wrappers: clean
+    assert transcript["wrapper_id"] == 0 and transcript["spawned_at"] == 4
+    assert transcript["state"] == DONE
+    assert transcript["lines"] == coord.history[0].transcript
     assert [h.state for h in coord.history] == [DONE]
 
 
@@ -721,17 +723,16 @@ def test_coordinator_force_end_overrides_policy():
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(2,), transfer_count=3),
                     policy=FixedDurationPolicy(99))
     coord = HybridCoordinator(hs, config, spec)
-    frozen = {}
     metrics = RunMetrics()
-    coord.at_barrier(2, world, backend, frozen, metrics)
+    coord.at_barrier(2, world, backend, metrics)
     assert len(coord.active) == 1
-    coord.at_barrier(3, world, backend, frozen, metrics, force_end=True)
-    assert coord.active == {} and frozen == {}
+    coord.at_barrier(3, world, backend, metrics, force_end=True)
+    assert coord.active == {} and coord.frozen_ids() == set()
     assert backend.entity_count() == 12
     # force_end also suppresses new spawns
     hs2 = HybridSpec(trigger=ScriptedTrigger(spawn_at=(9,), transfer_count=1))
     coord2 = HybridCoordinator(hs2, config, spec)
-    coord2.at_barrier(9, world, backend, frozen, metrics, force_end=True)
+    coord2.at_barrier(9, world, backend, metrics, force_end=True)
     assert coord2.active == {}
 
 
@@ -740,12 +741,12 @@ def test_coordinator_finish_flags_active_wrappers():
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(1,), transfer_count=1),
                     policy=FixedDurationPolicy(50))
     coord = HybridCoordinator(hs, config, spec)
-    frozen = {}
-    coord.at_barrier(1, world, backend, frozen, RunMetrics())
-    with pytest.raises(EngineError, match="still active"):
-        coord.finish(RunMetrics())
+    coord.at_barrier(1, world, backend, RunMetrics())
+    with pytest.raises(EngineError, match=r"wrappers still active at end of"
+                       r" run: \[0\], holding entities \[0\]"):
+        coord.finish()
     # clean up the live session
-    coord.at_barrier(2, world, backend, frozen, RunMetrics(), force_end=True)
+    coord.at_barrier(2, world, backend, RunMetrics(), force_end=True)
 
 
 def test_coordinator_spawn_failure_is_soft():
@@ -753,10 +754,9 @@ def test_coordinator_spawn_failure_is_soft():
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(3,), transfer_count=2),
                     endpoint="127.0.0.1:1", io_timeout=5.0)
     coord = HybridCoordinator(hs, config, spec)
-    frozen = {}
     metrics = RunMetrics()
-    coord.at_barrier(3, world, backend, frozen, metrics)
-    assert coord.active == {} and frozen == {}
+    coord.at_barrier(3, world, backend, metrics)
+    assert coord.active == {} and coord.frozen_ids() == set()
     assert backend.entity_count() == 12  # entities put back
     assert metrics.level1.failures == 1
     assert metrics.level1.spawns == 0
@@ -773,14 +773,14 @@ def test_coordinator_terminates_protocol_breaker_and_continues():
                         None)
     bad.state = RUNNING_L1B
     coord.active[0] = bad
-    frozen = {4: bad, 6: bad}
+    assert coord.frozen_ids() == {4, 6}
     metrics = RunMetrics()
-    coord.at_barrier(6, world, backend, frozen, metrics)
-    assert coord.active == {} and frozen == {}
+    coord.at_barrier(6, world, backend, metrics)
+    assert coord.active == {} and coord.frozen_ids() == set()
     assert bad.state == FAILED
     assert metrics.level1.failures == 1
     assert backend.entity_count() == 12  # snapshot restored
-    coord.finish(metrics)
+    assert coord.finish() == []  # a handle put in by hand has no history
 
 
 def test_concurrent_sessions_commute():
@@ -805,10 +805,17 @@ def test_concurrent_sessions_commute():
     assert run((0, 1)) == run((1, 0))
 
 
-def test_aborted_run_closes_every_active_wrapper(monkeypatch):
+def test_aborted_run_closes_every_active_wrapper(monkeypatch, capsys):
     # two wrappers spawned at once; wrapper 0 (entities 0 and 1) claims
     # one draw more in RESULT than its cursors show, which aborts the
     # run while wrapper 1 is still waiting for its answer
+    sessions = []
+
+    def tracked(sock):
+        sessions.append(threading.current_thread())
+        _local_session(sock)
+
+    monkeypatch.setattr(wrapper, "_local_session", tracked)
     total_draws = market.MarketRun.total_draws
 
     def miscounted(run):
@@ -835,3 +842,12 @@ def test_aborted_run_closes_every_active_wrapper(monkeypatch):
     for h in handles:
         with pytest.raises(ProtocolError, match="send failed"):
             h.channel.send("CONTINUE", 3)
+    # wrapper 1's session finds its socket closed and says so once; how
+    # depends on timing: at EOF, reset if its STATUS went unread, or on
+    # sending a STATUS it had not finished before the close
+    assert len(sessions) == 2
+    for th in sessions:
+        th.join(timeout=10.0)
+        assert not th.is_alive()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("wrapper session failed: ")

@@ -148,6 +148,32 @@ def test_refused_extract_over_two_lps_changes_nothing(backend):
 
 
 @pytest.mark.parametrize("backend", [InProcessBackend, ProcessBackend])
+def test_refused_restore_over_two_lps_changes_nothing(backend):
+    spec = TerritorySpec(num_entities=24)
+    b = backend(_config(2, steps=5), spec)
+    try:
+        owned = 2
+        back = next(i for i in range(24) if b.owner_of[i] != b.owner_of[owned])
+        [rec_owned] = b.extract([owned])
+        b.restore([rec_owned])
+        [rec_back] = b.extract([back])
+        # the LP of back is asked first and takes it; the LP of owned
+        # refuses, and back must be given up again
+        with pytest.raises(EngineError,
+                           match=rf"lp={int(b.owner_of[owned])} refused"
+                           rf" restore: ids listed twice \[\], ids already"
+                           rf" owned \[{owned}\]"):
+            b.restore([rec_back, rec_owned])
+        assert b.entity_count() == 23
+        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        assert ids == [i for i in range(24) if i != back]
+        b.restore([rec_back])
+        assert b.entity_count() == 24
+    finally:
+        b.close()
+
+
+@pytest.mark.parametrize("backend", [InProcessBackend, ProcessBackend])
 def test_refused_restore_changes_nothing(backend):
     spec = TerritorySpec(num_entities=24)
     b = backend(_config(1, steps=5), spec)
@@ -174,25 +200,6 @@ def test_refused_restore_changes_nothing(backend):
         assert b.entity_count() == 24
     finally:
         b.close()
-
-
-def test_initial_positions_match_inprocess():
-    spec = TerritorySpec(num_entities=30)
-    config = _config(2, steps=5)
-    pb = ProcessBackend(config, spec)
-    try:
-        ib = InProcessBackend(config, spec)
-        flat_p = sorted(
-            (int(i), float(x), float(y))
-            for ids, xs, ys in pb.initial_positions()
-            for i, x, y in zip(ids, xs, ys))
-        flat_i = sorted(
-            (int(i), float(x), float(y))
-            for ids, xs, ys in ib.initial_positions()
-            for i, x, y in zip(ids, xs, ys))
-        assert flat_p == flat_i
-    finally:
-        pb.close()
 
 
 # --- failure paths -------------------------------------------------------

@@ -3,8 +3,10 @@
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridsim.protocol import (
+    RECORD_KINDS,
     LineChannel,
     ProtocolError,
     decode_record,
@@ -140,6 +142,48 @@ def test_entity_roundtrip_survives_wire():
     raw = encode_record("ENTITY", 9, **entity_fields(rec))
     _, _, fields = decode_record(raw)
     assert entity_from_fields(fields) == rec
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0)
+_RECORDS = st.builds(
+    EntityRecord,
+    entity_id=st.integers(0, 2**31),
+    kind=st.sampled_from(["mobile", "static"]),
+    x=_FINITE, y=_FINITE,
+    target=st.none() | st.tuples(_FINITE, _FINITE),
+    speed=_FINITE,
+    cache_ids=st.integers(0, 128).flatmap(lambda n: st.lists(
+        st.integers(0, 2**63 - 1), min_size=n, max_size=n,
+        unique=True)).map(tuple),
+    cursor=st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rec=_RECORDS, step=st.integers(0, 2**31))
+def test_entity_record_survives_the_wire(rec, step):
+    kind, back_step, fields = decode_record(
+        encode_record("ENTITY", step, **entity_fields(rec)))
+    back = entity_from_fields(fields)
+    assert (kind, back_step) == ("ENTITY", step)
+    # repr tells -0.0 from 0.0, which == does not
+    assert back == rec and repr(back) == repr(rec)
+
+
+# any UTF-8 text (no lone surrogates), with the bytes the framing and
+# the quoting treat specially
+_TEXT = st.text(st.characters(codec="utf-8")
+                | st.sampled_from("% =,-_.+\n0aF9"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(RECORD_KINDS), step=st.integers(-2**63, 2**63),
+       fields=st.dictionaries(
+           st.from_regex(r"[a-z][a-z0-9_]*", fullmatch=True), _TEXT,
+           max_size=8))
+def test_text_values_survive_the_wire(kind, step, fields):
+    raw = encode_record(kind, step, **fields)
+    assert raw.isascii() and raw.count(b"\n") == 1
+    assert decode_record(raw) == (kind, step, fields)
 
 
 def test_entity_field_validation():

@@ -52,6 +52,32 @@ def test_toroidal_max_distance():
         assert toroidal_distance(a, b, 50) <= 50 * math.sqrt(2) / 2 + 1e-9
 
 
+_COORD = st.floats(-1e9, 1e9)
+
+
+@st.composite
+def _torus_points(draw):
+    """(a, b, side); b is anywhere, or a shifted by a multiple of side in
+    [-1.5, 1.5] per axis (tiny, half-side and whole-side shifts)."""
+    side = draw(st.floats(1e-3, 1e6))
+    a = draw(st.tuples(_COORD, _COORD))
+    shift = st.floats(-1.5, 1.5).map(lambda f: f * side)
+    b = draw(st.tuples(_COORD, _COORD)
+             | st.tuples(shift, shift).map(lambda s: (a[0] + s[0],
+                                                      a[1] + s[1])))
+    return a, b, side
+
+
+@settings(max_examples=1000, deadline=None)
+@given(points=_torus_points())
+def test_toroidal_distance_symmetric_and_bounded(points):
+    a, b, side = points
+    d = toroidal_distance(a, b, side)
+    assert d == toroidal_distance(b, a, side)
+    # half a side on both axes, up to rounding
+    assert 0.0 <= d <= side * math.sqrt(2) / 2 * (1 + 1e-12)
+
+
 def test_toroidal_normalizes_inputs():
     assert toroidal_distance((12, 0), (3, 4), 10) == toroidal_distance((2, 0), (3, 4), 10)
     assert toroidal_distance((-8, 0), (3, 4), 10) == toroidal_distance((2, 0), (3, 4), 10)

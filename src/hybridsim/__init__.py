@@ -51,15 +51,10 @@ from .territory import (
     DisseminationParams,
     EntityRecord,
     LruSet,
-    SimulatedEntity,
     TerritorySpec,
     World,
     broadcast_reach,
-    build_entity,
-    decide_relay,
-    generate_message,
     make_message_id,
-    rwp_step,
     toroidal_distance,
     world_side,
 )

@@ -104,7 +104,8 @@ SCHEMA = {
     "lps": (_parse_int_list, _all_positive,
             "one or more integers >= 1, comma separated", (1,)),
     "steps": (_parse_int, _positive, "integer >= 1", 900),
-    "seed": (_parse_int, _nonneg, "integer >= 0", 1),
+    "seed": (_parse_int, lambda v: 0 <= v < 2**63,
+             "integer in [0, 2**63)", 1),
     "mode": (_parse_str, _mode_known, "auto, inprocess or process", "auto"),
     "preset": (_parse_str_list, _presets_known,
                "one or more of: " + ", ".join(sorted(PRESETS)), ("good",)),

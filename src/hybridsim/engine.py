@@ -1,8 +1,9 @@
 """Time-stepped engine: logical processes, step loop, routing.
 
 Entities are partitioned across logical processes (LPs). A
-LogicalProcess builds its entities, updates them once per timestep in
-ascending id order, and reports the step's broadcasts, counters and
+LogicalProcess holds its entities as territory.EntityColumns, updates
+them in three phases per timestep (relay decisions in id order, one
+array move, generation), and reports the step's broadcasts, counters and
 positions. InProcessBackend writes every backend operation (step,
 extract, restore, finish) once, over one primitive that asks an LP; the
 process backend (parallel.py) replaces only that primitive. Once every
@@ -39,8 +40,6 @@ from .territory import (
     World,
     broadcast_reach,  # noqa: F401  re-exported; the benchmark tracer wraps it
     broadcast_table,
-    entity_to_record,
-    record_to_entity,
     table_broadcasts,
 )
 
@@ -190,35 +189,26 @@ class StepResult(NamedTuple):
 class LogicalProcess:
     """Builds, steps and reports a disjoint set of entities, in id order.
 
-    The id-ordered entity list and id array are rebuilt only when
-    membership changes, so ``entities`` must be changed only through
-    extract and restore. Per-entity calls are looked up in the territory
-    module each time, so a function swapped in there is the one used.
+    The entities are one territory.EntityColumns, changed between steps
+    only through extract and restore. The per-LP calls are looked up in
+    the territory module each time, so a function swapped in there is
+    the one used.
     """
 
     def __init__(self, lp_id: int, entity_ids, spec, master_seed: int):
         self.lp_id = lp_id
         self.params = spec.params
         self.side = spec.side
-        self.master_seed = master_seed
         self.monitor = InvariantMonitor()
-        self.entities = {  # entity_id -> SimulatedEntity
-            eid: territory.build_entity(eid, master_seed, self.side,
-                                        self.params)
-            for eid in entity_ids}
-        self._reindex()
-
-    def _reindex(self) -> None:
-        ids = sorted(self.entities)
-        self._order = [self.entities[i] for i in ids]
-        self._ids = np.array(ids, dtype=np.int64)
+        self.cols = territory.build_entity(entity_ids, master_seed, self.side,
+                                           self.params)
 
     def _check_ids(self, op: str, entity_ids, owned: bool) -> None:
         """EngineError unless each id is listed once and owned iff owned."""
         counts = Counter(int(eid) for eid in entity_ids)
+        have = set(self.cols.ids.tolist())
         twice = sorted(eid for eid, n in counts.items() if n > 1)
-        wrong = sorted(eid for eid in counts
-                       if (eid in self.entities) != owned)
+        wrong = sorted(eid for eid in counts if (eid in have) != owned)
         if twice or wrong:
             raise EngineError(
                 f"lp={self.lp_id} refused {op}: ids listed twice {twice},"
@@ -231,9 +221,9 @@ class LogicalProcess:
         raises leaves the LP as it was.
         """
         self._check_ids("extract", entity_ids, owned=True)
-        records = [entity_to_record(self.entities.pop(eid))
-                   for eid in entity_ids]
-        self._reindex()
+        rows = np.searchsorted(self.cols.ids, list(entity_ids))
+        records = self.cols.records(rows)
+        self.cols.remove(rows)
         return records
 
     def restore(self, records) -> int:
@@ -241,25 +231,25 @@ class LogicalProcess:
         All are checked and rebuilt before any is taken, so a restore
         that raises leaves the LP as it was."""
         self._check_ids("restore", (rec.entity_id for rec in records),
-                     owned=False)
-        rebuilt = [record_to_entity(rec, self.master_seed, self.params)
-                   for rec in records]
-        self.entities.update((e.entity_id, e) for e in rebuilt)
-        self._reindex()
-        return len(rebuilt)
+                        owned=False)
+        self.cols.add(records)
+        return len(records)
 
     def run_step(self, t: int, inbox: Optional[EnvelopeBatch],
                  report: StepReport) -> list:
         """Update every owned entity once; returns this step's broadcasts.
 
-        Per entity: reset its relay budget, decide on the first copy of
-        each message in its inbox in the batch's canonical order (message
-        id, then sender id), then move if mobile, then maybe generate. A
-        failure in any of these is re-raised with lp, step and entity ids.
-        Every later copy of a message to the same entity would end at the
-        cache filter the first one filled, so those are counted in bulk.
+        First each entity, in id order, decides on the first copy of each
+        message in its inbox in the batch's canonical order (message id,
+        then sender id), relaying from where it stands; a failure names
+        the lp, step and entity. Every later copy of a message to the same
+        entity would end at the cache filter the first one filled, so
+        those are counted in bulk. Then every mobile entity moves and every
+        entity maybe generates; broadcasts are listed entity by entity.
         """
-        spans = [(0, 0)] * len(self._order)
+        cols, params = self.cols, self.params
+        cols.budget.fill(params.max_relays_per_step)
+        outbox = []
         if inbox:
             if inbox.produced_at != t - 1:
                 raise EngineError(
@@ -272,10 +262,10 @@ class LogicalProcess:
             repeat = np.zeros(len(dest), dtype=bool)
             repeat[1:] = (dest[1:] == dest[:-1]) & (mid[1:] == mid[:-1])
             dest = dest[~repeat]
-            lo = np.searchsorted(dest, self._ids, side="left")
-            hi = np.searchsorted(dest, self._ids, side="right")
+            lo = np.searchsorted(dest, cols.ids, side="left")
+            hi = np.searchsorted(dest, cols.ids, side="right")
             if int((hi - lo).sum()) != len(dest):
-                unknown = set(dest.tolist()).difference(self.entities)
+                unknown = set(dest.tolist()).difference(cols.ids.tolist())
                 raise EngineError(
                     f"lp={self.lp_id} received envelopes for entities it"
                     f" does not own: {sorted(unknown)}"
@@ -286,41 +276,29 @@ class LogicalProcess:
             report.delivered += len(hops)
             report.cache_filtered += len(hops)
             self.monitor.note_delivery(int(hops.max(initial=0)))
-            spans = zip(lo.tolist(), hi.tolist())
             rows = inbox.broadcasts
             picks = inbox.row[~repeat].tolist()
-        params = self.params
-        side = self.side
-        monitor = self.monitor
-        outbox = []
-        for e, (a, b) in zip(self._order, spans):
-            try:
-                e.relay_budget = params.max_relays_per_step
-                for k in range(a, b):
-                    copy = rows[picks[k]]
-                    m = territory.decide_relay(e, copy.message, copy.sender_x,
-                                               copy.sender_y, params, side,
-                                               report, monitor)
-                    if m is not None:
-                        outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
-                if e.mobile:
-                    territory.rwp_step(e, side)
-                m = territory.generate_message(e, t, params)
-                if m is not None:
-                    report.generated += 1
-                    outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
-            except Exception as exc:
-                raise StepExecutionError(self.lp_id, t, e.entity_id,
-                                         exc) from exc
-        return outbox
+            for k in np.flatnonzero(hi > lo).tolist():
+                eid, x, y = cols.ids.item(k), cols.x.item(k), cols.y.item(k)
+                try:
+                    for i in range(lo.item(k), hi.item(k)):
+                        copy = rows[picks[i]]
+                        m = territory.decide_relay(
+                            cols, k, copy.message, copy.sender_x,
+                            copy.sender_y, params, self.side, report,
+                            self.monitor)
+                        if m is not None:
+                            outbox.append(Broadcast(eid, x, y, m))
+                except Exception as exc:
+                    raise StepExecutionError(self.lp_id, t, eid,
+                                             exc) from exc
+        territory.rwp_step(cols, self.side)
+        born = territory.generate_message(cols, t, params)
+        report.generated += len(born)
+        return sorted(outbox + born, key=lambda b: b.sender)
 
     def positions(self):
-        order = self._order
-        xs = np.fromiter((e.x for e in order), dtype=np.float64,
-                         count=len(order))
-        ys = np.fromiter((e.y for e in order), dtype=np.float64,
-                         count=len(order))
-        return self._ids, xs, ys
+        return self.cols.ids, self.cols.x.copy(), self.cols.y.copy()
 
     def step(self, t: int, inbox: Optional[EnvelopeBatch]) -> StepResult:
         """Run step t on inbox and report broadcasts, counts, positions."""
@@ -330,8 +308,8 @@ class LogicalProcess:
 
     def finish(self) -> InvariantMonitor:
         """The run's invariant extrema, with every cache's high water."""
-        for e in self.entities.values():
-            self.monitor.note_cache(e.cache.high_water)
+        for cache in self.cols.caches:
+            self.monitor.note_cache(cache.high_water)
         return self.monitor
 
 
@@ -484,7 +462,7 @@ class InProcessBackend:
             raise
 
     def entity_count(self) -> int:
-        return sum(len(lp.entities) for lp in self.lps.values())
+        return sum(len(lp.cols.ids) for lp in self.lps.values())
 
     def finish(self) -> InvariantMonitor:
         """Every LP's invariant extrema, merged in LP order."""

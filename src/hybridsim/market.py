@@ -28,6 +28,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .rng import Stream
+
 QUERYING = "QUERYING"
 WALKING = "WALKING"
 ARRIVED = "ARRIVED"
@@ -218,14 +220,12 @@ class MarketRun:
 
     def __init__(self, scene: MarketScene, records, n_customers: int,
                  master_seed: int):
-        from .rng import entity_stream
         if n_customers > len(records):
             raise ValueError("n_customers exceeds transferred entity count")
         self.scene = scene
         self.records = list(records)
         self.n_customers = n_customers
         self.master_seed = master_seed
-        self._entity_stream = entity_stream
         self.peds = []  # PedestrianNode, one per entering customer
         self.draws = {}  # entity_id -> Stream (live, carried cursor)
         self.injected = False
@@ -237,8 +237,7 @@ class MarketRun:
         extent = self.scene.extent
         for i in range(self.n_customers):
             rec = self.records[i]
-            stream = self._entity_stream(self.master_seed, rec.entity_id,
-                                         cursor=rec.cursor)
+            stream = Stream(self.master_seed, rec.entity_id, rec.cursor)
             x, y = perimeter_point(extent, stream.uniform())
             target = stream.randrange(self.scene.num_sellers)
             node_id = self.scene.num_sellers + i

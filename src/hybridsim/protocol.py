@@ -68,13 +68,12 @@ def encode_record(kind: str, step: int, /, **fields) -> bytes:
     for key in sorted(fields):
         if not _KEY_RE.match(key):
             raise ProtocolError(f"illegal field key {key!r}")
-        value = quote(format_value(fields[key]), safe=_VALUE_SAFE)
+        try:  # quoting leaves only ASCII, but UTF-8 has no lone surrogate
+            value = quote(format_value(fields[key]), safe=_VALUE_SAFE)
+        except UnicodeEncodeError as exc:
+            raise ProtocolError(f"field {key!r}: {exc}") from exc
         parts.append(f"{key}={value}")
-    line = " ".join(parts)
-    try:
-        return line.encode("ascii") + b"\n"
-    except UnicodeEncodeError as exc:
-        raise ProtocolError(f"non-ASCII content in record: {exc}") from exc
+    return " ".join(parts).encode("ascii") + b"\n"
 
 
 def decode_record(line) -> tuple:

@@ -1,10 +1,10 @@
 """Counter-based random streams with explicit draw accounting.
 
 Every simulated entity owns an independent Philox stream keyed by
-(master seed, entity id). A stream counts how many values it has drawn,
-so its exact state serializes as one integer and can be rebuilt anywhere
-by replaying that many draws. Engine-internal streams use tag-derived
-ids in a disjoint key namespace.
+(master seed, entity id) as an exact uint64 array. A stream counts how
+many values it has drawn, so its exact state serializes as one integer
+and is rebuilt anywhere in O(1) (seek). Engine-internal streams use
+tag-derived ids in a disjoint key namespace.
 """
 
 from __future__ import annotations
@@ -14,10 +14,23 @@ import zlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 # High bit marks engine-internal streams so tags never collide with entity ids.
 _NAMED_BIT = 1 << 63
+
+
+def seek(gen: np.random.Generator, key, cursor: int) -> np.random.Generator:
+    """Point a Philox generator at draw number cursor of the stream keyed
+    by key, in O(1). Philox makes four draws per counter step: the bit
+    generator is set to counter cursor // 4 with no draws in reserve,
+    and cursor % 4 draws are discarded."""
+    counter, empty = np.zeros((2, 4), dtype=np.uint64)
+    counter[0] = cursor // 4
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"key": key, "counter": counter},
+        "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    if cursor % 4:
+        gen.random(cursor % 4)
+    return gen
 
 
 class Stream:
@@ -27,31 +40,26 @@ class Stream:
     generator, so ``cursor`` fully determines stream state given the key.
     """
 
-    __slots__ = ("master_seed", "stream_id", "cursor", "_gen")
+    __slots__ = ("cursor", "_key", "_gen")
 
     def __init__(self, master_seed: int, stream_id: int, cursor: int = 0):
-        self.master_seed = master_seed & _MASK64
-        self.stream_id = stream_id & _MASK64
-        self._gen = np.random.Generator(
-            np.random.Philox(key=[self.master_seed, self.stream_id])
-        )
+        self._key = np.array([master_seed, stream_id], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=self._key))
         self.cursor = 0
         if cursor:
             self.skip(cursor)
 
     def __repr__(self):
-        return (
-            f"Stream(master_seed={self.master_seed}, "
-            f"stream_id={self.stream_id}, cursor={self.cursor})"
-        )
+        return f"Stream(key={self._key.tolist()}, cursor={self.cursor})"
 
     def skip(self, n: int) -> None:
-        """Discard the next n draws (vectorized; used to restore a cursor)."""
+        """Discard the next n draws in O(1): the generator is set at the new
+        cursor, since advancing it would drop the draws it holds in reserve."""
         if n < 0:
             raise ValueError("cannot skip a negative number of draws")
         if n:
-            self._gen.random(n)
             self.cursor += n
+            seek(self._gen, self._key, self.cursor)
 
     def uniform(self) -> float:
         """Next float in [0, 1). One draw."""
@@ -62,10 +70,6 @@ class Stream:
         """Next float in [low, high). One draw."""
         return low + (high - low) * self.uniform()
 
-    def bernoulli(self, p: float) -> bool:
-        """True with probability p. One draw."""
-        return self.uniform() < p
-
     def randrange(self, n: int) -> int:
         """Integer in [0, n). One draw."""
         v = int(self.uniform() * n)
@@ -73,15 +77,11 @@ class Stream:
         return n - 1 if v >= n else v
 
 
-def entity_stream(master_seed: int, entity_id: int, cursor: int = 0) -> Stream:
-    """Stream owned by one entity, reconstructable from (seed, id, cursor)."""
-    return Stream(master_seed, entity_id, cursor)
-
-
 def named_generator(master_seed: int, tag: str) -> np.random.Generator:
     """Raw numpy generator for engine-internal bulk use (e.g. permutation)."""
     sid = _NAMED_BIT | zlib.crc32(tag.encode("utf-8"))
-    return np.random.Generator(np.random.Philox(key=[master_seed & _MASK64, sid]))
+    key = np.array([master_seed, sid], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(*parts) -> int:

@@ -19,9 +19,11 @@ partitioned across logical processes.
 Within one timestep an entity first decides on the deliveries from the
 previous step (at its current position), then moves, then possibly
 generates a fresh message at its new position, so relay decisions use
-the geometry the router used. The engine's LogicalProcess calls
-build_entity, then decide_relay on the first copy of each message (later
-copies only count as cache-filtered), rwp_step and generate_message.
+the geometry the router used. A LogicalProcess holds its entities as
+EntityColumns (build_entity) and runs these as three phases over all of
+them: decide_relay per first copy of a message, one array rwp_step, one
+generate_message. Each entity still draws from its own stream in that
+order, via a buffer that its own generator refills.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import rng
 from .metrics import InvariantMonitor, StepReport
-from .rng import Stream, entity_stream
 
 DENSITY_AREA_PER_ENTITY = 10000.0  # one entity per this many square space units
 
 RWP_SPEED_MIN = 1.0
 RWP_SPEED_MAX = 14.0
+SPEED_SPAN = RWP_SPEED_MAX - RWP_SPEED_MIN
 
 
 def world_side(num_entities: int, area_per_entity: float = DENSITY_AREA_PER_ENTITY) -> float:
@@ -81,15 +84,10 @@ class DisseminationParams:
             raise ValueError("max_relays_per_step must be >= 0")
 
 
-def _torus_axis(d: float, side: float) -> float:
-    d = abs(d) % side
-    return side - d if d > side * 0.5 else d
-
-
 def _torus_dist(ax: float, ay: float, bx: float, by: float, side: float) -> float:
-    dx = _torus_axis(ax - bx, side)
-    dy = _torus_axis(ay - by, side)
-    return math.hypot(dx, dy)
+    dx, dy = abs(ax - bx) % side, abs(ay - by) % side
+    return math.hypot(side - dx if dx > side * 0.5 else dx,
+                      side - dy if dy > side * 0.5 else dy)
 
 
 def toroidal_distance(a, b, side: float) -> float:
@@ -120,10 +118,6 @@ class DisseminationMessage(NamedTuple):
     ttl_remaining: int
     hop_count: int
     created_at: int
-
-    @property
-    def origin_position(self):
-        return (self.origin_x, self.origin_y)
 
 
 def make_message_id(origin_entity: int, created_at: int) -> int:
@@ -204,168 +198,11 @@ class LruSet:
         return tuple(self._items)
 
 
-class SimulatedEntity:
-    """One territory entity: position, movement state, stream, cache."""
-
-    __slots__ = ("entity_id", "mobile", "x", "y", "target_x", "target_y",
-                 "speed", "stream", "cache", "relay_budget")
-
-    def __init__(self, entity_id: int, mobile: bool, x: float, y: float,
-                 stream: Stream, cache: LruSet):
-        self.entity_id = entity_id
-        self.mobile = mobile
-        self.x = x
-        self.y = y
-        self.target_x: Optional[float] = None
-        self.target_y: Optional[float] = None
-        self.speed = 0.0
-        self.stream = stream
-        self.cache = cache
-        self.relay_budget = 0
-
-    @property
-    def kind(self) -> str:
-        return "mobile" if self.mobile else "static"
-
-    @property
-    def position(self):
-        return (self.x, self.y)
-
-
-def build_entity(entity_id: int, master_seed: int, side: float,
-                 params: DisseminationParams) -> SimulatedEntity:
-    """Construct an entity from its id alone.
-
-    Initial position costs two draws from the entity's own stream; even
-    ids are mobile. No global stream is touched, so construction order
-    and process placement cannot change anything.
-    """
-    stream = entity_stream(master_seed, entity_id)
-    x = stream.uniform() * side
-    y = stream.uniform() * side
-    return SimulatedEntity(entity_id, entity_id % 2 == 0, x, y,
-                           stream, LruSet(params.cache_capacity))
-
-
-def rwp_step(entity: SimulatedEntity, side: float) -> None:
-    """Advance a mobile entity one timestep of Random Waypoint.
-
-    Picking a new waypoint costs three draws (x, y, speed); travel is in
-    a straight line on the torus at the chosen speed with no pause on
-    arrival. Arriving mid-step spends the residual distance toward the
-    next waypoint.
-    """
-    if not entity.mobile:
-        raise ValueError(f"entity {entity.entity_id} is static")
-    remaining = None
-    while True:
-        if entity.target_x is None:
-            s = entity.stream
-            entity.target_x = s.uniform() * side
-            entity.target_y = s.uniform() * side
-            entity.speed = s.uniform_range(RWP_SPEED_MIN, RWP_SPEED_MAX)
-        if remaining is None:
-            remaining = entity.speed
-        dx = entity.target_x - entity.x
-        dy = entity.target_y - entity.y
-        # shortest displacement on the torus, axis by axis
-        if dx > side * 0.5:
-            dx -= side
-        elif dx < -side * 0.5:
-            dx += side
-        if dy > side * 0.5:
-            dy -= side
-        elif dy < -side * 0.5:
-            dy += side
-        dist = math.hypot(dx, dy)
-        if dist <= remaining:
-            entity.x = entity.target_x
-            entity.y = entity.target_y
-            entity.target_x = None
-            entity.target_y = None
-            remaining -= dist
-            if remaining <= 0.0:
-                return
-            # keep walking toward a fresh waypoint within the same step
-            continue
-        f = remaining / dist
-        entity.x = wrap_coord(entity.x + dx * f, side)
-        entity.y = wrap_coord(entity.y + dy * f, side)
-        return
-
-
-def generate_message(entity: SimulatedEntity, t: int,
-                     params: DisseminationParams) -> Optional[DisseminationMessage]:
-    """Bernoulli message generation at the entity's current position.
-
-    Costs exactly one draw per entity per timestep whether or not a
-    message appears. The origin immediately caches its own id so it never
-    relays its own message back.
-    """
-    if not entity.stream.bernoulli(params.generation_probability):
-        return None
-    mid = make_message_id(entity.entity_id, t)
-    entity.cache.touch(mid)
-    return DisseminationMessage(
-        message_id=mid,
-        origin_entity=entity.entity_id,
-        origin_x=entity.x,
-        origin_y=entity.y,
-        ttl_remaining=params.ttl,
-        hop_count=0,
-        created_at=t,
-    )
-
-
-def decide_relay(entity: SimulatedEntity, msg: DisseminationMessage,
-                 sender_x: float, sender_y: float,
-                 params: DisseminationParams, side: float,
-                 report: StepReport,
-                 monitor: InvariantMonitor) -> Optional[DisseminationMessage]:
-    """Process one delivered message copy; return the relay copy or None.
-
-    Filter order is fixed: duplicate cache, ttl, geofence, forwarding
-    ring, relay budget, gossip coin. The cache records the id on every
-    delivery, including ones dropped later in the chain, so at most one
-    coin is ever tossed per (entity, message) while the id stays cached.
-    Exactly one draw is consumed if and only if the coin stage is reached.
-    """
-    report.delivered += 1
-    monitor.note_delivery(msg.hop_count)
-    if entity.cache.touch(msg.message_id):
-        report.cache_filtered += 1
-        return None
-    if msg.ttl_remaining <= 0:
-        report.ttl_filtered += 1
-        return None
-    origin_distance = _torus_dist(entity.x, entity.y,
-                                  msg.origin_x, msg.origin_y, side)
-    if origin_distance > params.geofilter_distance:
-        report.geofiltered += 1
-        return None
-    ring_distance = _torus_dist(entity.x, entity.y, sender_x, sender_y, side)
-    if ring_distance <= params.forwarding_threshold:
-        report.ring_filtered += 1
-        return None
-    if entity.relay_budget <= 0:
-        report.budget_filtered += 1
-        return None
-    if not entity.stream.bernoulli(params.gossip_probability):
-        report.gossip_declined += 1
-        return None
-    entity.relay_budget -= 1
-    report.relayed += 1
-    monitor.note_relay(ring_distance, origin_distance,
-                       params.max_relays_per_step - entity.relay_budget)
-    return msg._replace(ttl_remaining=msg.ttl_remaining - 1,
-                        hop_count=msg.hop_count + 1)
-
-
 class EntityRecord(NamedTuple):
     """Serialized entity state for level hand-off and restore.
 
     Rebuilding from a record is bit-exact: the stream is reconstructed
-    from (master seed, entity id) and fast-forwarded to the cursor, the
+    from (master seed, entity id) at the cursor (draws consumed), the
     cache keeps its exact contents and recency order, movement state
     carries over unchanged.
     """
@@ -380,22 +217,213 @@ class EntityRecord(NamedTuple):
     cursor: int
 
 
-def entity_to_record(e: SimulatedEntity) -> EntityRecord:
-    target = None if e.target_x is None else (e.target_x, e.target_y)
-    return EntityRecord(e.entity_id, e.kind, e.x, e.y, target, e.speed,
-                        e.cache.ids(), e.stream.cursor)
+# Draws buffered per entity. 64 float64 values a row add 2 MB at 4,000
+# entities, and an entity drawing once a step refills every 64 steps.
+DRAW_BLOCK = 64
+
+_COLUMNS = {"ids": int, "x": float, "y": float, "tx": float, "ty": float,
+            "speed": float, "mobile": bool, "budget": int, "cursor": int,
+            "caches": object, "keys": np.uint64, "draws": float}
 
 
-def record_to_entity(rec: EntityRecord, master_seed: int,
-                     params: DisseminationParams) -> SimulatedEntity:
-    stream = entity_stream(master_seed, rec.entity_id, cursor=rec.cursor)
-    cache = LruSet(params.cache_capacity, rec.cache_ids)
-    e = SimulatedEntity(rec.entity_id, rec.kind == "mobile", rec.x, rec.y,
-                        stream, cache)
-    if rec.target is not None:
-        e.target_x, e.target_y = rec.target
-    e.speed = rec.speed
-    return e
+class EntityColumns:
+    """One LP's entities as columns, a row per entity in ascending id order.
+
+    Waypoints (tx, ty) are NaN while there are none. Row k of ``draws``
+    holds draws [c - c % block, c - c % block + block) of the stream keyed
+    by keys[k], c = cursor[k] the draws consumed; the row is refilled,
+    by one generator set to each key in turn, when its last value is read.
+    """
+
+    def __init__(self, master_seed: int, capacity: int):
+        self.master_seed, self.capacity = master_seed, capacity
+        self.block = block = DRAW_BLOCK
+        self._gen = np.random.Generator(np.random.Philox(key=0))
+        for name, dtype in _COLUMNS.items():
+            width = {"keys": (2,), "draws": (block,)}.get(name, ())
+            setattr(self, name, np.empty((0, *width), dtype=dtype))
+
+    def _fill(self, key, start: int, row) -> None:
+        """Load row with draws [start, start + block) of key's stream."""
+        rng.seek(self._gen, key, start).random(out=row)
+
+    def draw(self, rows) -> np.ndarray:
+        """The next draw of each entity in rows (distinct row indices)."""
+        c = self.cursor[rows]
+        v = self.draws[rows, c % self.block]
+        self.cursor[rows] = c = c + 1
+        for k in rows[c % self.block == 0].tolist():
+            self._fill(self.keys[k], self.cursor.item(k), self.draws[k])
+        return v
+
+    def draw_one(self, k: int) -> float:
+        """The next draw of the entity in row k."""
+        c = self.cursor.item(k)
+        v = self.draws.item(k, c % self.block)
+        self.cursor[k] = c = c + 1
+        if c % self.block == 0:
+            self._fill(self.keys[k], c, self.draws[k])
+        return v
+
+    def records(self, rows) -> list:
+        """EntityRecord of the entity in each row, in the given order."""
+        cols = [getattr(self, name)[rows].tolist() for name in
+                ("ids", "mobile", "x", "y", "tx", "ty", "speed", "cursor")]
+        return [EntityRecord(eid, "mobile" if mobile else "static", x, y,
+                             None if math.isnan(tx) else (tx, ty), speed,
+                             self.caches[k].ids(), cursor)
+                for k, eid, mobile, x, y, tx, ty, speed, cursor
+                in zip(rows, *cols)]
+
+    def add(self, records) -> None:
+        """Take in the entities the records describe, keeping id order.
+        Columns are built before any changes, so an add that raises leaves
+        them as they were; each stream restarts at its cursor's block."""
+        if not records:
+            return
+        ids, kinds, xs, ys, targets, speeds, cached, cursors = zip(*records)
+        tx, ty = zip(*(t or (math.nan, math.nan) for t in targets))
+        new = dict(ids=ids, x=xs, y=ys, tx=tx, ty=ty, speed=speeds,
+                   mobile=[k == "mobile" for k in kinds],
+                   budget=[0] * len(ids), cursor=cursors,
+                   caches=[LruSet(self.capacity, c) for c in cached],
+                   keys=[(self.master_seed, eid) for eid in ids])
+        new = {name: np.array(col, dtype=_COLUMNS[name])
+               for name, col in new.items()}
+        n_old = len(self.ids)
+        order = np.argsort(np.concatenate([self.ids, ids]), kind="stable")
+        at = np.argsort(order)  # where each old, then new, row lands
+        draws = np.empty((len(order), self.block))
+        draws[at[:n_old]] = self.draws
+        for key, c, k in zip(new["keys"], cursors, at[n_old:].tolist()):
+            self._fill(key, c - c % self.block, draws[k])
+        for name, col in new.items():
+            setattr(self, name,
+                    np.concatenate([getattr(self, name), col])[order])
+        self.draws = draws
+
+    def remove(self, rows) -> None:
+        """Drop the entities in rows."""
+        for name in _COLUMNS:
+            setattr(self, name, np.delete(getattr(self, name), rows, axis=0))
+
+
+def build_entity(entity_ids, master_seed: int, side: float,
+                 params: DisseminationParams) -> EntityColumns:
+    """Construct one LP's entities from their ids alone.
+
+    Initial position costs the first two draws of each entity's own
+    stream; even ids are mobile. No global stream is touched, so
+    construction order and process placement cannot change anything.
+    """
+    cols = EntityColumns(master_seed, params.cache_capacity)
+    cols.add([EntityRecord(eid, "static" if eid % 2 else "mobile", 0.0, 0.0,
+                           None, 0.0, (), 0) for eid in entity_ids])
+    every = np.arange(len(cols.ids))
+    cols.x, cols.y = cols.draw(every) * side, cols.draw(every) * side
+    return cols
+
+
+def rwp_step(cols: EntityColumns, side: float) -> None:
+    """Advance every mobile entity one timestep of Random Waypoint.
+
+    Picking a new waypoint costs three draws (x, y, speed); travel is in
+    a straight line on the torus at the chosen speed with no pause on
+    arrival. Arriving mid-step spends the residual distance toward the
+    next waypoint: movers step as arrays, and those that arrive step
+    again. math.hypot is kept, as np.hypot rounds differently.
+    """
+    rows, left = np.flatnonzero(cols.mobile), None
+    while len(rows):
+        fresh = rows[np.isnan(cols.tx[rows])]
+        cols.tx[fresh] = cols.draw(fresh) * side
+        cols.ty[fresh] = cols.draw(fresh) * side
+        cols.speed[fresh] = RWP_SPEED_MIN + SPEED_SPAN * cols.draw(fresh)
+        if left is None:  # a step covers its first leg's speed
+            left = cols.speed[rows]
+        # shortest displacement on the torus, axis by axis
+        d = np.stack([cols.tx[rows] - cols.x[rows],
+                      cols.ty[rows] - cols.y[rows]])
+        d = np.where(d > side * 0.5, d - side,
+                     np.where(d < -side * 0.5, d + side, d))
+        dist = np.fromiter(map(math.hypot, *d.tolist()), dtype=np.float64,
+                           count=len(rows))
+        go = dist > left
+        f = left[go] / dist[go]
+        for pos, dp in zip((cols.x, cols.y), d):
+            v = np.remainder(pos[rows[go]] + dp[go] * f, side)  # as % does
+            v[v >= side] = 0.0  # % can round up to side itself
+            pos[rows[go]] = v
+        # the rest reach their waypoint and walk on toward a fresh one
+        rows, left = rows[~go], (left - dist)[~go]
+        cols.x[rows], cols.y[rows] = cols.tx[rows], cols.ty[rows]
+        cols.tx[rows] = cols.ty[rows] = np.nan
+        rows, left = rows[left > 0.0], left[left > 0.0]
+
+
+def generate_message(cols: EntityColumns, t: int,
+                     params: DisseminationParams) -> list:
+    """Bernoulli message generation by every entity at its position.
+
+    Costs exactly one draw per entity per timestep whether or not a
+    message appears. An origin immediately caches its own id so it never
+    relays its own message back. Returns the broadcasts, in id order.
+    """
+    born = cols.draw(np.arange(len(cols.ids))) < params.generation_probability
+    out = []
+    for k in np.flatnonzero(born).tolist():
+        eid, x, y = cols.ids.item(k), cols.x.item(k), cols.y.item(k)
+        mid = make_message_id(eid, t)
+        cols.caches[k].touch(mid)
+        out.append(Broadcast(eid, x, y, DisseminationMessage(
+            mid, eid, x, y, params.ttl, 0, t)))
+    return out
+
+
+def decide_relay(cols: EntityColumns, k: int, msg: DisseminationMessage,
+                 sender_x: float, sender_y: float,
+                 params: DisseminationParams, side: float,
+                 report: StepReport,
+                 monitor: InvariantMonitor) -> Optional[DisseminationMessage]:
+    """Process one copy delivered to the entity in row k; return the
+    relay copy or None.
+
+    Filter order is fixed: duplicate cache, ttl, geofence, forwarding
+    ring, relay budget, gossip coin. The cache records the id on every
+    delivery, including ones dropped later in the chain, so at most one
+    coin is ever tossed per (entity, message) while the id stays cached.
+    Exactly one draw is consumed if and only if the coin stage is reached.
+    """
+    report.delivered += 1
+    monitor.note_delivery(msg.hop_count)
+    if cols.caches[k].touch(msg.message_id):
+        report.cache_filtered += 1
+        return None
+    if msg.ttl_remaining <= 0:
+        report.ttl_filtered += 1
+        return None
+    x, y = cols.x.item(k), cols.y.item(k)
+    origin_distance = _torus_dist(x, y, msg.origin_x, msg.origin_y, side)
+    if origin_distance > params.geofilter_distance:
+        report.geofiltered += 1
+        return None
+    ring_distance = _torus_dist(x, y, sender_x, sender_y, side)
+    if ring_distance <= params.forwarding_threshold:
+        report.ring_filtered += 1
+        return None
+    budget = cols.budget.item(k)
+    if budget <= 0:
+        report.budget_filtered += 1
+        return None
+    if not cols.draw_one(k) < params.gossip_probability:
+        report.gossip_declined += 1
+        return None
+    cols.budget[k] = budget - 1
+    report.relayed += 1
+    monitor.note_relay(ring_distance, origin_distance,
+                       params.max_relays_per_step - budget + 1)
+    return msg._replace(ttl_remaining=msg.ttl_remaining - 1,
+                        hop_count=msg.hop_count + 1)
 
 
 class World:

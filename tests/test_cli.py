@@ -66,6 +66,16 @@ def test_bad_flag_value_is_a_config_error(capsys):
     assert "'steps'" in err and "integer >= 1" in err
 
 
+def test_seed_outside_63_bits_is_a_config_error(capsys):
+    # 2**64 + 1 once ran seed 1's physics; 2**63 and up once shared keys
+    for seed in (2**64 + 1, 2**63):
+        rc = main(["run", "--ses", "10", "--steps", "2", "--seed", str(seed)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'seed'")
+        assert "[0, 2**63)" in err and err.count("\n") == 1
+
+
 def test_missing_config_file_is_an_error_line(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.conf")])
     assert rc == 2

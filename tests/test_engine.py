@@ -1,5 +1,7 @@
 """Engine: partitioning, stepping, routing, LP-count equivalence."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from hybridsim.territory import (
     make_message_id,
     DisseminationMessage,
 )
+from scalar_oracle import ScalarLP, lp_state
 
 
 def test_partition_single_lp_gets_all():
@@ -104,13 +107,18 @@ def delivery_calls(monkeypatch):
         step[:] = [t]
         return run_step(lp, t, inbox, report)
 
-    def counting(entity, msg, *rest):
-        calls.append((entity.entity_id, step[0], msg.message_id))
-        return decide_relay(entity, msg, *rest)
+    def counting(cols, k, msg, *rest):
+        calls.append((cols.ids.item(k), step[0], msg.message_id))
+        return decide_relay(cols, k, msg, *rest)
 
     monkeypatch.setattr(LogicalProcess, "run_step", stepping)
     monkeypatch.setattr(territory, "decide_relay", counting)
     return calls
+
+
+def _position(lp, eid):
+    k = int(np.searchsorted(lp.cols.ids, eid))
+    return lp.cols.x.item(k), lp.cols.y.item(k)
 
 
 def _inbox(produced_at, dest, pos, sends, num_entities=4):
@@ -134,22 +142,22 @@ def _inbox(produced_at, dest, pos, sends, num_entities=4):
 def test_delivery_hook_invoked_exactly_once_per_first_copy(delivery_calls):
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
     lp = _build_lp(spec, seed=1)
-    e2 = lp.entities[2]
+    x, y = _position(lp, 2)
     mid = make_message_id(0, 0)
-    msg = DisseminationMessage(mid, 0, e2.x, e2.y, 6, 0, 0)
-    lp.run_step(1, _inbox(0, 2, (e2.x, e2.y), [(0, msg)]), StepReport())
+    msg = DisseminationMessage(mid, 0, x, y, 6, 0, 0)
+    lp.run_step(1, _inbox(0, 2, (x, y), [(0, msg)]), StepReport())
     assert delivery_calls == [(2, 1, mid)]
 
 
 def test_inbox_canonical_order(delivery_calls):
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
     lp = _build_lp(spec, seed=1)
-    e2 = lp.entities[2]
-    m_late = DisseminationMessage(make_message_id(1, 3), 1, e2.x, e2.y, 6, 0, 3)
-    m_early = DisseminationMessage(make_message_id(0, 2), 0, e2.x, e2.y, 6, 0, 2)
+    x, y = _position(lp, 2)
+    m_late = DisseminationMessage(make_message_id(1, 3), 1, x, y, 6, 0, 3)
+    m_early = DisseminationMessage(make_message_id(0, 2), 0, x, y, 6, 0, 2)
     # broadcast out of order; consumption must sort by (message id, sender)
     relayed = m_late._replace(ttl_remaining=4, hop_count=2)
-    inbox = _inbox(3, 2, (e2.x, e2.y),
+    inbox = _inbox(3, 2, (x, y),
                    [(3, relayed), (1, m_early), (0, m_late)])
     report = StepReport()
     lp.run_step(4, inbox, report)
@@ -167,9 +175,9 @@ def test_inbox_canonical_order(delivery_calls):
 def test_stale_envelope_rejected():
     spec = TerritorySpec(4, DisseminationParams(generation_probability=0.0))
     lp = _build_lp(spec, seed=1)
-    e2 = lp.entities[2]
-    msg = DisseminationMessage(make_message_id(0, 0), 0, e2.x, e2.y, 6, 0, 0)
-    inbox = _inbox(0, 2, (e2.x, e2.y), [(0, msg)])
+    x, y = _position(lp, 2)
+    msg = DisseminationMessage(make_message_id(0, 0), 0, x, y, 6, 0, 0)
+    inbox = _inbox(0, 2, (x, y), [(0, msg)])
     with pytest.raises(EngineError, match="stale"):
         lp.run_step(5, inbox, StepReport())
 
@@ -184,23 +192,26 @@ def test_envelope_for_unowned_entity_rejected():
 
 
 def test_step_failure_names_lp_step_entity(monkeypatch):
-    generate_message = territory.generate_message
+    # every entity generates every step, so entity 7 decides on copies
+    # from step 1 on; its relay decision at step 3 fails
+    decide_relay = territory.decide_relay
 
-    def faulty(entity, t, params):
-        if entity.entity_id == 7 and t == 3:
+    def faulty(cols, k, msg, *rest):
+        if cols.ids.item(k) == 7 and msg.created_at == 2:
             raise RuntimeError("boom")
-        return generate_message(entity, t, params)
+        return decide_relay(cols, k, msg, *rest)
 
-    monkeypatch.setattr(territory, "generate_message", faulty)
+    monkeypatch.setattr(territory, "decide_relay", faulty)
     cfg = EngineConfig(num_lps=1, total_timesteps=10, master_seed=1)
+    spec = TerritorySpec(20, DisseminationParams(generation_probability=1.0))
     with pytest.raises(StepExecutionError) as ei:
-        run_simulation(cfg, TerritorySpec(20))
+        run_simulation(cfg, spec)
     err = ei.value
     assert err.lp_id == 0 and err.step == 3 and err.entity_id == 7
     assert "lp=0" in str(err) and "step=3" in str(err) and "entity=7" in str(err)
     # a worker process reports the same failure in the same words
     with pytest.raises(StepExecutionError) as ei:
-        run_simulation(cfg, TerritorySpec(20), mode="process")
+        run_simulation(cfg, spec, mode="process")
     assert (ei.value.lp_id, ei.value.step, ei.value.entity_id) == (0, 3, 7)
     assert str(ei.value) == str(err)
 
@@ -248,45 +259,6 @@ def test_more_lps_than_entities_rejected():
     with pytest.raises(ValueError):
         run_simulation(EngineConfig(num_lps=64, total_timesteps=5,
                                     master_seed=1), TerritorySpec(10))
-
-
-def per_copy_run_step(lp, t, inbox, report):
-    """The per-copy definition of LogicalProcess.run_step: every copy,
-    repeats included, goes through decide_relay. The reference that the
-    first-copy step loop, which counts repeats in bulk, must match."""
-    spans = [(0, 0)] * len(lp._order)
-    if inbox:
-        assert inbox.produced_at == t - 1
-        lo = np.searchsorted(inbox.dest, lp._ids, side="left")
-        hi = np.searchsorted(inbox.dest, lp._ids, side="right")
-        assert int((hi - lo).sum()) == len(inbox)
-        spans = zip(lo.tolist(), hi.tolist())
-        rows = inbox.broadcasts
-        picks = inbox.row.tolist()
-    params = lp.params
-    outbox = []
-    for e, (a, b) in zip(lp._order, spans):
-        e.relay_budget = params.max_relays_per_step
-        for k in range(a, b):
-            copy = rows[picks[k]]
-            m = territory.decide_relay(e, copy.message, copy.sender_x,
-                                       copy.sender_y, params, lp.side,
-                                       report, lp.monitor)
-            if m is not None:
-                outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
-        if e.mobile:
-            territory.rwp_step(e, lp.side)
-        m = territory.generate_message(e, t, params)
-        if m is not None:
-            report.generated += 1
-            outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
-    return outbox
-
-
-def _entity_state(lp):
-    return {eid: (e.cache.ids(), e.cache.high_water, e.stream.cursor,
-                  e.relay_budget, e.x, e.y)
-            for eid, e in lp.entities.items()}
 
 
 @st.composite
@@ -341,50 +313,118 @@ def relay_cases(draw):
 @given(relay_cases())
 def test_first_copy_step_matches_per_copy_oracle(case):
     spec, seed, cached, steps = case
-    fast, slow = _build_lp(spec, seed), _build_lp(spec, seed)
-    for lp in (fast, slow):
-        for eid, mid in cached:  # ids cached in an earlier step
-            lp.entities[eid].cache.touch(mid)
+    fast = _build_lp(spec, seed)
+    slow = ScalarLP(0, range(spec.num_entities), spec, seed, per_copy=True)
+    for eid, mid in cached:  # ids cached in an earlier step
+        fast.cols.caches[eid].touch(mid)
+        slow.entities[eid].cache.touch(mid)
     for t, inbox in enumerate(steps, start=1):
         fast_report, slow_report = StepReport(), StepReport()
         fast_out = fast.run_step(t, inbox, fast_report)
-        slow_out = per_copy_run_step(slow, t, inbox, slow_report)
+        slow_out = slow.run_step(t, inbox, slow_report)
         assert fast_report == slow_report
         assert fast_out == slow_out
         assert fast.monitor == slow.monitor
-        assert _entity_state(fast) == _entity_state(slow)
+        assert lp_state(fast) == lp_state(slow)
     assert fast.finish() == slow.finish()
+
+
+def lockstep(spec, seed, steps, lps, away=(), away_steps=range(0)):
+    """Step LPs that each own every entity side by side, each routed its
+    own broadcasts, and require after every step equal reports,
+    broadcasts (in order), monitors, positions and entity states.
+
+    The ids in away are extracted before the first step of away_steps
+    and restored after its last; every LP must give the same records.
+    Returns the summed reports and the records taken out.
+    """
+    world = World(spec.side, spec.num_entities)
+    owner_of = np.zeros(spec.num_entities, dtype=np.intp)
+    inboxes = [None] * len(lps)
+    taken = []
+    totals = StepReport()
+    for t in range(steps):
+        if away and t == away_steps.start:
+            taken = [lp.extract(list(away)) for lp in lps]
+            assert all(recs == taken[0] for recs in taken)
+        reports = [StepReport() for _ in lps]
+        outs = [lp.run_step(t, inbox, rep)
+                for lp, inbox, rep in zip(lps, inboxes, reports)]
+        if away and t == away_steps.stop - 1:
+            for lp, recs in zip(lps, taken):
+                lp.restore(recs)
+        ref = lps[0]
+        ids, xs, ys = ref.positions()
+        for lp, rep, out in zip(lps[1:], reports[1:], outs[1:]):
+            assert rep == reports[0], t
+            assert out == outs[0], t
+            assert lp.monitor == ref.monitor, t
+            got = lp.positions()
+            assert (got[0] == ids).all() and (got[1] == xs).all() \
+                and (got[2] == ys).all(), t
+            assert lp_state(lp) == lp_state(ref), t
+        totals.merge(reports[0])
+        world.update(ids, xs, ys)
+        frozen = set(away) if t + 1 in away_steps else set()
+        inboxes = [route_broadcasts(world, out, spec.params.interaction_range,
+                                    t, frozen, owner_of)[0].get(0)
+                   for out in outs]
+    finishes = [lp.finish() for lp in lps]
+    assert all(f == finishes[0] for f in finishes)
+    return totals, taken[0] if taken else []
+
+
+@pytest.fixture
+def deadline():
+    """Fail instead of hanging: a draw buffer that is never refilled can
+    hand a mover the waypoint it stands on forever."""
+    def expire(signum, frame):
+        raise TimeoutError("no result within 60 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("preset,n,steps", [("good", 400, 60),
+                                            ("bad", 300, 40)])
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_column_step_matches_scalar_oracle(preset, n, steps, block,
+                                           deadline, monkeypatch):
+    """Whole runs of the column LP, at several draw-buffer sizes, against
+    the scalar oracle, with a hand-off of a sixth of the entities from
+    step 10 to 14: every step's counters, broadcasts and entity records
+    are equal, and the records restore at cursors inside a block."""
+    spec = TerritorySpec(n, make_params(preset))
+    seed = 29
+    monkeypatch.setattr(territory, "DRAW_BLOCK", block)
+    lps = [LogicalProcess(0, range(n), spec, seed),
+           ScalarLP(0, range(n), spec, seed)]
+    away = list(range(0, n, 6))
+    _, taken = lockstep(spec, seed, steps, lps, away, range(10, 15))
+    assert len(taken) == len(away)
+    if block > 1:
+        assert any(r.cursor % block for r in taken)
+    assert any(r.target is not None for r in taken)
 
 
 def test_first_copy_run_matches_per_copy_run(monkeypatch):
     """A whole bad-preset run, mostly repeat copies, is the same with
-    every copy decided one by one."""
+    every copy decided one by one by the scalar oracle."""
     spec = TerritorySpec(600, make_params("bad"))
-    cfg = EngineConfig(num_lps=1, total_timesteps=60, master_seed=53)
-    finish = LogicalProcess.finish
     decide_relay = territory.decide_relay
+    calls = []
 
-    def run():
-        states, calls = {}, []
+    def counting(*args):
+        calls.append(None)
+        return decide_relay(*args)
 
-        def finishing(lp):
-            states.update(_entity_state(lp))
-            return finish(lp)
-
-        def counting(*args):
-            calls.append(None)
-            return decide_relay(*args)
-
-        monkeypatch.setattr(LogicalProcess, "finish", finishing)
-        monkeypatch.setattr(territory, "decide_relay", counting)
-        m = run_simulation(cfg, spec, mode="inprocess")
-        return m, states, len(calls)
-
-    fast, fast_states, fast_calls = run()
-    monkeypatch.setattr(LogicalProcess, "run_step", per_copy_run_step)
-    slow, slow_states, slow_calls = run()
-    assert fast.comparable() == slow.comparable()
-    assert fast_states == slow_states
-    assert slow_calls == slow.totals.delivered
-    # the run must be mostly repeats for the comparison to mean anything
-    assert fast_calls < slow_calls / 2
+    monkeypatch.setattr(territory, "decide_relay", counting)
+    fast = LogicalProcess(0, range(600), spec, 53)
+    slow = ScalarLP(0, range(600), spec, 53, per_copy=True)
+    totals, _ = lockstep(spec, 53, 60, [fast, slow])
+    # the per-copy oracle decides every delivered copy; the run must be
+    # mostly repeats for the comparison to mean anything
+    assert len(calls) < totals.delivered / 2

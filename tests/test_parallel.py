@@ -217,7 +217,7 @@ def _stall(monkeypatch, method, seconds, every_lp=False):
     orig = getattr(LogicalProcess, method)
 
     def stalled(lp, *args):
-        owned = args[1] if method == "__init__" else lp.entities
+        owned = args[1] if method == "__init__" else lp.cols.ids
         if every_lp or _STALL_ENTITY in owned:
             time.sleep(seconds)
         return orig(lp, *args)

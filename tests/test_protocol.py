@@ -169,10 +169,9 @@ def test_entity_record_survives_the_wire(rec, step):
     assert back == rec and repr(back) == repr(rec)
 
 
-# any UTF-8 text (no lone surrogates), with the bytes the framing and
+# any text, lone surrogates included, with the bytes the framing and
 # the quoting treat specially
-_TEXT = st.text(st.characters(codec="utf-8")
-                | st.sampled_from("% =,-_.+\n0aF9"))
+_TEXT = st.text(st.characters() | st.sampled_from("% =,-_.+\n0aF9"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,9 +180,30 @@ _TEXT = st.text(st.characters(codec="utf-8")
            st.from_regex(r"[a-z][a-z0-9_]*", fullmatch=True), _TEXT,
            max_size=8))
 def test_text_values_survive_the_wire(kind, step, fields):
-    raw = encode_record(kind, step, **fields)
+    """A record either round-trips or is refused with a ProtocolError;
+    only text that UTF-8 cannot hold (a lone surrogate) is refused."""
+    encodable = all(_utf8(v) for v in fields.values())
+    try:
+        raw = encode_record(kind, step, **fields)
+    except ProtocolError:
+        assert not encodable
+        return
+    assert encodable
     assert raw.isascii() and raw.count(b"\n") == 1
     assert decode_record(raw) == (kind, step, fields)
+
+
+def _utf8(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def test_lone_surrogate_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match="'note'"):
+        encode_record("STATUS", 1, note="a\udc80b")
 
 
 def test_entity_field_validation():

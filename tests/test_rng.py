@@ -1,9 +1,12 @@
 """Stream reproducibility, independence, and cursor restore."""
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridsim.rng import Stream, derive_seed, entity_stream, named_generator
+from hybridsim.rng import Stream, derive_seed, named_generator
 
 
 def test_same_key_same_sequence():
@@ -24,7 +27,7 @@ def test_cursor_counts_every_draw():
     s = Stream(1, 2)
     s.uniform()
     s.uniform_range(1.0, 14.0)
-    s.bernoulli(0.5)
+    s.uniform()
     s.randrange(100)
     assert s.cursor == 4
 
@@ -57,12 +60,6 @@ def test_uniform_range_bounds():
     assert abs(np.mean(vals) - 7.5) < 0.1
 
 
-def test_bernoulli_degenerate():
-    s = Stream(3, 4)
-    assert not any(s.bernoulli(0.0) for _ in range(100))
-    assert all(s.bernoulli(1.0) for _ in range(100))
-
-
 def test_randrange_bounds_and_coverage():
     s = Stream(8, 9)
     vals = [s.randrange(5) for _ in range(2000)]
@@ -73,7 +70,7 @@ def test_named_stream_disjoint_from_entities():
     # tag-derived ids live in the high-bit namespace
     ng = named_generator(42, "partition")
     assert int(ng.bit_generator.state["state"]["key"][1]) >= 1 << 63
-    assert ng.random() != entity_stream(42, 0).uniform()
+    assert ng.random() != Stream(42, 0).uniform()
     assert (named_generator(42, "partition").random()
             != named_generator(42, "other").random())
 
@@ -82,3 +79,55 @@ def test_derive_seed_stable():
     assert derive_seed(42, "wrapper", 0) == 3393337504450189092
     assert derive_seed(42, "wrapper", 1) == 781464194174171161
     assert 0 <= derive_seed("anything", 1, 2) < 2**63
+
+
+def _replay(seed, stream_id, n):
+    """The first n draws of a stream, drawn one after another."""
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream_id], dtype=np.uint64)))
+    return np.array([gen.random() for _ in range(n)])
+
+
+_REPLAY = _replay(99, 123, 100_100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.integers(0, 70),
+       target=st.sampled_from([*range(10), 63, 64, 65])
+       | st.integers(99_990, 100_010))
+def test_skip_matches_plain_replay(drawn, target):
+    """skip rebuilds the stream at the target cursor in O(1), also on a
+    stream that has drawn already, mid-way through a Philox block."""
+    s = Stream(99, 123)
+    assert [s.uniform() for _ in range(drawn)] == _REPLAY[:drawn].tolist()
+    if target < drawn:
+        target, drawn = drawn, target
+        s = Stream(99, 123, cursor=drawn)
+    s.skip(target - drawn)
+    assert s.cursor == target
+    assert [s.uniform() for _ in range(6)] == \
+        _REPLAY[target:target + 6].tolist()
+    assert Stream(99, 123, cursor=target).uniform() == _REPLAY[target]
+
+
+def test_seeds_just_above_a_2048_boundary_are_distinct():
+    # as float64 both seeds round to 2**63 + 4096; keys are exact uint64
+    a, b = Stream(2**63 + 4097, 0), Stream(2**63 + 4098, 0)
+    assert a.uniform() != b.uniform()
+    # named stream ids sit above 2**63 too: two tags whose ids round to
+    # the same float64 still get their own streams
+    seen = {}
+    for i in range(100_000):
+        tag = f"tag{i}"
+        rounded = float((1 << 63) | zlib.crc32(tag.encode()))
+        if rounded in seen:
+            break
+        seen[rounded] = tag
+    other = seen[rounded]
+    assert (named_generator(5, tag).random()
+            != named_generator(5, other).random())
+
+
+def test_seed_beyond_64_bits_rejected():
+    with pytest.raises(OverflowError):
+        Stream(2**64 + 1, 0)

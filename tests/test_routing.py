@@ -125,9 +125,8 @@ def test_golden_world_routes_like_the_flat_scan():
     side = world_side(n)
     params = DisseminationParams()
     world = World(side, n)
-    for i in range(n):
-        e = build_entity(i, 20, side, params)
-        world.update([i], [e.x], [e.y])
+    cols = build_entity(range(n), 20, side, params)
+    world.update(cols.ids, cols.x, cols.y)
     broadcasts = [Broadcast(i, float(world.pos_x[i]), float(world.pos_y[i]),
                             DisseminationMessage(make_message_id(i % 5, 3),
                                                  i % 5, 0.0, 0.0, 6, 0, 3))

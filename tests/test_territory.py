@@ -7,21 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridsim import territory
 from hybridsim.metrics import InvariantMonitor, StepReport
-from hybridsim.rng import entity_stream
+from hybridsim.rng import Stream
 from hybridsim.territory import (
     DisseminationMessage,
     DisseminationParams,
+    EntityColumns,
     LruSet,
-    SimulatedEntity,
     World,
     broadcast_reach,
     build_entity,
     decide_relay,
-    entity_to_record,
     generate_message,
     make_message_id,
-    record_to_entity,
     rwp_step,
     toroidal_distance,
     world_side,
@@ -101,24 +100,35 @@ def test_params_validation():
     DisseminationParams(gossip_probability=0.6, forwarding_threshold=100.0)
 
 
+def _one(entity_id, seed, side, params=P):
+    """Columns holding the single entity entity_id."""
+    return build_entity([entity_id], seed, side, params)
+
+
 def test_build_entity_kind_by_parity():
     side = world_side(100)
-    assert build_entity(0, 1, side, P).mobile
-    assert not build_entity(1, 1, side, P).mobile
-    e = build_entity(4, 99, side, P)
-    assert 0 <= e.x < side and 0 <= e.y < side
-    assert e.stream.cursor == 2  # position cost two draws
+    cols = build_entity(range(6), 99, side, P)
+    assert cols.mobile.tolist() == [True, False] * 3
+    assert ((0 <= cols.x) & (cols.x < side)).all()
+    assert ((0 <= cols.y) & (cols.y < side)).all()
+    assert cols.cursor.tolist() == [2] * 6  # position cost two draws
+    s = Stream(99, 4)
+    assert (cols.x[4], cols.y[4]) == (s.uniform() * side, s.uniform() * side)
 
 
 def test_rwp_static_rejected():
-    e = build_entity(1, 1, 100.0, P)
-    with pytest.raises(ValueError):
-        rwp_step(e, 100.0)
+    # a static entity is never moved and never draws for a waypoint
+    cols = _one(1, 1, 100.0)
+    before = (cols.x[0], cols.y[0])
+    for _ in range(10):
+        rwp_step(cols, 100.0)
+    assert (cols.x[0], cols.y[0]) == before
+    assert cols.cursor[0] == 2 and np.isnan(cols.tx[0])
 
 
 def test_rwp_speed_draws_uniform_1_14():
     # mean of the speed distribution is (1+14)/2 = 7.5
-    s = entity_stream(7, 0)
+    s = Stream(7, 0)
     speeds = [s.uniform_range(1.0, 14.0) for _ in range(100000)]
     assert abs(np.mean(speeds) - 7.5) < 0.1
     assert min(speeds) >= 1.0 and max(speeds) < 14.0
@@ -126,25 +136,25 @@ def test_rwp_speed_draws_uniform_1_14():
 
 def test_rwp_step_stays_in_bounds_and_bounded_speed():
     side = 200.0
-    e = build_entity(0, 3, side, P)
+    e = _one(0, 3, side)
     for _ in range(2000):
-        before = (e.x, e.y)
+        before = (e.x[0], e.y[0])
         rwp_step(e, side)
-        assert 0 <= e.x < side and 0 <= e.y < side
-        moved = toroidal_distance(before, (e.x, e.y), side)
+        assert 0 <= e.x[0] < side and 0 <= e.y[0] < side
+        moved = toroidal_distance(before, (e.x[0], e.y[0]), side)
         assert moved <= 14.0 + 1e-9
     # leg speeds stay in the drawn range
-    assert 1.0 <= e.speed < 14.0
+    assert 1.0 <= e.speed[0] < 14.0
 
 
 def test_rwp_no_pause_keeps_moving():
     side = 50.0  # small world: waypoints are hit often
-    e = build_entity(0, 5, side, P)
+    e = _one(0, 5, side)
     stationary = 0
     for _ in range(500):
-        before = (e.x, e.y)
+        before = (e.x[0], e.y[0])
         rwp_step(e, side)
-        if toroidal_distance(before, (e.x, e.y), side) < 1e-12:
+        if toroidal_distance(before, (e.x[0], e.y[0]), side) < 1e-12:
             stationary += 1
     assert stationary == 0
 
@@ -153,34 +163,35 @@ def test_generation_degenerate_probabilities():
     side = 100.0
     p0 = DisseminationParams(generation_probability=0.0)
     p1 = DisseminationParams(generation_probability=1.0)
-    e = build_entity(2, 1, side, p0)
-    assert all(generate_message(e, t, p0) is None for t in range(100))
-    e = build_entity(2, 1, side, p1)
-    assert all(generate_message(e, t, p1) is not None for t in range(100))
+    e = _one(2, 1, side, p0)
+    assert all(generate_message(e, t, p0) == [] for t in range(100))
+    e = _one(2, 1, side, p1)
+    assert all(len(generate_message(e, t, p1)) == 1 for t in range(100))
+    assert e.cursor[0] == 102  # one draw a step either way
 
 
 def test_generation_binomial_totals():
     # 16000 entities over 900 steps at p=0.001: mean 14400, sd ~120
     total = 0
     for eid in range(16000):
-        s = entity_stream(12345, eid)
+        s = Stream(12345, eid)
         for _ in range(900):
-            if s.bernoulli(0.001):
+            if s.uniform() < 0.001:
                 total += 1
     assert abs(total - 14400) <= 400  # ~3.3 sigma
 
 
 def test_generated_message_fields():
-    e = build_entity(6, 1, 100.0, P)
+    e = _one(6, 1, 100.0)
     p1 = DisseminationParams(generation_probability=1.0)
-    m = generate_message(e, 17, p1)
+    [(sender, sx, sy, m)] = generate_message(e, 17, p1)
     assert m.message_id == make_message_id(6, 17) == (17 << 32) | 6
-    assert m.origin_entity == 6
-    assert m.origin_position == (e.x, e.y)
+    assert m.origin_entity == 6 == sender
+    assert (m.origin_x, m.origin_y) == (e.x[0], e.y[0]) == (sx, sy)
     assert m.ttl_remaining == p1.ttl and m.hop_count == 0
     assert m.created_at == 17
     # origin caches its own message immediately
-    assert m.message_id in e.cache
+    assert m.message_id in e.caches[0]
 
 
 def test_message_ids_unique_across_origin_step():
@@ -266,10 +277,12 @@ def test_lru_high_water_tracks_peak():
     assert c.high_water == 4  # never beyond capacity
 
 
-def _fresh_receiver(seed=50, budget=10):
-    e = build_entity(2, seed, 1000.0, P)
-    e.relay_budget = budget
-    return e
+def _receiver(seed, side, params=P, budget=10):
+    """Columns of entity 2 alone with the given relay budget; the entity
+    is (cols, 0), its position (x, y)."""
+    cols = _one(2, seed, side, params)
+    cols.budget[0] = budget
+    return cols, cols.x.item(0), cols.y.item(0)
 
 
 def _msg(origin_x, origin_y, ttl=6, hop=0, mid=None, origin=1, t=0):
@@ -283,64 +296,62 @@ def test_decide_relay_filter_order_and_counters():
     mon = InvariantMonitor()
 
     # duplicate cache fires first, even for an otherwise relayable copy
-    e = _fresh_receiver()
-    m = _msg(e.x, e.y)
-    e.cache.touch(m.message_id)
+    e, x, y = _receiver(50, side)
+    m = _msg(x, y)
+    e.caches[0].touch(m.message_id)
     rep = StepReport()
-    assert decide_relay(e, m, e.x, e.y, P, side, rep, mon) is None
+    assert decide_relay(e, 0, m, x, y, P, side, rep, mon) is None
     assert rep.cache_filtered == 1 and rep.delivered == 1
 
     # exhausted ttl
-    e = _fresh_receiver()
+    e, x, y = _receiver(50, side)
     rep = StepReport()
-    assert decide_relay(e, _msg(e.x, e.y, ttl=0, hop=6), e.x, e.y, P, side, rep, mon) is None
+    assert decide_relay(e, 0, _msg(x, y, ttl=0, hop=6), x, y, P, side, rep,
+                        mon) is None
     assert rep.ttl_filtered == 1
 
     # origin beyond the geofence (bigger world so 1500 does not wrap short)
     side2 = 4000.0
-    e2 = build_entity(2, 3, side2, P)
-    e2.relay_budget = 10
+    e2, x, y = _receiver(3, side2)
     rep = StepReport()
-    m = _msg((e2.x + 1500.0) % side2, e2.y)
-    assert decide_relay(e2, m, e2.x, e2.y, P, side2, rep, mon) is None
+    m = _msg((x + 1500.0) % side2, y)
+    assert decide_relay(e2, 0, m, x, y, P, side2, rep, mon) is None
     assert rep.geofiltered == 1
 
     # sender inside the forwarding ring
-    e2 = build_entity(2, 3, side2, P)
-    e2.relay_budget = 10
+    e2, x, y = _receiver(3, side2)
     rep = StepReport()
-    m = _msg(e2.x, e2.y, mid=make_message_id(1, 5), t=5)
-    sender_x = (e2.x + 100.0) % side2
-    assert decide_relay(e2, m, sender_x, e2.y, P, side2, rep, mon) is None
+    m = _msg(x, y, mid=make_message_id(1, 5), t=5)
+    assert decide_relay(e2, 0, m, (x + 100.0) % side2, y, P, side2, rep,
+                        mon) is None
     assert rep.ring_filtered == 1
 
     # budget exhausted
     certain = DisseminationParams(gossip_probability=1.0)
-    e2 = build_entity(2, 3, side2, certain)
-    e2.relay_budget = 0
+    e2, x, y = _receiver(3, side2, certain, budget=0)
     rep = StepReport()
-    sender_x = (e2.x + 240.0) % side2
-    assert decide_relay(e2, _msg(e2.x, e2.y), sender_x, e2.y, certain, side2, rep, mon) is None
+    sender_x = (x + 240.0) % side2
+    assert decide_relay(e2, 0, _msg(x, y), sender_x, y, certain, side2, rep,
+                        mon) is None
     assert rep.budget_filtered == 1
 
     # coin declines at p=0
     never = DisseminationParams(gossip_probability=0.0)
-    e2 = build_entity(2, 3, side2, never)
-    e2.relay_budget = 10
+    e2, x, y = _receiver(3, side2, never)
     rep = StepReport()
-    assert decide_relay(e2, _msg(e2.x, e2.y), sender_x, e2.y, never, side2, rep, mon) is None
+    assert decide_relay(e2, 0, _msg(x, y), sender_x, y, never, side2, rep,
+                        mon) is None
     assert rep.gossip_declined == 1
 
     # coin passes at p=1: ttl down, hop up, budget spent
-    e2 = build_entity(2, 3, side2, certain)
-    e2.relay_budget = 10
+    e2, x, y = _receiver(3, side2, certain)
     rep = StepReport()
-    out = decide_relay(e2, _msg(e2.x, e2.y, ttl=4, hop=2), sender_x, e2.y,
+    out = decide_relay(e2, 0, _msg(x, y, ttl=4, hop=2), sender_x, y,
                        certain, side2, rep, mon)
     assert out is not None
     assert out.ttl_remaining == 3 and out.hop_count == 3
     assert out.ttl_remaining + out.hop_count == 6
-    assert e2.relay_budget == 9
+    assert e2.budget[0] == 9
     assert rep.relayed == 1
 
 
@@ -348,34 +359,32 @@ def test_decide_relay_draw_consumed_only_at_coin():
     side = 4000.0
     mon = InvariantMonitor()
     # dropped before the coin: no draw
-    e = build_entity(2, 3, side, P)
-    e.relay_budget = 10
-    rep = StepReport()
-    c0 = e.stream.cursor
-    m = _msg(e.x, e.y)
-    decide_relay(e, m, (e.x + 10.0) % side, e.y, P, side, rep, mon)  # ring drop
-    assert e.stream.cursor == c0
+    e, x, y = _receiver(3, side)
+    c0 = e.cursor[0]
+    decide_relay(e, 0, _msg(x, y), (x + 10.0) % side, y, P, side,
+                 StepReport(), mon)  # ring drop
+    assert e.cursor[0] == c0
 
-    # reaching the coin costs exactly one draw
-    e = build_entity(2, 3, side, P)
-    e.relay_budget = 10
-    c0 = e.stream.cursor
-    decide_relay(e, _msg(e.x, e.y), (e.x + 240.0) % side, e.y, P, side,
+    # reaching the coin costs exactly one draw, the stream's next one
+    e, x, y = _receiver(3, side)
+    c0 = e.cursor[0]
+    decide_relay(e, 0, _msg(x, y), (x + 240.0) % side, y, P, side,
                  StepReport(), mon)
-    assert e.stream.cursor == c0 + 1
+    assert e.cursor[0] == c0 + 1
+    s = Stream(3, 2, cursor=int(c0) + 1)
+    assert e.draw_one(0) == s.uniform()
 
 
 def test_decide_relay_caches_even_when_dropped():
     side = 4000.0
-    e = build_entity(2, 3, side, P)
-    e.relay_budget = 10
-    m = _msg(e.x, e.y)
-    decide_relay(e, m, (e.x + 10.0) % side, e.y, P, side, StepReport(),
+    e, x, y = _receiver(3, side)
+    m = _msg(x, y)
+    decide_relay(e, 0, m, (x + 10.0) % side, y, P, side, StepReport(),
                  InvariantMonitor())  # ring drop
-    assert m.message_id in e.cache
+    assert m.message_id in e.caches[0]
     # second copy of the same id is now a cache hit
     rep = StepReport()
-    decide_relay(e, m, (e.x + 240.0) % side, e.y, P, side, rep,
+    decide_relay(e, 0, m, (x + 240.0) % side, y, P, side, rep,
                  InvariantMonitor())
     assert rep.cache_filtered == 1
 
@@ -414,29 +423,28 @@ def test_broadcast_reach_empty_far_world():
     assert list(broadcast_reach(w, (0.0, 0.0), 250.0, exclude=0)) == []
 
 
-def test_entity_record_roundtrip_bit_exact():
+def test_entity_record_roundtrip_bit_exact(monkeypatch):
     side = world_side(100)
     seed = 77
-    # advance a mobile entity through some activity
-    a = build_entity(0, seed, side, P)
+    # advance a mobile entity through some activity; a block of 7 puts
+    # the cursor mid-block
+    monkeypatch.setattr(territory, "DRAW_BLOCK", 7)
+    a = build_entity([0], seed, side, P)
     for t in range(25):
-        a.relay_budget = 10
         rwp_step(a, side)
         generate_message(a, t, P)
-    a.cache.touch(123)
-    a.cache.touch(456)
+    a.caches[0].touch(123)
+    a.caches[0].touch(456)
 
-    rec = entity_to_record(a)
-    b = record_to_entity(rec, seed, P)
-    assert (b.x, b.y) == (a.x, a.y)
-    assert (b.target_x, b.target_y) == (a.target_x, a.target_y)
-    assert b.speed == a.speed
-    assert b.mobile == a.mobile
-    assert b.cache.ids() == a.cache.ids()
-    assert b.stream.cursor == a.stream.cursor
+    [rec] = a.records([0])
+    assert rec.cursor % 7 and rec.target is not None
+    b = EntityColumns(seed, P.cache_capacity)
+    b.add([rec])
+    assert b.records([0]) == [rec]
+    assert b.caches[0].ids() == a.caches[0].ids() == rec.cache_ids
     # future evolution identical to the uninterrupted original
     for t in range(25, 50):
         rwp_step(a, side)
         rwp_step(b, side)
-        assert (a.x, a.y) == (b.x, b.y)
-    assert a.stream.uniform() == b.stream.uniform()
+        assert (a.x[0], a.y[0]) == (b.x[0], b.y[0])
+    assert a.draw_one(0) == b.draw_one(0)

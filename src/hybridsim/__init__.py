@@ -50,7 +50,6 @@ from .territory import (
     DisseminationMessage,
     DisseminationParams,
     EntityRecord,
-    LruSet,
     TerritorySpec,
     World,
     broadcast_reach,

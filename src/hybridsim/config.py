@@ -13,6 +13,7 @@ dataclasses they feed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -109,11 +110,14 @@ SCHEMA = {
     "mode": (_parse_str, _mode_known, "auto, inprocess or process", "auto"),
     "preset": (_parse_str_list, _presets_known,
                "one or more of: " + ", ".join(sorted(PRESETS)), ("good",)),
-    "interaction_range": (_parse_float, _positive, "number > 0", 250.0),
+    "interaction_range": (_parse_float, _positive, "finite number > 0",
+                          250.0),
     "forwarding_threshold": (_parse_float, _nonneg,
-                             "number >= 0, below interaction_range", 225.0),
+                             "finite number >= 0, below interaction_range",
+                             225.0),
     "gossip_probability": (_parse_float, _prob, "number in [0, 1]", 0.2),
-    "geofilter_distance": (_parse_float, _positive, "number > 0", 1000.0),
+    "geofilter_distance": (_parse_float, _positive, "finite number > 0",
+                           1000.0),
     "generation_probability": (_parse_float, _prob, "number in [0, 1]",
                                0.001),
     "ttl": (_parse_int, _nonneg, "integer >= 0", 6),
@@ -128,8 +132,8 @@ SCHEMA = {
                  "HOST:PORT with PORT in 1-65535, or empty for local", ""),
     "repetitions": (_parse_int, _positive, "integer >= 1", 5),
     "out": (_parse_str, lambda v: True, "directory path", "results"),
-    "barrier_timeout": (_parse_float, _positive, "number > 0 (seconds)",
-                        60.0),
+    "barrier_timeout": (_parse_float, _positive,
+                        "finite number > 0 (seconds)", 60.0),
 }
 
 
@@ -171,10 +175,12 @@ def parse_config_file(path: str) -> dict:
 
 
 def _check(key: str, value, shown) -> None:
-    """Raise ConfigError unless SCHEMA's validator for key accepts value."""
-    _, validator, accepted, _ = SCHEMA[key]
+    """Raise ConfigError unless SCHEMA's validator for key accepts value;
+    a float key also takes finite values only."""
+    parser, validator, accepted, _ = SCHEMA[key]
     try:
-        ok = validator(value)
+        ok = ((parser is not _parse_float or math.isfinite(value))
+              and validator(value))
     except (ValueError, TypeError):
         ok = False
     if not ok:

@@ -2,26 +2,28 @@
 
 Entities are partitioned across logical processes (LPs). A
 LogicalProcess holds its entities as territory.EntityColumns, updates
-them in three phases per timestep (relay decisions in id order, one
-array move, generation), and reports the step's broadcasts, counters and
-positions. InProcessBackend writes every backend operation (step,
-extract, restore, finish) once, over one primitive that asks an LP; the
-process backend (parallel.py) replaces only that primitive. Once every
-LP has reported step t, the engine updates the global position table
-(step 0 fills all of it), hands the barrier to the hybrid coordinator,
-which alone knows the frozen entities, and routes the step's broadcasts
-in one vectorised pass of torus_pairs, the one torus neighbourhood query
-(DensityTrigger asks it too): each broadcast is tested only against the
-entities binned in its sender's cell and the neighbouring cells, with
-the same squared-distance expression as the flat scan in
-territory.broadcast_reach. One lexsort on (owner LP, receiver, message
-id, sender) then orders every copy, and each LP receives its share at
-the start of the next timestep as an EnvelopeBatch: the step's broadcast
-table plus two integer columns. Only the first copy of each message to
+them in three phases per timestep (one bulk relay decision over the
+inbox, one array move, generation), and reports the step's broadcasts,
+counters and positions; a failure in any phase is raised once, naming
+the LP and the step. InProcessBackend writes every backend operation
+(step, extract, restore, finish) once, over one primitive that asks an
+LP; the process backend (parallel.py) replaces only that primitive.
+Once every LP has reported step t, the engine updates the global
+position table (step 0 fills all of it), hands the barrier to the
+hybrid coordinator, which alone knows the frozen entities, and routes
+the step's broadcasts in one vectorised pass of torus_pairs, the one
+torus neighbourhood query (DensityTrigger asks it too): each broadcast
+is tested only against the entities binned in its sender's cell and the
+neighbouring cells, with the same squared-distance expression as the
+flat scan in territory.broadcast_reach. One lexsort on (owner LP,
+receiver, message id, sender) then orders every copy, and each LP
+receives its share at the start of the next timestep as an
+EnvelopeBatch: the step's broadcast table plus two integer columns. Only the first copy of each message to
 an entity reaches the relay decision; the LP counts the later ones, all
-cache-filtered, in bulk. One timestep of flight latency, per-entity
-random streams and this canonical inbox order together make results
-independent of the LP count.
+cache-filtered, in bulk, and decides the first copies as array passes.
+One timestep of flight latency, per-entity random streams and this
+canonical inbox order together make results independent of the LP
+count.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 from . import rng, territory
 from .metrics import InvariantMonitor, RunMetrics, StepReport
 from .territory import (
-    Broadcast,
     World,
     broadcast_reach,  # noqa: F401  re-exported; the benchmark tracer wraps it
     broadcast_table,
@@ -49,16 +50,18 @@ class EngineError(Exception):
 
 
 class StepExecutionError(EngineError):
-    """An entity update failed; carries enough context to find it."""
+    """A step of one LP failed; names the LP, the step and the cause.
 
-    def __init__(self, lp_id: int, step: int, entity_id, cause):
+    cause is the exception, or its text as a worker relays it; either
+    way the message reads the same."""
+
+    def __init__(self, lp_id: int, step: int, cause):
         self.lp_id = lp_id
         self.step = step
-        self.entity_id = entity_id
+        self.cause_text = (cause if isinstance(cause, str) else
+                           f"{type(cause).__name__}: {cause}")
         super().__init__(
-            f"entity update failed in lp={lp_id} step={step}"
-            f" entity={entity_id}: {cause}"
-        )
+            f"step failed in lp={lp_id} step={step}: {self.cause_text}")
 
 
 class BarrierTimeoutError(EngineError):
@@ -137,17 +140,17 @@ class InterLpEnvelope(NamedTuple):
 class EnvelopeBatch:
     """One LP's inbox: the copies of one step's broadcasts it receives.
 
-    ``table`` is the step's broadcast table (territory.BROADCAST_COLUMNS)
-    and ``broadcasts`` the same rows as Broadcast objects. Copy i goes to
-    entity ``dest[i]`` and carries row ``row[i]``; copies are ordered by
-    (dest, message id, sender), the order in which they are consumed.
-    Pickling ships only the table and the two columns; the receiving
-    side rebuilds the Broadcast rows once. Iterating yields
+    ``table`` is the step's broadcast table (territory.BROADCAST_COLUMNS).
+    Copy i goes to entity ``dest[i]`` and carries row ``row[i]``; copies
+    are ordered by (dest, message id, sender), the order in which they
+    are consumed. Pickling ships only the table and the two columns.
+    ``broadcasts``, the table's rows as Broadcast objects, is built on
+    first read only, since the LP reads the columns. Iterating yields
     InterLpEnvelope rows, and a row can be deleted; the benchmark's
     reach check (perfbench/checks.py) reads and its test deletes them.
     """
 
-    __slots__ = ("produced_at", "table", "dest", "row", "broadcasts")
+    __slots__ = ("produced_at", "table", "dest", "row", "_broadcasts")
 
     def __init__(self, produced_at: int, table: np.ndarray,
                  dest: np.ndarray, row: np.ndarray, broadcasts=None):
@@ -155,8 +158,13 @@ class EnvelopeBatch:
         self.table = table
         self.dest = dest
         self.row = row
-        self.broadcasts = (table_broadcasts(table) if broadcasts is None
-                           else broadcasts)
+        self._broadcasts = broadcasts
+
+    @property
+    def broadcasts(self) -> list:
+        if self._broadcasts is None:
+            self._broadcasts = table_broadcasts(self.table)
+        return self._broadcasts
 
     def __reduce__(self):
         return (EnvelopeBatch, (self.produced_at, self.table, self.dest,
@@ -239,17 +247,17 @@ class LogicalProcess:
                  report: StepReport) -> list:
         """Update every owned entity once; returns this step's broadcasts.
 
-        First each entity, in id order, decides on the first copy of each
-        message in its inbox in the batch's canonical order (message id,
-        then sender id), relaying from where it stands; a failure names
-        the lp, step and entity. Every later copy of a message to the same
-        entity would end at the cache filter the first one filled, so
-        those are counted in bulk. Then every mobile entity moves and every
-        entity maybe generates; broadcasts are listed entity by entity.
+        First one territory.decide_relay call decides the first copy of
+        each message to each entity, in the batch's canonical order
+        (message id, then sender id), relaying from where the entity
+        stands. Every later copy of a message to the same entity would
+        end at the cache filter the first one filled, so those are
+        counted in bulk. Then every mobile entity moves and every entity
+        maybe generates; broadcasts are listed entity by entity.
         """
         cols, params = self.cols, self.params
         cols.budget.fill(params.max_relays_per_step)
-        outbox = []
+        relays = []
         if inbox:
             if inbox.produced_at != t - 1:
                 raise EngineError(
@@ -276,40 +284,31 @@ class LogicalProcess:
             report.delivered += len(hops)
             report.cache_filtered += len(hops)
             self.monitor.note_delivery(int(hops.max(initial=0)))
-            rows = inbox.broadcasts
-            picks = inbox.row[~repeat].tolist()
-            for k in np.flatnonzero(hi > lo).tolist():
-                eid, x, y = cols.ids.item(k), cols.x.item(k), cols.y.item(k)
-                try:
-                    for i in range(lo.item(k), hi.item(k)):
-                        copy = rows[picks[i]]
-                        m = territory.decide_relay(
-                            cols, k, copy.message, copy.sender_x,
-                            copy.sender_y, params, self.side, report,
-                            self.monitor)
-                        if m is not None:
-                            outbox.append(Broadcast(eid, x, y, m))
-                except Exception as exc:
-                    raise StepExecutionError(self.lp_id, t, eid,
-                                             exc) from exc
+            relays = territory.decide_relay(
+                cols, np.repeat(np.arange(len(cols.ids)), hi - lo),
+                inbox.table[inbox.row[~repeat]], params, self.side, report,
+                self.monitor)
         territory.rwp_step(cols, self.side)
         born = territory.generate_message(cols, t, params)
         report.generated += len(born)
-        return sorted(outbox + born, key=lambda b: b.sender)
+        return sorted(relays + born, key=lambda b: b.sender)
 
     def positions(self):
         return self.cols.ids, self.cols.x.copy(), self.cols.y.copy()
 
     def step(self, t: int, inbox: Optional[EnvelopeBatch]) -> StepResult:
-        """Run step t on inbox and report broadcasts, counts, positions."""
-        report = StepReport()
-        outbox = self.run_step(t, inbox, report)
-        return StepResult(report, outbox, *self.positions())
+        """Run step t on inbox and report broadcasts, counts, positions;
+        any failure is raised once, as a StepExecutionError."""
+        try:
+            report = StepReport()
+            outbox = self.run_step(t, inbox, report)
+            return StepResult(report, outbox, *self.positions())
+        except Exception as exc:
+            raise StepExecutionError(self.lp_id, t, exc) from exc
 
     def finish(self) -> InvariantMonitor:
         """The run's invariant extrema, with every cache's high water."""
-        for cache in self.cols.caches:
-            self.monitor.note_cache(cache.high_water)
+        self.monitor.note_cache(int(self.cols.cache_len.max(initial=0)))
         return self.monitor
 
 

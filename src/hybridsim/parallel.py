@@ -29,7 +29,7 @@ from .engine import (
 
 def _worker(lp_id: int, conn, config, model_spec, entity_ids) -> None:
     """Serve one LP: every reply is (op, payload), or ("error", lp id,
-    step or None, entity id or None, text)."""
+    step or None, text)."""
     lp = LogicalProcess(lp_id, entity_ids, model_spec, config.master_seed)
     conn.send(("hello", None))  # ready to serve
     while _serve(lp, conn):
@@ -47,15 +47,13 @@ def _serve(lp: LogicalProcess, conn) -> bool:
         return False
     try:
         reply = (op, getattr(lp, op)(*args))
-    except StepExecutionError as exc:  # the parent re-adds lp, step, id
-        reply = ("error", lp.lp_id, exc.step, exc.entity_id,
-                 str(exc.__cause__))
+    except StepExecutionError as exc:  # the parent re-adds lp and step
+        reply = ("error", lp.lp_id, exc.step, exc.cause_text)
     except Exception as exc:
         text = (str(exc) if isinstance(exc, EngineError) else
                 f"worker for lp={lp.lp_id} failed in {op}:"
                 f" {type(exc).__name__}: {exc}")
-        reply = ("error", lp.lp_id, args[0] if op == "step" else None, None,
-                 text)
+        reply = ("error", lp.lp_id, None, text)
     conn.send(reply)
     return True
 
@@ -135,9 +133,9 @@ class ProcessBackend(InProcessBackend):
         for lp_id in args_by_lp:
             kind, *rest = replies[lp_id]
             if kind == "error":
-                elp, estep, eid, text = rest
-                error = error or (EngineError(text) if eid is None else
-                                  StepExecutionError(elp, estep, eid, text))
+                elp, estep, text = rest
+                error = error or (EngineError(text) if estep is None else
+                                  StepExecutionError(elp, estep, text))
                 continue
             if kind != op:
                 raise EngineError(f"worker {lp_id} sent {kind!r} to {op}")

@@ -21,15 +21,16 @@ previous step (at its current position), then moves, then possibly
 generates a fresh message at its new position, so relay decisions use
 the geometry the router used. A LogicalProcess holds its entities as
 EntityColumns (build_entity) and runs these as three phases over all of
-them: decide_relay per first copy of a message, one array rwp_step, one
-generate_message. Each entity still draws from its own stream in that
-order, via a buffer that its own generator refills.
+them: one decide_relay over every first copy of a message in its inbox,
+one array rwp_step, one generate_message. Each entity still draws from
+its own stream in that order, via a buffer that its own generator
+refills. Each duplicate cache is a row of message ids and a row of
+last-touch stamps; its recency order is the stamp order.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -160,44 +161,6 @@ def table_broadcasts(table: np.ndarray) -> list:
             for s, x, y, *m in table.tolist()]
 
 
-class LruSet:
-    """Fixed-capacity LRU set of message ids (the duplicate cache)."""
-
-    __slots__ = ("capacity", "_items", "high_water")
-
-    def __init__(self, capacity: int, items=()):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._items = OrderedDict.fromkeys(items)
-        while len(self._items) > capacity:
-            self._items.popitem(last=False)
-        self.high_water = len(self._items)
-
-    def touch(self, key: int) -> bool:
-        """Insert key as most recent. Returns True if it was present."""
-        items = self._items
-        if key in items:
-            items.move_to_end(key)
-            return True
-        items[key] = None
-        if len(items) > self.capacity:
-            items.popitem(last=False)
-        elif len(items) > self.high_water:
-            self.high_water = len(items)
-        return False
-
-    def __contains__(self, key) -> bool:
-        return key in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def ids(self) -> tuple:
-        """Cached ids, least recently used first."""
-        return tuple(self._items)
-
-
 class EntityRecord(NamedTuple):
     """Serialized entity state for level hand-off and restore.
 
@@ -223,7 +186,8 @@ DRAW_BLOCK = 64
 
 _COLUMNS = {"ids": int, "x": float, "y": float, "tx": float, "ty": float,
             "speed": float, "mobile": bool, "budget": int, "cursor": int,
-            "caches": object, "keys": np.uint64, "draws": float}
+            "cache_len": int, "cache_ids": np.int64, "cache_stamps": np.int64,
+            "keys": np.uint64, "draws": float}
 
 
 class EntityColumns:
@@ -233,14 +197,23 @@ class EntityColumns:
     holds draws [c - c % block, c - c % block + block) of the stream keyed
     by keys[k], c = cursor[k] the draws consumed; the row is refilled,
     by one generator set to each key in turn, when its last value is read.
+
+    Row k's duplicate cache is the cache_len[k] message ids (>= 0) in
+    cache_ids[k] whose last-touch stamps in cache_stamps[k] are nonzero;
+    empty slots hold id -1 and stamp 0. Stamps come from one per-LP
+    counter, so a row's recency order is its stamp order. The matrices
+    widen on demand, by about a quarter at a time, up to capacity; a
+    cache never shrinks, so its length is also its high water.
     """
 
     def __init__(self, master_seed: int, capacity: int):
         self.master_seed, self.capacity = master_seed, capacity
         self.block = block = DRAW_BLOCK
+        self.clock = 1  # the next stamp
         self._gen = np.random.Generator(np.random.Philox(key=0))
         for name, dtype in _COLUMNS.items():
-            width = {"keys": (2,), "draws": (block,)}.get(name, ())
+            width = {"keys": (2,), "draws": (block,), "cache_ids": (1,),
+                     "cache_stamps": (1,)}.get(name, ())
             setattr(self, name, np.empty((0, *width), dtype=dtype))
 
     def _fill(self, key, start: int, row) -> None:
@@ -256,39 +229,75 @@ class EntityColumns:
             self._fill(self.keys[k], self.cursor.item(k), self.draws[k])
         return v
 
-    def draw_one(self, k: int) -> float:
-        """The next draw of the entity in row k."""
-        c = self.cursor.item(k)
-        v = self.draws.item(k, c % self.block)
-        self.cursor[k] = c = c + 1
-        if c % self.block == 0:
-            self._fill(self.keys[k], c, self.draws[k])
-        return v
+    def _grow(self, width: int) -> None:
+        """Widen the cache matrices to width, if narrower, with empty
+        slots."""
+        if width <= self.cache_ids.shape[1]:
+            return
+        pad = ((0, 0), (0, width - self.cache_ids.shape[1]))
+        self.cache_ids = np.pad(self.cache_ids, pad, constant_values=-1)
+        self.cache_stamps = np.pad(self.cache_stamps, pad)
+
+    def touch(self, rows, ids) -> np.ndarray:
+        """Cache ids[i] as the most recent id of row rows[i] (distinct
+        rows); True where it was cached already. An id not cached takes
+        an empty slot, or in a full cache the least recent one's."""
+        found = self.cache_ids[rows] == ids[:, None]
+        hit = found.any(axis=1)
+        slot = found.argmax(axis=1)
+        new = rows[~hit]
+        if len(new):
+            width = self.cache_ids.shape[1]
+            if width < self.capacity and (self.cache_len[new] == width).any():
+                self._grow(min(self.capacity, width + 1 + width // 4))
+            slot[~hit] = self.cache_stamps[new].argmin(axis=1)
+            self.cache_len[new] = np.minimum(self.cache_len[new] + 1,
+                                             self.capacity)
+        self.cache_ids[rows, slot] = ids
+        self.cache_stamps[rows, slot] = self.clock
+        self.clock += 1
+        return hit
 
     def records(self, rows) -> list:
         """EntityRecord of the entity in each row, in the given order."""
         cols = [getattr(self, name)[rows].tolist() for name in
-                ("ids", "mobile", "x", "y", "tx", "ty", "speed", "cursor")]
+                ("ids", "mobile", "x", "y", "tx", "ty", "speed", "cursor",
+                 "cache_len")]
+        by_age = np.argsort(self.cache_stamps[rows], axis=1)
+        cached = np.take_along_axis(self.cache_ids[rows], by_age,
+                                    axis=1).tolist()
         return [EntityRecord(eid, "mobile" if mobile else "static", x, y,
                              None if math.isnan(tx) else (tx, ty), speed,
-                             self.caches[k].ids(), cursor)
-                for k, eid, mobile, x, y, tx, ty, speed, cursor
-                in zip(rows, *cols)]
+                             tuple(ids[len(ids) - n:]), cursor)
+                for ids, eid, mobile, x, y, tx, ty, speed, cursor, n
+                in zip(cached, *cols)]
 
     def add(self, records) -> None:
         """Take in the entities the records describe, keeping id order.
         Columns are built before any changes, so an add that raises leaves
-        them as they were; each stream restarts at its cursor's block."""
+        them as they were; each stream restarts at its cursor's block, and
+        each cache is stamped afresh in the order its record lists."""
         if not records:
             return
         ids, kinds, xs, ys, targets, speeds, cached, cursors = zip(*records)
         tx, ty = zip(*(t or (math.nan, math.nan) for t in targets))
+        # a repeated id keeps its first place; a cache keeps its newest ids
+        cached = [c and tuple(dict.fromkeys(c))[-self.capacity:]
+                  for c in cached]
+        lens = np.array([len(c) for c in cached], dtype=int)
+        width = max(self.cache_ids.shape[1], lens.max())
+        cache_ids = np.full((len(ids), width), -1, dtype=np.int64)
+        cache_stamps = np.zeros((len(ids), width), dtype=np.int64)
+        for i in np.flatnonzero(lens).tolist():
+            cache_ids[i, :lens[i]] = cached[i]
+            cache_stamps[i, :lens[i]] = np.arange(self.clock,
+                                                  self.clock + lens[i])
         new = dict(ids=ids, x=xs, y=ys, tx=tx, ty=ty, speed=speeds,
                    mobile=[k == "mobile" for k in kinds],
-                   budget=[0] * len(ids), cursor=cursors,
-                   caches=[LruSet(self.capacity, c) for c in cached],
+                   budget=[0] * len(ids), cursor=cursors, cache_len=lens,
+                   cache_ids=cache_ids, cache_stamps=cache_stamps,
                    keys=[(self.master_seed, eid) for eid in ids])
-        new = {name: np.array(col, dtype=_COLUMNS[name])
+        new = {name: np.asarray(col, dtype=_COLUMNS[name])
                for name, col in new.items()}
         n_old = len(self.ids)
         order = np.argsort(np.concatenate([self.ids, ids]), kind="stable")
@@ -297,6 +306,8 @@ class EntityColumns:
         draws[at[:n_old]] = self.draws
         for key, c, k in zip(new["keys"], cursors, at[n_old:].tolist()):
             self._fill(key, c - c % self.block, draws[k])
+        self.clock += int(lens.max())
+        self._grow(width)
         for name, col in new.items():
             setattr(self, name,
                     np.concatenate([getattr(self, name), col])[order])
@@ -369,61 +380,102 @@ def generate_message(cols: EntityColumns, t: int,
     message appears. An origin immediately caches its own id so it never
     relays its own message back. Returns the broadcasts, in id order.
     """
-    born = cols.draw(np.arange(len(cols.ids))) < params.generation_probability
-    out = []
-    for k in np.flatnonzero(born).tolist():
-        eid, x, y = cols.ids.item(k), cols.x.item(k), cols.y.item(k)
-        mid = make_message_id(eid, t)
-        cols.caches[k].touch(mid)
-        out.append(Broadcast(eid, x, y, DisseminationMessage(
-            mid, eid, x, y, params.ttl, 0, t)))
-    return out
+    born = np.flatnonzero(cols.draw(np.arange(len(cols.ids)))
+                          < params.generation_probability)
+    cols.touch(born, make_message_id(cols.ids[born], t))
+    return [Broadcast(eid, x, y, DisseminationMessage(
+                make_message_id(eid, t), eid, x, y, params.ttl, 0, t))
+            for eid, x, y in zip(cols.ids[born].tolist(),
+                                 cols.x[born].tolist(), cols.y[born].tolist())]
 
 
-def decide_relay(cols: EntityColumns, k: int, msg: DisseminationMessage,
-                 sender_x: float, sender_y: float,
+def _torus_dists(ax, ay, bx, by, side: float) -> np.ndarray:
+    """_torus_dist over arrays; math.hypot keeps its rounding."""
+    d = np.abs(np.stack([ax - bx, ay - by])) % side
+    d = np.where(d > side * 0.5, side - d, d)
+    return np.fromiter(map(math.hypot, *d.tolist()), dtype=np.float64,
+                       count=d.shape[1])
+
+
+def _rounds(rows: np.ndarray) -> list:
+    """Indices into non-decreasing rows, split into rounds by rank within
+    a row: round r holds each row's r-th index, so no row is in a round
+    twice, and a row's indices come in order across rounds."""
+    if not len(rows):
+        return []
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    rank = np.arange(len(rows)) - np.flatnonzero(first)[np.cumsum(first) - 1]
+    by_rank = np.argsort(rank, kind="stable")
+    return np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
+
+
+def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
                  params: DisseminationParams, side: float,
-                 report: StepReport,
-                 monitor: InvariantMonitor) -> Optional[DisseminationMessage]:
-    """Process one copy delivered to the entity in row k; return the
-    relay copy or None.
+                 report: StepReport, monitor: InvariantMonitor) -> list:
+    """Decide every first copy of a message delivered this step; return
+    the relays, in copy order.
 
-    Filter order is fixed: duplicate cache, ttl, geofence, forwarding
-    ring, relay budget, gossip coin. The cache records the id on every
-    delivery, including ones dropped later in the chain, so at most one
-    coin is ever tossed per (entity, message) while the id stays cached.
-    Exactly one draw is consumed if and only if the coin stage is reached.
+    Copy i (a BROADCAST_COLUMNS row) went to the entity in row rows[i];
+    rows is non-decreasing, and an entity's copies carry distinct message
+    ids in the order it decides them. Filter order is fixed: duplicate
+    cache, ttl, geofence, forwarding ring, relay budget, gossip coin.
+    Every copy touches the cache, even one dropped later in the chain, so
+    at most one coin is ever tossed per (entity, message) while the id
+    stays cached. Exactly one draw is consumed if and only if the coin
+    stage is reached. The cache, budget and coin, which depend on an
+    entity's earlier copies, run in rounds of one copy per entity; ttl,
+    geofence and ring are masks over all copies at once.
     """
-    report.delivered += 1
-    monitor.note_delivery(msg.hop_count)
-    if cols.caches[k].touch(msg.message_id):
-        report.cache_filtered += 1
-        return None
-    if msg.ttl_remaining <= 0:
-        report.ttl_filtered += 1
-        return None
-    x, y = cols.x.item(k), cols.y.item(k)
-    origin_distance = _torus_dist(x, y, msg.origin_x, msg.origin_y, side)
-    if origin_distance > params.geofilter_distance:
-        report.geofiltered += 1
-        return None
-    ring_distance = _torus_dist(x, y, sender_x, sender_y, side)
-    if ring_distance <= params.forwarding_threshold:
-        report.ring_filtered += 1
-        return None
-    budget = cols.budget.item(k)
-    if budget <= 0:
-        report.budget_filtered += 1
-        return None
-    if not cols.draw_one(k) < params.gossip_probability:
-        report.gossip_declined += 1
-        return None
-    cols.budget[k] = budget - 1
-    report.relayed += 1
-    monitor.note_relay(ring_distance, origin_distance,
-                       params.max_relays_per_step - budget + 1)
-    return msg._replace(ttl_remaining=msg.ttl_remaining - 1,
-                        hop_count=msg.hop_count + 1)
+    report.delivered += len(rows)
+    monitor.note_delivery(int(copies["hop_count"].max(initial=0)))
+    hit = np.empty(len(rows), dtype=bool)
+    for i in _rounds(rows):
+        hit[i] = cols.touch(rows[i], copies["message_id"][i])
+    c = np.flatnonzero(~hit)  # the copies still in the chain
+    report.cache_filtered += len(rows) - len(c)
+    keep = copies["ttl_remaining"][c] > 0
+    report.ttl_filtered += len(c) - int(np.count_nonzero(keep))
+    c = c[keep]
+    x, y = cols.x[rows[c]], cols.y[rows[c]]
+    origin = _torus_dists(x, y, copies["origin_x"][c], copies["origin_y"][c],
+                          side)
+    keep = ~(origin > params.geofilter_distance)
+    report.geofiltered += len(c) - int(np.count_nonzero(keep))
+    c, x, y, origin = c[keep], x[keep], y[keep], origin[keep]
+    ring = _torus_dists(x, y, copies["sender_x"][c], copies["sender_y"][c],
+                        side)
+    keep = ~(ring <= params.forwarding_threshold)
+    report.ring_filtered += len(c) - int(np.count_nonzero(keep))
+    c, origin, ring = c[keep], origin[keep], ring[keep]
+
+    relayed = np.zeros(len(c), dtype=bool)
+    used = np.zeros(len(c), dtype=int)  # which relay of its entity's step
+    tossed = 0
+    for i in _rounds(rows[c]):
+        k = rows[c[i]]
+        left = cols.budget[k] > 0
+        i, k = i[left], k[left]
+        tossed += len(k)
+        coin = cols.draw(k) < params.gossip_probability
+        i, k = i[coin], k[coin]
+        cols.budget[k] -= 1
+        relayed[i] = True
+        used[i] = params.max_relays_per_step - cols.budget[k]
+    c, origin, ring, used = c[relayed], origin[relayed], ring[relayed], \
+        used[relayed]
+    report.budget_filtered += len(relayed) - tossed
+    report.gossip_declined += tossed - len(c)
+    report.relayed += len(c)
+    if len(c):  # the monitor keeps only extremes
+        for d in (ring.min(), ring.max()):
+            monitor.note_relay(float(d), float(origin.max()), int(used.max()))
+    k = rows[c]
+    return [Broadcast(eid, x, y, DisseminationMessage(
+                mid, o, ox, oy, ttl - 1, hop + 1, t))
+            for eid, x, y, (_, _, _, mid, o, ox, oy, ttl, hop, t)
+            in zip(cols.ids[k].tolist(), cols.x[k].tolist(),
+                   cols.y[k].tolist(), copies[c].tolist())]
 
 
 class World:

@@ -10,12 +10,12 @@ tests/test_engine.py checks over whole runs.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from typing import Optional
 
 import numpy as np
 
-from hybridsim.engine import EngineError, StepExecutionError
+from hybridsim.engine import EngineError
 from hybridsim.metrics import InvariantMonitor
 from hybridsim.rng import Stream
 from hybridsim.territory import (
@@ -25,11 +25,49 @@ from hybridsim.territory import (
     DisseminationMessage,
     DisseminationParams,
     EntityRecord,
-    LruSet,
     _torus_dist,
     make_message_id,
     wrap_coord,
 )
+
+
+class LruSet:
+    """Fixed-capacity LRU set of message ids: the duplicate cache that
+    territory.EntityColumns keeps as id and stamp arrays."""
+
+    __slots__ = ("capacity", "_items", "high_water")
+
+    def __init__(self, capacity: int, items=()):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._items = OrderedDict.fromkeys(items)
+        while len(self._items) > capacity:
+            self._items.popitem(last=False)
+        self.high_water = len(self._items)
+
+    def touch(self, key: int) -> bool:
+        """Insert key as most recent. Returns True if it was present."""
+        items = self._items
+        if key in items:
+            items.move_to_end(key)
+            return True
+        items[key] = None
+        if len(items) > self.capacity:
+            items.popitem(last=False)
+        elif len(items) > self.high_water:
+            self.high_water = len(items)
+        return False
+
+    def __contains__(self, key) -> bool:
+        return key in self._items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def ids(self) -> tuple:
+        """Cached ids, least recently used first."""
+        return tuple(self._items)
 
 
 class SimulatedEntity:
@@ -227,24 +265,20 @@ class ScalarLP:
         params = self.params
         outbox = []
         for e, (a, b) in zip(order, spans):
-            try:
-                e.relay_budget = params.max_relays_per_step
-                for k in range(a, b):
-                    copy = rows[picks[k]]
-                    m = decide_relay(e, copy.message, copy.sender_x,
-                                     copy.sender_y, params, self.side,
-                                     report, self.monitor)
-                    if m is not None:
-                        outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
-                if e.mobile:
-                    rwp_step(e, self.side)
-                m = generate_message(e, t, params)
+            e.relay_budget = params.max_relays_per_step
+            for k in range(a, b):
+                copy = rows[picks[k]]
+                m = decide_relay(e, copy.message, copy.sender_x,
+                                 copy.sender_y, params, self.side,
+                                 report, self.monitor)
                 if m is not None:
-                    report.generated += 1
                     outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
-            except Exception as exc:
-                raise StepExecutionError(self.lp_id, t, e.entity_id,
-                                         exc) from exc
+            if e.mobile:
+                rwp_step(e, self.side)
+            m = generate_message(e, t, params)
+            if m is not None:
+                report.generated += 1
+                outbox.append(Broadcast(e.entity_id, e.x, e.y, m))
         return outbox
 
     def positions(self):
@@ -268,5 +302,5 @@ def lp_state(lp) -> dict:
                 for eid, e in lp.entities.items()}
     cols = lp.cols
     recs = cols.records(range(len(cols.ids)))
-    return {r.entity_id: (r, cols.caches[k].high_water, cols.budget.item(k))
+    return {r.entity_id: (r, cols.cache_len.item(k), cols.budget.item(k))
             for k, r in enumerate(recs)}

@@ -45,8 +45,8 @@ from hybridsim.territory import (
     DENSITY_AREA_PER_ENTITY,
     Broadcast,
     DisseminationMessage,
+    EntityColumns,
     EntityRecord,
-    LruSet,
     TerritorySpec,
     World,
     broadcast_reach,
@@ -297,21 +297,25 @@ def test_c5_fast_paths_match_reference_oracles(capsys):
         if route_discover(scene, src, dst) == expect:  # hops, path, requests
             route_ok += 1
 
-    # the duplicate cache vs the list reference, two op traces
+    # the duplicate cache (one entity's id and stamp arrays) vs the list
+    # reference, two op traces
     lru_ok = 0
+    row = np.zeros(1, dtype=np.intp)
     for capacity, universe, seed in ((128, 400, 525), (6, 20, 535)):
         rng = random.Random(seed)
-        lru = LruSet(capacity)
+        cols = EntityColumns(seed, capacity)
+        cols.add([EntityRecord(0, "static", 0.0, 0.0, None, 0.0, (), 0)])
         ref = _ListLru(capacity)
         agreed = True
         for _ in range(10_000):
             key = rng.randrange(universe)
-            agreed &= lru.touch(key) == ref.touch(key)
+            agreed &= cols.touch(row, np.array([key])).item() == ref.touch(key)
             probe = rng.randrange(universe)
-            agreed &= (probe in lru) == (probe in ref.items)
-            agreed &= len(lru) == len(ref.items)
-        agreed &= lru.ids() == tuple(ref.items)
-        agreed &= lru.high_water == ref.high_water
+            agreed &= bool((cols.cache_ids[0] == probe).any()) == (
+                probe in ref.items)
+            agreed &= cols.cache_len.item(0) == len(ref.items)
+        agreed &= cols.records(row)[0].cache_ids == tuple(ref.items)
+        agreed &= cols.cache_len.item(0) == ref.high_water
         lru_ok += agreed
 
     ok = reach_ok == 100 and route_ok == 100 and lru_ok == 2

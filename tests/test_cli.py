@@ -76,6 +76,18 @@ def test_seed_outside_63_bits_is_a_config_error(capsys):
         assert "[0, 2**63)" in err and err.count("\n") == 1
 
 
+def test_infinite_barrier_timeout_is_a_config_error(tmp_path, capsys):
+    # a process run once died in selectors with a raw OverflowError
+    conf = tmp_path / "exp.conf"
+    conf.write_text("ses = 20\nsteps = 2\nlps = 2\nmode = process\n"
+                    "barrier_timeout = inf\n")
+    rc = main(["run", "--config", str(conf)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'barrier_timeout'")
+    assert "finite number > 0" in err and err.count("\n") == 1
+
+
 def test_missing_config_file_is_an_error_line(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "nope.conf")])
     assert rc == 2

@@ -1,6 +1,9 @@
 """Config files, presets, flag precedence, validation diagnostics."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridsim.config import (
     PRESETS,
@@ -137,6 +140,46 @@ def test_out_of_range_values_name_key_and_range():
         assert resolve_settings({"endpoint": endpoint}).endpoint == endpoint
     with pytest.raises(ConfigError, match="cannot parse"):
         resolve_settings({"steps": "ninety"})
+
+
+def test_float_keys_take_finite_values_only():
+    floats = [key for key, spec in SCHEMA.items()
+              if isinstance(spec[3], float)]
+    assert "barrier_timeout" in floats and len(floats) == 6
+    for key in floats:
+        for text in ("inf", "-inf", "nan", "1e999", "Infinity"):
+            with pytest.raises(ConfigError,
+                               match=f"config key '{key}'.*out of range"):
+                resolve_settings({key: text})
+    with pytest.raises(ConfigError, match="'barrier_timeout'"):
+        RunSettings(barrier_timeout=math.inf)
+
+
+_VALUE_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.lists(st.integers(-3, 9).map(str), max_size=3).map(", ".join),
+    st.sampled_from(["inf", "nan", "1e999", "", "0", "h:80", "bad", "good",
+                     "process", "1,2"]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(key=st.sampled_from(sorted(SCHEMA)), text=_VALUE_TEXT,
+       as_flag=st.booleans())
+def test_every_rejected_value_names_its_key(key, text, as_flag):
+    """Any text for any key, from a file or a flag, is either taken, as
+    a finite value where it is a number, or refused by a ConfigError
+    that names the key; nothing else escapes the parser."""
+    try:
+        s = resolve_settings(*(({}, {key: text}) if as_flag
+                               else ({key: text}, {})))
+    except ConfigError as exc:
+        assert key in str(exc)
+        return
+    value = dict(s.param_overrides).get(key, getattr(s, key, None))
+    for v in value if isinstance(value, tuple) else (value,):
+        assert not isinstance(v, float) or math.isfinite(v)
 
 
 def test_flags_beat_file():

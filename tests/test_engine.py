@@ -107,9 +107,11 @@ def delivery_calls(monkeypatch):
         step[:] = [t]
         return run_step(lp, t, inbox, report)
 
-    def counting(cols, k, msg, *rest):
-        calls.append((cols.ids.item(k), step[0], msg.message_id))
-        return decide_relay(cols, k, msg, *rest)
+    def counting(cols, rows, copies, *rest):
+        calls.extend((eid, step[0], mid) for eid, mid in
+                     zip(cols.ids[rows].tolist(),
+                         copies["message_id"].tolist()))
+        return decide_relay(cols, rows, copies, *rest)
 
     monkeypatch.setattr(LogicalProcess, "run_step", stepping)
     monkeypatch.setattr(territory, "decide_relay", counting)
@@ -191,28 +193,36 @@ def test_envelope_for_unowned_entity_rejected():
         lp.run_step(1, inbox, StepReport())
 
 
-def test_step_failure_names_lp_step_entity(monkeypatch):
-    # every entity generates every step, so entity 7 decides on copies
-    # from step 1 on; its relay decision at step 3 fails
-    decide_relay = territory.decide_relay
+@pytest.mark.parametrize("phase", ["decide_relay", "rwp_step",
+                                   "generate_message"])
+def test_step_failure_names_lp_and_step(phase, monkeypatch):
+    # every entity generates every step, so relay decisions run from step
+    # 1 on; the phase's call in step 3 fails
+    now = []
+    run_step, real = LogicalProcess.run_step, getattr(territory, phase)
 
-    def faulty(cols, k, msg, *rest):
-        if cols.ids.item(k) == 7 and msg.created_at == 2:
+    def stepping(lp, t, inbox, report):
+        now[:] = [t]
+        return run_step(lp, t, inbox, report)
+
+    def faulty(*args):
+        if now == [3]:
             raise RuntimeError("boom")
-        return decide_relay(cols, k, msg, *rest)
+        return real(*args)
 
-    monkeypatch.setattr(territory, "decide_relay", faulty)
+    monkeypatch.setattr(LogicalProcess, "run_step", stepping)
+    monkeypatch.setattr(territory, phase, faulty)
     cfg = EngineConfig(num_lps=1, total_timesteps=10, master_seed=1)
     spec = TerritorySpec(20, DisseminationParams(generation_probability=1.0))
     with pytest.raises(StepExecutionError) as ei:
-        run_simulation(cfg, spec)
+        run_simulation(cfg, spec, mode="inprocess")
     err = ei.value
-    assert err.lp_id == 0 and err.step == 3 and err.entity_id == 7
-    assert "lp=0" in str(err) and "step=3" in str(err) and "entity=7" in str(err)
+    assert (err.lp_id, err.step) == (0, 3)
+    assert str(err) == "step failed in lp=0 step=3: RuntimeError: boom"
     # a worker process reports the same failure in the same words
     with pytest.raises(StepExecutionError) as ei:
         run_simulation(cfg, spec, mode="process")
-    assert (ei.value.lp_id, ei.value.step, ei.value.entity_id) == (0, 3, 7)
+    assert (ei.value.lp_id, ei.value.step) == (0, 3)
     assert str(ei.value) == str(err)
 
 
@@ -316,7 +326,7 @@ def test_first_copy_step_matches_per_copy_oracle(case):
     fast = _build_lp(spec, seed)
     slow = ScalarLP(0, range(spec.num_entities), spec, seed, per_copy=True)
     for eid, mid in cached:  # ids cached in an earlier step
-        fast.cols.caches[eid].touch(mid)
+        fast.cols.touch(np.array([eid]), np.array([mid]))
         slow.entities[eid].cache.touch(mid)
     for t, inbox in enumerate(steps, start=1):
         fast_report, slow_report = StepReport(), StepReport()
@@ -388,16 +398,21 @@ def deadline():
     signal.signal(signal.SIGALRM, old)
 
 
-@pytest.mark.parametrize("preset,n,steps", [("good", 400, 60),
-                                            ("bad", 300, 40)])
+@pytest.mark.parametrize("preset,n,steps,overrides", [
+    pytest.param("good", 400, 60, {}, id="good-400-60"),
+    pytest.param("bad", 300, 40, {}, id="bad-300-40"),
+    # caches of 4 fill and evict, within steps too, and an id cached
+    # before a step can be evicted in it before its copy is decided; at
+    # 128 no cache ever fills
+    pytest.param("bad", 600, 60, {"cache_capacity": 4}, id="bad-600-60-4")])
 @pytest.mark.parametrize("block", [1, 3, 64])
-def test_column_step_matches_scalar_oracle(preset, n, steps, block,
-                                           deadline, monkeypatch):
+def test_column_step_matches_scalar_oracle(preset, n, steps, overrides,
+                                           block, deadline, monkeypatch):
     """Whole runs of the column LP, at several draw-buffer sizes, against
     the scalar oracle, with a hand-off of a sixth of the entities from
     step 10 to 14: every step's counters, broadcasts and entity records
     are equal, and the records restore at cursors inside a block."""
-    spec = TerritorySpec(n, make_params(preset))
+    spec = TerritorySpec(n, make_params(preset, overrides))
     seed = 29
     monkeypatch.setattr(territory, "DRAW_BLOCK", block)
     lps = [LogicalProcess(0, range(n), spec, seed),
@@ -408,6 +423,9 @@ def test_column_step_matches_scalar_oracle(preset, n, steps, block,
     if block > 1:
         assert any(r.cursor % block for r in taken)
     assert any(r.target is not None for r in taken)
+    capacity = spec.params.cache_capacity
+    full = lps[0].monitor.cache_high_water == capacity
+    assert full == (capacity == 4)
 
 
 def test_first_copy_run_matches_per_copy_run(monkeypatch):
@@ -417,14 +435,14 @@ def test_first_copy_run_matches_per_copy_run(monkeypatch):
     decide_relay = territory.decide_relay
     calls = []
 
-    def counting(*args):
-        calls.append(None)
-        return decide_relay(*args)
+    def counting(cols, rows, *rest):
+        calls.extend(rows.tolist())
+        return decide_relay(cols, rows, *rest)
 
     monkeypatch.setattr(territory, "decide_relay", counting)
     fast = LogicalProcess(0, range(600), spec, 53)
     slow = ScalarLP(0, range(600), spec, 53, per_copy=True)
     totals, _ = lockstep(spec, 53, 60, [fast, slow])
-    # the per-copy oracle decides every delivered copy; the run must be
-    # mostly repeats for the comparison to mean anything
+    # the per-copy oracle decides every delivered copy, the LP only first
+    # copies; the run must be mostly repeats for this to mean anything
     assert len(calls) < totals.delivered / 2

@@ -11,12 +11,14 @@ from hybridsim import territory
 from hybridsim.metrics import InvariantMonitor, StepReport
 from hybridsim.rng import Stream
 from hybridsim.territory import (
+    Broadcast,
     DisseminationMessage,
     DisseminationParams,
     EntityColumns,
-    LruSet,
+    EntityRecord,
     World,
     broadcast_reach,
+    broadcast_table,
     build_entity,
     decide_relay,
     generate_message,
@@ -25,6 +27,7 @@ from hybridsim.territory import (
     toroidal_distance,
     world_side,
 )
+from scalar_oracle import LruSet
 
 P = DisseminationParams()
 
@@ -82,6 +85,18 @@ def test_toroidal_normalizes_inputs():
     assert toroidal_distance((-8, 0), (3, 4), 10) == toroidal_distance((2, 0), (3, 4), 10)
 
 
+def test_array_torus_distance_is_the_scalar_one():
+    # bit for bit, as the relay filters and the monitor need: np.hypot
+    # rounds about one distance in 200 differently
+    rnd = np.random.default_rng(3)
+    side = 2000.0
+    a, b = rnd.uniform(0, side, (2, 2, 5000))
+    got = territory._torus_dists(a[0], a[1], b[0], b[1], side)
+    assert got.tolist() == [territory._torus_dist(*p, side) for p in
+                            zip(a[0].tolist(), a[1].tolist(),
+                                b[0].tolist(), b[1].tolist())]
+
+
 def test_world_side_density():
     assert world_side(1000) == pytest.approx(math.sqrt(1e7))
     assert world_side(8000) ** 2 / 8000 == pytest.approx(10000.0)
@@ -103,6 +118,15 @@ def test_params_validation():
 def _one(entity_id, seed, side, params=P):
     """Columns holding the single entity entity_id."""
     return build_entity([entity_id], seed, side, params)
+
+
+def _cached(cols, k=0):
+    """Row k's cached ids, least recent first."""
+    return cols.records([k])[0].cache_ids
+
+
+def _touch(cols, key, k=0):
+    return cols.touch(np.array([k]), np.array([key])).item()
 
 
 def test_build_entity_kind_by_parity():
@@ -191,7 +215,7 @@ def test_generated_message_fields():
     assert m.ttl_remaining == p1.ttl and m.hop_count == 0
     assert m.created_at == 17
     # origin caches its own message immediately
-    assert m.message_id in e.caches[0]
+    assert m.message_id in _cached(e)
 
 
 def test_message_ids_unique_across_origin_step():
@@ -277,12 +301,65 @@ def test_lru_high_water_tracks_peak():
     assert c.high_water == 4  # never beyond capacity
 
 
+@settings(max_examples=400, deadline=None)
+@given(capacity=st.integers(1, 4), data=st.data())
+def test_array_cache_matches_lru_set(capacity, data):
+    """EntityColumns' id and stamp caches against one LruSet per entity,
+    over touches of several rows at once, with entities extracted and
+    restored (in any order) between them. Initial caches may repeat ids
+    or overflow, as a record from elsewhere might; widths grow from 0."""
+    keys = st.integers(0, 9)
+    initial = data.draw(st.lists(st.lists(keys, max_size=6), min_size=1,
+                                 max_size=4))
+    cols = EntityColumns(1, capacity)
+    cols.add([EntityRecord(eid, "static", 0.0, 0.0, None, 0.0, tuple(c), 0)
+              for eid, c in enumerate(initial)])
+    ref = {eid: LruSet(capacity, c) for eid, c in enumerate(initial)}
+    away = []
+    for op in data.draw(st.lists(st.sampled_from(
+            ["touch", "touch", "touch", "extract", "restore"]), max_size=30)):
+        here = cols.ids.tolist()
+        if op == "touch" and here:
+            eids = data.draw(st.lists(st.sampled_from(here), unique=True))
+            got = data.draw(st.lists(keys, min_size=len(eids),
+                                     max_size=len(eids)))
+            hit = cols.touch(np.searchsorted(cols.ids, eids).astype(np.intp),
+                             np.array(got, dtype=np.int64))
+            assert hit.tolist() == [ref[e].touch(k)
+                                    for e, k in zip(eids, got)]
+        elif op == "extract" and here:
+            eids = data.draw(st.lists(st.sampled_from(here), min_size=1,
+                                      unique=True))
+            rows = np.searchsorted(cols.ids, eids)
+            away += cols.records(rows)
+            cols.remove(rows)
+        elif op == "restore":
+            cols.add(data.draw(st.permutations(away)))
+            away = []
+        recs = cols.records(range(len(cols.ids)))
+        assert [r.cache_ids for r in recs] == [ref[r.entity_id].ids()
+                                              for r in recs]
+        assert cols.cache_len.tolist() == [ref[r.entity_id].high_water
+                                           for r in recs]
+        assert cols.cache_ids.shape[1] <= capacity
+
+
 def _receiver(seed, side, params=P, budget=10):
     """Columns of entity 2 alone with the given relay budget; the entity
     is (cols, 0), its position (x, y)."""
     cols = _one(2, seed, side, params)
     cols.budget[0] = budget
     return cols, cols.x.item(0), cols.y.item(0)
+
+
+def _decide(cols, k, msg, sender_x, sender_y, params, side, report,
+            monitor):
+    """decide_relay on one copy of msg to the entity in row k; the relay
+    copy or None."""
+    copy = broadcast_table([Broadcast(9, sender_x, sender_y, msg)])
+    out = decide_relay(cols, np.full(1, k), copy, params, side, report,
+                       monitor)
+    return out[0].message if out else None
 
 
 def _msg(origin_x, origin_y, ttl=6, hop=0, mid=None, origin=1, t=0):
@@ -298,15 +375,15 @@ def test_decide_relay_filter_order_and_counters():
     # duplicate cache fires first, even for an otherwise relayable copy
     e, x, y = _receiver(50, side)
     m = _msg(x, y)
-    e.caches[0].touch(m.message_id)
+    _touch(e, m.message_id)
     rep = StepReport()
-    assert decide_relay(e, 0, m, x, y, P, side, rep, mon) is None
+    assert _decide(e, 0, m, x, y, P, side, rep, mon) is None
     assert rep.cache_filtered == 1 and rep.delivered == 1
 
     # exhausted ttl
     e, x, y = _receiver(50, side)
     rep = StepReport()
-    assert decide_relay(e, 0, _msg(x, y, ttl=0, hop=6), x, y, P, side, rep,
+    assert _decide(e, 0, _msg(x, y, ttl=0, hop=6), x, y, P, side, rep,
                         mon) is None
     assert rep.ttl_filtered == 1
 
@@ -315,14 +392,14 @@ def test_decide_relay_filter_order_and_counters():
     e2, x, y = _receiver(3, side2)
     rep = StepReport()
     m = _msg((x + 1500.0) % side2, y)
-    assert decide_relay(e2, 0, m, x, y, P, side2, rep, mon) is None
+    assert _decide(e2, 0, m, x, y, P, side2, rep, mon) is None
     assert rep.geofiltered == 1
 
     # sender inside the forwarding ring
     e2, x, y = _receiver(3, side2)
     rep = StepReport()
     m = _msg(x, y, mid=make_message_id(1, 5), t=5)
-    assert decide_relay(e2, 0, m, (x + 100.0) % side2, y, P, side2, rep,
+    assert _decide(e2, 0, m, (x + 100.0) % side2, y, P, side2, rep,
                         mon) is None
     assert rep.ring_filtered == 1
 
@@ -331,7 +408,7 @@ def test_decide_relay_filter_order_and_counters():
     e2, x, y = _receiver(3, side2, certain, budget=0)
     rep = StepReport()
     sender_x = (x + 240.0) % side2
-    assert decide_relay(e2, 0, _msg(x, y), sender_x, y, certain, side2, rep,
+    assert _decide(e2, 0, _msg(x, y), sender_x, y, certain, side2, rep,
                         mon) is None
     assert rep.budget_filtered == 1
 
@@ -339,14 +416,14 @@ def test_decide_relay_filter_order_and_counters():
     never = DisseminationParams(gossip_probability=0.0)
     e2, x, y = _receiver(3, side2, never)
     rep = StepReport()
-    assert decide_relay(e2, 0, _msg(x, y), sender_x, y, never, side2, rep,
+    assert _decide(e2, 0, _msg(x, y), sender_x, y, never, side2, rep,
                         mon) is None
     assert rep.gossip_declined == 1
 
     # coin passes at p=1: ttl down, hop up, budget spent
     e2, x, y = _receiver(3, side2, certain)
     rep = StepReport()
-    out = decide_relay(e2, 0, _msg(x, y, ttl=4, hop=2), sender_x, y,
+    out = _decide(e2, 0, _msg(x, y, ttl=4, hop=2), sender_x, y,
                        certain, side2, rep, mon)
     assert out is not None
     assert out.ttl_remaining == 3 and out.hop_count == 3
@@ -361,30 +438,30 @@ def test_decide_relay_draw_consumed_only_at_coin():
     # dropped before the coin: no draw
     e, x, y = _receiver(3, side)
     c0 = e.cursor[0]
-    decide_relay(e, 0, _msg(x, y), (x + 10.0) % side, y, P, side,
+    _decide(e, 0, _msg(x, y), (x + 10.0) % side, y, P, side,
                  StepReport(), mon)  # ring drop
     assert e.cursor[0] == c0
 
     # reaching the coin costs exactly one draw, the stream's next one
     e, x, y = _receiver(3, side)
     c0 = e.cursor[0]
-    decide_relay(e, 0, _msg(x, y), (x + 240.0) % side, y, P, side,
+    _decide(e, 0, _msg(x, y), (x + 240.0) % side, y, P, side,
                  StepReport(), mon)
     assert e.cursor[0] == c0 + 1
     s = Stream(3, 2, cursor=int(c0) + 1)
-    assert e.draw_one(0) == s.uniform()
+    assert e.draw(np.array([0]))[0] == s.uniform()
 
 
 def test_decide_relay_caches_even_when_dropped():
     side = 4000.0
     e, x, y = _receiver(3, side)
     m = _msg(x, y)
-    decide_relay(e, 0, m, (x + 10.0) % side, y, P, side, StepReport(),
+    _decide(e, 0, m, (x + 10.0) % side, y, P, side, StepReport(),
                  InvariantMonitor())  # ring drop
-    assert m.message_id in e.caches[0]
+    assert m.message_id in _cached(e)
     # second copy of the same id is now a cache hit
     rep = StepReport()
-    decide_relay(e, 0, m, (x + 240.0) % side, y, P, side, rep,
+    _decide(e, 0, m, (x + 240.0) % side, y, P, side, rep,
                  InvariantMonitor())
     assert rep.cache_filtered == 1
 
@@ -433,18 +510,18 @@ def test_entity_record_roundtrip_bit_exact(monkeypatch):
     for t in range(25):
         rwp_step(a, side)
         generate_message(a, t, P)
-    a.caches[0].touch(123)
-    a.caches[0].touch(456)
+    _touch(a, 123)
+    _touch(a, 456)
 
     [rec] = a.records([0])
     assert rec.cursor % 7 and rec.target is not None
     b = EntityColumns(seed, P.cache_capacity)
     b.add([rec])
     assert b.records([0]) == [rec]
-    assert b.caches[0].ids() == a.caches[0].ids() == rec.cache_ids
+    assert _cached(b) == _cached(a) == rec.cache_ids
     # future evolution identical to the uninterrupted original
     for t in range(25, 50):
         rwp_step(a, side)
         rwp_step(b, side)
         assert (a.x[0], a.y[0]) == (b.x[0], b.y[0])
-    assert a.draw_one(0) == b.draw_one(0)
+    assert a.draw(np.array([0])) == b.draw(np.array([0]))

@@ -8,6 +8,11 @@ counters and positions; a failure in any phase is raised once, naming
 the LP and the step. InProcessBackend writes every backend operation
 (step, extract, restore, finish) once, over one primitive that asks an
 LP; the process backend (parallel.py) replaces only that primitive.
+A step's broadcasts are one territory.BROADCAST_COLUMNS table from the
+LP to the router: each LP's outbox is such an array, which a worker
+pickles as raw bytes, and the engine joins them in LP order and routes
+the result as it is. territory.BroadcastTable wraps it only so that the
+benchmark's reach check can read sampled rows as Broadcast objects.
 Once every LP has reported step t, the engine updates the global
 position table (step 0 fills all of it), hands the barrier to the
 hybrid coordinator, which alone knows the frozen entities, and routes
@@ -18,12 +23,12 @@ neighbouring cells, with the same squared-distance expression as the
 flat scan in territory.broadcast_reach. One lexsort on (owner LP,
 receiver, message id, sender) then orders every copy, and each LP
 receives its share at the start of the next timestep as an
-EnvelopeBatch: the step's broadcast table plus two integer columns. Only the first copy of each message to
-an entity reaches the relay decision; the LP counts the later ones, all
-cache-filtered, in bulk, and decides the first copies as array passes.
-One timestep of flight latency, per-entity random streams and this
-canonical inbox order together make results independent of the LP
-count.
+EnvelopeBatch: the step's broadcast table plus two integer columns.
+Only the first copy of each message to an entity reaches the relay
+decision; the LP counts the later ones, all cache-filtered, in bulk,
+and decides the first copies as array passes. One timestep of flight
+latency, per-entity random streams and this canonical inbox order
+together make results independent of the LP count.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ import numpy as np
 from . import rng, territory
 from .metrics import InvariantMonitor, RunMetrics, StepReport
 from .territory import (
+    BROADCAST_COLUMNS,
+    BroadcastTable,
     World,
     broadcast_reach,  # noqa: F401  re-exported; the benchmark tracer wraps it
-    broadcast_table,
-    table_broadcasts,
 )
 
 
@@ -144,27 +149,24 @@ class EnvelopeBatch:
     Copy i goes to entity ``dest[i]`` and carries row ``row[i]``; copies
     are ordered by (dest, message id, sender), the order in which they
     are consumed. Pickling ships only the table and the two columns.
-    ``broadcasts``, the table's rows as Broadcast objects, is built on
-    first read only, since the LP reads the columns. Iterating yields
-    InterLpEnvelope rows, and a row can be deleted; the benchmark's
-    reach check (perfbench/checks.py) reads and its test deletes them.
+    The LP reads the columns; ``broadcasts`` reads the table's rows as
+    Broadcast objects. Iterating yields InterLpEnvelope rows, and a row
+    can be deleted; the benchmark's reach check (perfbench/checks.py)
+    reads and its test deletes them.
     """
 
-    __slots__ = ("produced_at", "table", "dest", "row", "_broadcasts")
+    __slots__ = ("produced_at", "table", "dest", "row")
 
     def __init__(self, produced_at: int, table: np.ndarray,
-                 dest: np.ndarray, row: np.ndarray, broadcasts=None):
+                 dest: np.ndarray, row: np.ndarray):
         self.produced_at = produced_at
         self.table = table
         self.dest = dest
         self.row = row
-        self._broadcasts = broadcasts
 
     @property
-    def broadcasts(self) -> list:
-        if self._broadcasts is None:
-            self._broadcasts = table_broadcasts(self.table)
-        return self._broadcasts
+    def broadcasts(self) -> BroadcastTable:
+        return BroadcastTable(self.table)
 
     def __reduce__(self):
         return (EnvelopeBatch, (self.produced_at, self.table, self.dest,
@@ -174,10 +176,9 @@ class EnvelopeBatch:
         return len(self.dest)
 
     def __iter__(self):
+        rows = self.broadcasts  # one row at a time: no list of every copy
         for dest, r in zip(self.dest.tolist(), self.row.tolist()):
-            b = self.broadcasts[r]
-            yield InterLpEnvelope(self.produced_at, dest, b.sender,
-                                  b.sender_x, b.sender_y, b.message)
+            yield InterLpEnvelope(self.produced_at, dest, *rows[r])
 
     def __delitem__(self, i: int) -> None:
         self.dest = np.delete(self.dest, i)
@@ -188,7 +189,7 @@ class StepResult(NamedTuple):
     """What one LP reports for one step."""
 
     report: StepReport
-    outbox: list
+    outbox: np.ndarray  # BROADCAST_COLUMNS rows, by sender
     ids: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
@@ -244,7 +245,7 @@ class LogicalProcess:
         return len(records)
 
     def run_step(self, t: int, inbox: Optional[EnvelopeBatch],
-                 report: StepReport) -> list:
+                 report: StepReport) -> np.ndarray:
         """Update every owned entity once; returns this step's broadcasts.
 
         First one territory.decide_relay call decides the first copy of
@@ -253,11 +254,12 @@ class LogicalProcess:
         stands. Every later copy of a message to the same entity would
         end at the cache filter the first one filled, so those are
         counted in bulk. Then every mobile entity moves and every entity
-        maybe generates; broadcasts are listed entity by entity.
+        maybe generates. The broadcasts are one BROADCAST_COLUMNS table,
+        entity by entity, each entity's relays before its birth.
         """
         cols, params = self.cols, self.params
         cols.budget.fill(params.max_relays_per_step)
-        relays = []
+        relays = np.empty(0, dtype=BROADCAST_COLUMNS)
         if inbox:
             if inbox.produced_at != t - 1:
                 raise EngineError(
@@ -291,7 +293,8 @@ class LogicalProcess:
         territory.rwp_step(cols, self.side)
         born = territory.generate_message(cols, t, params)
         report.generated += len(born)
-        return sorted(relays + born, key=lambda b: b.sender)
+        out = np.concatenate([relays, born])
+        return out[np.argsort(out["sender"], kind="stable")]
 
     def positions(self):
         return self.cols.ids, self.cols.x.copy(), self.cols.y.copy()
@@ -371,7 +374,8 @@ def torus_pairs(px, py, cx, cy, side: float, radius: float) -> tuple:
 
 def route_broadcasts(world: World, broadcasts, interaction_range: float,
                      t: int, frozen, owner_of) -> tuple:
-    """Turn this step's broadcasts into next step's per-LP inboxes.
+    """Turn this step's broadcasts, a BroadcastTable, into next step's
+    per-LP inboxes.
 
     Reach is torus_pairs over the global position table, sender
     excluded. Copies addressed to frozen entities are dropped here and
@@ -381,7 +385,7 @@ def route_broadcasts(world: World, broadcasts, interaction_range: float,
     """
     if not broadcasts:
         return {}, 0, 0
-    table = broadcast_table(broadcasts)
+    table = broadcasts.table
     row, dest = torus_pairs(world.pos_x, world.pos_y, table["sender_x"],
                             table["sender_y"], world.side, interaction_range)
     keep = dest != table["sender"][row]
@@ -401,8 +405,7 @@ def route_broadcasts(world: World, broadcasts, interaction_range: float,
     dest = dest[order].astype(np.int32)
     row = row[order].astype(np.int32)
     end = np.cumsum(np.bincount(lp)).tolist()
-    inboxes = {lp_id: EnvelopeBatch(t, table, dest[a:b], row[a:b],
-                                    broadcasts)
+    inboxes = {lp_id: EnvelopeBatch(t, table, dest[a:b], row[a:b])
                for lp_id, (a, b) in enumerate(zip([0] + end, end)) if a < b}
     return inboxes, routed, frozen_drops
 
@@ -518,12 +521,13 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
             results = backend.step(t, inboxes)
 
             step_report = StepReport()
-            all_broadcasts = []
+            outboxes = []
             for lp_id in sorted(results):
                 res = results[lp_id]
                 step_report.merge(res.report)
-                all_broadcasts.extend(res.outbox)
+                outboxes.append(res.outbox)
                 world.update(res.ids, res.xs, res.ys)
+            all_broadcasts = BroadcastTable(np.concatenate(outboxes))
 
             coordinator.at_barrier(t, world, backend, metrics,
                                    force_end=(t == final_step))

@@ -4,7 +4,9 @@ The parent keeps the step loop, routing and coordination; each worker
 holds one LogicalProcess and answers the parent's commands with it over
 a pipe. ProcessBackend inherits step, extract, restore and finish from
 engine.InProcessBackend and replaces only how an LP is asked: a command
-down each LP's pipe, then one wait for all the replies. Counters are
+down each LP's pipe, then one wait for all the replies. A step's
+command and reply carry numpy columns only (the inbox, the outbox
+table, the positions), which pickle as raw bytes. Counters are
 bit-identical to the in-process backend because partitioning,
 per-entity streams and the canonical inbox order are all independent
 of where an entity happens to live.

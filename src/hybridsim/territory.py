@@ -25,7 +25,12 @@ them: one decide_relay over every first copy of a message in its inbox,
 one array rwp_step, one generate_message. Each entity still draws from
 its own stream in that order, via a buffer that its own generator
 refills. Each duplicate cache is a row of message ids and a row of
-last-touch stamps; its recency order is the stamp order.
+last-touch stamps; its recency order is the stamp order. Relays and
+births come out as rows of one BROADCAST_COLUMNS table, never as
+per-broadcast objects: a relay is its incoming copy's row with the
+relaying entity as sender. BroadcastTable reads such a table's rows as
+Broadcast objects for the few callers that sample them, the
+benchmark's reach check and the tests.
 """
 
 from __future__ import annotations
@@ -146,19 +151,35 @@ BROADCAST_COLUMNS = np.dtype([
 ])
 
 
-def broadcast_table(broadcasts) -> np.ndarray:
-    """Broadcasts as one BROADCAST_COLUMNS array, a row per broadcast.
+class BroadcastTable:
+    """One step's broadcasts, a BROADCAST_COLUMNS array, read row by row.
 
-    Every field round-trips exactly, and the table pickles as raw bytes.
+    The array is the only form broadcasts take from an LP to the router;
+    this view reads its rows as Broadcast objects, one by index or a
+    slice as another view, for code that samples broadcasts: the
+    benchmark's reach check (perfbench/checks.py) and the tests.
     """
-    return np.array([(s, x, y, *m) for s, x, y, m in broadcasts],
-                    dtype=BROADCAST_COLUMNS)
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BroadcastTable(self.table[i])
+        s, x, y, *m = self.table[i].tolist()
+        return Broadcast(s, x, y, DisseminationMessage(*m))
 
 
-def table_broadcasts(table: np.ndarray) -> list:
-    """Inverse of broadcast_table: one Broadcast per row."""
-    return [Broadcast(s, x, y, DisseminationMessage(*m))
-            for s, x, y, *m in table.tolist()]
+def broadcast_table(broadcasts) -> BroadcastTable:
+    """Broadcasts as a table, a row per broadcast; every field
+    round-trips exactly."""
+    return BroadcastTable(np.array([(s, x, y, *m) for s, x, y, m in
+                                    broadcasts], dtype=BROADCAST_COLUMNS))
 
 
 class EntityRecord(NamedTuple):
@@ -373,20 +394,25 @@ def rwp_step(cols: EntityColumns, side: float) -> None:
 
 
 def generate_message(cols: EntityColumns, t: int,
-                     params: DisseminationParams) -> list:
+                     params: DisseminationParams) -> np.ndarray:
     """Bernoulli message generation by every entity at its position.
 
     Costs exactly one draw per entity per timestep whether or not a
     message appears. An origin immediately caches its own id so it never
-    relays its own message back. Returns the broadcasts, in id order.
+    relays its own message back. Returns the broadcasts as
+    BROADCAST_COLUMNS rows, in id order.
     """
     born = np.flatnonzero(cols.draw(np.arange(len(cols.ids)))
                           < params.generation_probability)
-    cols.touch(born, make_message_id(cols.ids[born], t))
-    return [Broadcast(eid, x, y, DisseminationMessage(
-                make_message_id(eid, t), eid, x, y, params.ttl, 0, t))
-            for eid, x, y in zip(cols.ids[born].tolist(),
-                                 cols.x[born].tolist(), cols.y[born].tolist())]
+    out = np.empty(len(born), dtype=BROADCAST_COLUMNS)
+    out["sender"] = out["origin_entity"] = cols.ids[born]
+    out["sender_x"] = out["origin_x"] = cols.x[born]
+    out["sender_y"] = out["origin_y"] = cols.y[born]
+    out["message_id"] = make_message_id(cols.ids[born], t)
+    out["ttl_remaining"], out["hop_count"], out["created_at"] = \
+        params.ttl, 0, t
+    cols.touch(born, out["message_id"])
+    return out
 
 
 def _torus_dists(ax, ay, bx, by, side: float) -> np.ndarray:
@@ -412,9 +438,9 @@ def _rounds(rows: np.ndarray) -> list:
 
 def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
                  params: DisseminationParams, side: float,
-                 report: StepReport, monitor: InvariantMonitor) -> list:
+                 report: StepReport, monitor: InvariantMonitor) -> np.ndarray:
     """Decide every first copy of a message delivered this step; return
-    the relays, in copy order.
+    the relays as BROADCAST_COLUMNS rows, in copy order.
 
     Copy i (a BROADCAST_COLUMNS row) went to the entity in row rows[i];
     rows is non-decreasing, and an entity's copies carry distinct message
@@ -425,7 +451,9 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
     stays cached. Exactly one draw is consumed if and only if the coin
     stage is reached. The cache, budget and coin, which depend on an
     entity's earlier copies, run in rounds of one copy per entity; ttl,
-    geofence and ring are masks over all copies at once.
+    geofence and ring are masks over all copies at once. A relay is its
+    copy's row sent on by the entity from where it stands, before it
+    moves: one more hop, one less to live, origin and creation kept.
     """
     report.delivered += len(rows)
     monitor.note_delivery(int(copies["hop_count"].max(initial=0)))
@@ -471,11 +499,12 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
         for d in (ring.min(), ring.max()):
             monitor.note_relay(float(d), float(origin.max()), int(used.max()))
     k = rows[c]
-    return [Broadcast(eid, x, y, DisseminationMessage(
-                mid, o, ox, oy, ttl - 1, hop + 1, t))
-            for eid, x, y, (_, _, _, mid, o, ox, oy, ttl, hop, t)
-            in zip(cols.ids[k].tolist(), cols.x[k].tolist(),
-                   cols.y[k].tolist(), copies[c].tolist())]
+    out = copies[c]
+    out["sender"], out["sender_x"], out["sender_y"] = \
+        cols.ids[k], cols.x[k], cols.y[k]
+    out["ttl_remaining"] -= 1
+    out["hop_count"] += 1
+    return out
 
 
 class World:

@@ -50,6 +50,7 @@ from hybridsim.territory import (
     TerritorySpec,
     World,
     broadcast_reach,
+    broadcast_table,
     world_side,
 )
 from hybridsim.transport import TransportParams, simulate_arrivals
@@ -272,8 +273,9 @@ def test_c5_fast_paths_match_reference_oracles(capsys):
         pos = world.position(sender)
         want = _scan_reach(world, pos, 250.0, sender)
         msg = DisseminationMessage(k, sender, *pos, 5, 0, 0)
-        inboxes, _, _ = route_broadcasts(world, [Broadcast(sender, *pos, msg)],
-                                         250.0, 0, {}, one_lp)
+        inboxes, _, _ = route_broadcasts(
+            world, broadcast_table([Broadcast(sender, *pos, msg)]), 250.0, 0,
+            {}, one_lp)
         routed = inboxes[0].dest.tolist() if inboxes else []
         flat = list(broadcast_reach(world, pos, 250.0, exclude=sender))
         if routed == want and flat == want:

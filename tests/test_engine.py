@@ -20,7 +20,9 @@ from hybridsim.engine import (
 )
 from hybridsim.metrics import StepReport
 from hybridsim.territory import (
+    BROADCAST_COLUMNS,
     Broadcast,
+    BroadcastTable,
     DisseminationParams,
     TerritorySpec,
     World,
@@ -82,7 +84,7 @@ def test_run_step_null():
     lp = _build_lp(spec, seed=1)
     report = StepReport()
     outbox = lp.run_step(0, None, report)
-    assert outbox == []
+    assert outbox.dtype == BROADCAST_COLUMNS and len(outbox) == 0
     assert report == StepReport()
 
 
@@ -132,8 +134,8 @@ def _inbox(produced_at, dest, pos, sends, num_entities=4):
     world = World(10_000.0, num_entities)
     world.pos_x[:] = world.pos_y[:] = 5_000.0
     world.update([dest], [pos[0]], [pos[1]])
-    broadcasts = [Broadcast(sender, pos[0], pos[1], msg)
-                  for sender, msg in sends]
+    broadcasts = broadcast_table([Broadcast(sender, pos[0], pos[1], msg)
+                                  for sender, msg in sends])
     owner_of = np.zeros(num_entities, dtype=np.intp)
     inboxes, routed, _ = route_broadcasts(world, broadcasts, 250.0,
                                           produced_at, {}, owner_of)
@@ -277,10 +279,12 @@ def relay_cases(draw):
 
     Copies of one message differ in sender, position, hop and ttl (0
     included); caches hold one to three ids, so they run full; budgets
-    may be 0.
+    may be 0; at generation probability 0.5 an entity often relays and
+    generates in one step.
     """
     n = draw(st.integers(1, 5))
     params = DisseminationParams(
+        generation_probability=draw(st.sampled_from([0.001, 0.5])),
         forwarding_threshold=draw(st.sampled_from([0.0, 100.0])),
         geofilter_distance=draw(st.sampled_from([60.0, 1000.0])),
         gossip_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
@@ -308,7 +312,7 @@ def relay_cases(draw):
             row += [len(broadcasts)] * len(to)
             broadcasts.append(Broadcast(draw(st.integers(0, n - 1)),
                                         draw(coord), draw(coord), msg))
-        table = broadcast_table(broadcasts)
+        table = broadcast_table(broadcasts).table
         dest, row = np.array(dest), np.array(row)
         # the router's canonical order: (dest, message id, sender)
         order = np.lexsort((table["sender"][row], table["message_id"][row],
@@ -333,16 +337,33 @@ def test_first_copy_step_matches_per_copy_oracle(case):
         fast_out = fast.run_step(t, inbox, fast_report)
         slow_out = slow.run_step(t, inbox, slow_report)
         assert fast_report == slow_report
-        assert fast_out == slow_out
+        assert_same_table(fast_out, slow_out)
         assert fast.monitor == slow.monitor
         assert lp_state(fast) == lp_state(slow)
     assert fast.finish() == slow.finish()
 
 
+def _table(out):
+    """An outbox as a BROADCAST_COLUMNS array: the column LP's as it is,
+    the scalar oracle's list of Broadcasts converted."""
+    return out if isinstance(out, np.ndarray) else broadcast_table(out).table
+
+
+def assert_same_table(out, want, msg=None):
+    """out, a column LP's outbox, is want, the oracle's broadcasts, bit
+    for bit and in order: the same fields in the same order, and -0.0 is
+    not 0.0."""
+    want = _table(want)
+    assert isinstance(out, np.ndarray), msg
+    assert out.dtype == want.dtype == BROADCAST_COLUMNS, msg
+    assert out.tobytes() == want.tobytes(), msg
+
+
 def lockstep(spec, seed, steps, lps, away=(), away_steps=range(0)):
     """Step LPs that each own every entity side by side, each routed its
     own broadcasts, and require after every step equal reports,
-    broadcasts (in order), monitors, positions and entity states.
+    broadcasts (in order, bit for bit), monitors, positions and entity
+    states. lps[0] is a column LP, the reference for the others.
 
     The ids in away are extracted before the first step of away_steps
     and restored after its last; every LP must give the same records.
@@ -367,7 +388,7 @@ def lockstep(spec, seed, steps, lps, away=(), away_steps=range(0)):
         ids, xs, ys = ref.positions()
         for lp, rep, out in zip(lps[1:], reports[1:], outs[1:]):
             assert rep == reports[0], t
-            assert out == outs[0], t
+            assert_same_table(outs[0], out, t)
             assert lp.monitor == ref.monitor, t
             got = lp.positions()
             assert (got[0] == ids).all() and (got[1] == xs).all() \
@@ -376,8 +397,9 @@ def lockstep(spec, seed, steps, lps, away=(), away_steps=range(0)):
         totals.merge(reports[0])
         world.update(ids, xs, ys)
         frozen = set(away) if t + 1 in away_steps else set()
-        inboxes = [route_broadcasts(world, out, spec.params.interaction_range,
-                                    t, frozen, owner_of)[0].get(0)
+        inboxes = [route_broadcasts(world, BroadcastTable(_table(out)),
+                                    spec.params.interaction_range, t, frozen,
+                                    owner_of)[0].get(0)
                    for out in outs]
     finishes = [lp.finish() for lp in lps]
     assert all(f == finishes[0] for f in finishes)

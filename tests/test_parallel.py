@@ -1,11 +1,15 @@
 """Process backend: bit-exact parity with in-process, failure handling."""
 
 import multiprocessing
+import pickle
 import threading
 import time
+from multiprocessing import connection as mp_connection
 
+import numpy as np
 import pytest
 
+from hybridsim.config import make_params
 from hybridsim.coordination import FixedDurationPolicy, HybridSpec, ScriptedTrigger
 from hybridsim.engine import (
     BarrierTimeoutError,
@@ -17,7 +21,7 @@ from hybridsim.engine import (
     run_simulation,
 )
 from hybridsim.parallel import ProcessBackend
-from hybridsim.territory import TerritorySpec
+from hybridsim.territory import BROADCAST_COLUMNS, TerritorySpec
 
 
 def _config(num_lps, steps=30, seed=11, timeout=60.0):
@@ -39,6 +43,44 @@ def test_process_lp_count_does_not_change_results():
     two = run_simulation(_config(2), spec, mode="process")
     four = run_simulation(_config(4), spec, mode="process")
     assert two.comparable() == four.comparable()
+
+
+# what a step reply pickles to beyond its columns: the reply tuple, the
+# StepResult and StepReport with their field names, and the array headers
+REPLY_ALLOWANCE = 1024
+
+
+def test_step_reply_crosses_the_pipe_as_columns(monkeypatch):
+    """A worker's step reply is raw column bytes: a table row per
+    broadcast and an id and two coordinates per entity, with no
+    Broadcast or DisseminationMessage object in it."""
+    received = []
+    recv_bytes = mp_connection.Connection._recv_bytes
+
+    def recording(conn, *args):
+        buf = recv_bytes(conn, *args)
+        received.append(buf.getvalue())
+        return buf
+
+    monkeypatch.setattr(mp_connection.Connection, "_recv_bytes", recording)
+    spec = TerritorySpec(300, make_params("bad",
+                                          {"generation_probability": 0.1}))
+    run_simulation(_config(2, steps=6), spec, mode="process")
+    replies = [(blob, pickle.loads(blob)) for blob in received]
+    steps = [(blob, reply[1]) for blob, reply in replies
+             if reply[0] == "step"]
+    assert len(steps) == 2 * 6
+    relayed = 0
+    for blob, res in steps:
+        assert isinstance(res.outbox, np.ndarray)
+        assert res.outbox.dtype == BROADCAST_COLUMNS
+        assert b"Broadcast" not in blob
+        assert b"DisseminationMessage" not in blob
+        n, e = len(res.outbox), len(res.ids)
+        assert len(blob) <= (BROADCAST_COLUMNS.itemsize * n + 24 * e
+                             + REPLY_ALLOWANCE)
+        relayed += int(np.count_nonzero(res.outbox["hop_count"]))
+    assert relayed > 0  # relay rows crossed too, not only births
 
 
 def test_auto_mode_picks_process_for_multiple_lps():

@@ -18,11 +18,13 @@ from hybridsim.engine import (
 )
 from hybridsim.territory import (
     Broadcast,
+    BroadcastTable,
     DisseminationMessage,
     DisseminationParams,
     TerritorySpec,
     World,
     broadcast_reach,
+    broadcast_table,
     build_entity,
     make_message_id,
     world_side,
@@ -96,7 +98,8 @@ def _scenes(draw):
     at_own = st.builds(lambda s, m: Broadcast(
         s, float(world.pos_x[s]), float(world.pos_y[s]), m), ids, msgs)
     anywhere = st.builds(Broadcast, ids, coord, coord, msgs)
-    broadcasts = draw(st.lists(st.one_of(at_own, anywhere), max_size=12))
+    broadcasts = broadcast_table(draw(st.lists(st.one_of(at_own, anywhere),
+                                               max_size=12)))
     frozen = dict.fromkeys(draw(st.sets(ids)), "handle")
     num_lps = draw(st.integers(1, min(4, n)))
     owner_of = owner_array(partition_entities(range(n), num_lps,
@@ -127,10 +130,11 @@ def test_golden_world_routes_like_the_flat_scan():
     world = World(side, n)
     cols = build_entity(range(n), 20, side, params)
     world.update(cols.ids, cols.x, cols.y)
-    broadcasts = [Broadcast(i, float(world.pos_x[i]), float(world.pos_y[i]),
-                            DisseminationMessage(make_message_id(i % 5, 3),
-                                                 i % 5, 0.0, 0.0, 6, 0, 3))
-                  for i in range(0, n, 3)]
+    broadcasts = broadcast_table([
+        Broadcast(i, float(world.pos_x[i]), float(world.pos_y[i]),
+                  DisseminationMessage(make_message_id(i % 5, 3), i % 5,
+                                       0.0, 0.0, 6, 0, 3))
+        for i in range(0, n, 3)])
     owner_of = owner_array(partition_entities(range(n), 3, 20), n)
     got = _assert_same(world, broadcasts, {5: "h", 9: "h"}, owner_of)
     assert sum(len(b) for b in got.values()) > 100
@@ -145,17 +149,21 @@ def test_tiny_range_at_4000_entities_routes_like_the_flat_scan():
     backend = InProcessBackend(EngineConfig(num_lps=2, total_timesteps=2,
                                             master_seed=5), spec)
     world = World(spec.side, n)
-    broadcasts = []
+    tables = []
     for res in backend.step(0, {}).values():
         world.update(res.ids, res.xs, res.ys)
-        broadcasts += res.outbox
-    assert broadcasts
+        tables.append(res.outbox)
+    born = BroadcastTable(np.concatenate(tables))
+    assert born
     # copies that land: senders on top of, and exactly 0.01 from, others
-    msg = broadcasts[0].message
+    msg = born[0].message
+    landing = []
     for s in range(0, n, 400):
         x, y = float(world.pos_x[s + 1]), float(world.pos_y[s + 1])
-        broadcasts += [Broadcast(s, x, y, msg), Broadcast(s + 2, x, y + 0.01,
-                                                          msg)]
+        landing += [Broadcast(s, x, y, msg), Broadcast(s + 2, x, y + 0.01,
+                                                       msg)]
+    broadcasts = BroadcastTable(np.concatenate(
+        [born.table, broadcast_table(landing).table]))
     got = _assert_same(world, broadcasts, {401: "h"}, backend.owner_of,
                        reach=params.interaction_range)
     assert sum(len(b) for b in got.values()) >= 10
@@ -164,7 +172,8 @@ def test_tiny_range_at_4000_entities_routes_like_the_flat_scan():
 def test_no_broadcasts_route_nothing():
     world = World(world_side(64), 64)
     owner_of = np.zeros(64, dtype=np.intp)
-    assert route_broadcasts(world, [], RANGE, 3, {}, owner_of) == ({}, 0, 0)
+    assert route_broadcasts(world, broadcast_table([]), RANGE, 3, {},
+                            owner_of) == ({}, 0, 0)
 
 
 def test_batch_rows_and_delete():
@@ -173,7 +182,8 @@ def test_batch_rows_and_delete():
     msg = DisseminationMessage(make_message_id(2, 1), 2, 0.0, 0.0, 6, 0, 1)
     owner_of = np.array([0, 1, 0])
     inboxes, routed, drops = route_broadcasts(
-        world, [Broadcast(2, 900.0, 990.0, msg)], RANGE, 4, {}, owner_of)
+        world, broadcast_table([Broadcast(2, 900.0, 990.0, msg)]), RANGE, 4,
+        {}, owner_of)
     # 900 and 990 wrap to within 100 and 20 of the corner
     assert (routed, drops) == (2, 0)
     assert list(inboxes[0]) == [InterLpEnvelope(4, 0, 2, 900.0, 990.0, msg)]

@@ -12,6 +12,7 @@ from hybridsim.metrics import InvariantMonitor, StepReport
 from hybridsim.rng import Stream
 from hybridsim.territory import (
     Broadcast,
+    BroadcastTable,
     DisseminationMessage,
     DisseminationParams,
     EntityColumns,
@@ -188,7 +189,7 @@ def test_generation_degenerate_probabilities():
     p0 = DisseminationParams(generation_probability=0.0)
     p1 = DisseminationParams(generation_probability=1.0)
     e = _one(2, 1, side, p0)
-    assert all(generate_message(e, t, p0) == [] for t in range(100))
+    assert all(len(generate_message(e, t, p0)) == 0 for t in range(100))
     e = _one(2, 1, side, p1)
     assert all(len(generate_message(e, t, p1)) == 1 for t in range(100))
     assert e.cursor[0] == 102  # one draw a step either way
@@ -208,7 +209,7 @@ def test_generation_binomial_totals():
 def test_generated_message_fields():
     e = _one(6, 1, 100.0)
     p1 = DisseminationParams(generation_probability=1.0)
-    [(sender, sx, sy, m)] = generate_message(e, 17, p1)
+    [(sender, sx, sy, m)] = BroadcastTable(generate_message(e, 17, p1))
     assert m.message_id == make_message_id(6, 17) == (17 << 32) | 6
     assert m.origin_entity == 6 == sender
     assert (m.origin_x, m.origin_y) == (e.x[0], e.y[0]) == (sx, sy)
@@ -356,9 +357,9 @@ def _decide(cols, k, msg, sender_x, sender_y, params, side, report,
             monitor):
     """decide_relay on one copy of msg to the entity in row k; the relay
     copy or None."""
-    copy = broadcast_table([Broadcast(9, sender_x, sender_y, msg)])
-    out = decide_relay(cols, np.full(1, k), copy, params, side, report,
-                       monitor)
+    copy = broadcast_table([Broadcast(9, sender_x, sender_y, msg)]).table
+    out = BroadcastTable(decide_relay(cols, np.full(1, k), copy, params,
+                                      side, report, monitor))
     return out[0].message if out else None
 
 

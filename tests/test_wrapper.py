@@ -1,6 +1,7 @@
 """Wrapper sessions end to end, plus the golden transcript checks."""
 
 import io
+import threading
 
 import pytest
 
@@ -120,7 +121,31 @@ def test_emissions_independent_of_market_progress():
     ch.close()
 
 
-def test_session_rejects_zero_entities():
+@pytest.fixture
+def sessions(monkeypatch):
+    """The threads that start_local runs wrapper sessions on."""
+    threads = []
+    session = wrapper._local_session
+
+    def tracked(sock):
+        threads.append(threading.current_thread())
+        session(sock)
+
+    monkeypatch.setattr(wrapper, "_local_session", tracked)
+    return threads
+
+
+def _assert_session_failed(sessions, capsys):
+    """The one session has ended, and said once that it failed, before
+    the test returns and stops capturing its output."""
+    [th] = sessions
+    th.join(timeout=10.0)
+    assert not th.is_alive()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("wrapper session failed: ")
+
+
+def test_session_rejects_zero_entities(sessions, capsys):
     sock = start_local()
     ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
     init = dict(Level1Settings().init_fields(), entities=0, side=100.0,
@@ -129,9 +154,10 @@ def test_session_rejects_zero_entities():
     with pytest.raises(ProtocolError, match="closed"):
         ch.recv()
     ch.close()
+    _assert_session_failed(sessions, capsys)
 
 
-def test_session_rejects_out_of_order_entities():
+def test_session_rejects_out_of_order_entities(sessions, capsys):
     sock = start_local()
     ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
     init = dict(Level1Settings().init_fields(), entities=2, side=100.0,
@@ -142,15 +168,17 @@ def test_session_rejects_out_of_order_entities():
     with pytest.raises(ProtocolError, match="closed"):
         ch.recv()
     ch.close()
+    _assert_session_failed(sessions, capsys)
 
 
-def test_session_rejects_step_mismatch():
+def test_session_rejects_step_mismatch(sessions, capsys):
     ch = _open_session()
     ch.recv(expect="STATUS")
     ch.send("CONTINUE", 99)  # wrapper is at step 6
     with pytest.raises(ProtocolError, match="closed"):
         ch.recv()
     ch.close()
+    _assert_session_failed(sessions, capsys)
 
 
 def test_main_rejects_malformed_listen():

@@ -8,11 +8,12 @@ is on-demand: a request floods hop by hop with duplicate suppression
 and the reply unicasts back along the reverse path; nodes keep no route
 tables, so every query floods afresh. Store-and-forward timing: each
 routed hop consumes one fine step, so a reply over an h-hop route lands
-2h fine steps after the query left. Each discovery builds the radio
-adjacency of the whole scene once, as one boolean matrix, and floods
-over its rows; MarketScene.neighbors is the per-node reference
-definition of that adjacency. Positions here are planar (no torus
-inside the market).
+2h fine steps after the query left. The scene keeps one neighbour
+table per scene state, built from its radio adjacency matrix at the
+first discovery after a node is added or moves, and every discovery
+until the next such change floods over it; MarketScene.neighbors is the
+per-node reference definition of that adjacency. Positions here are
+planar (no torus inside the market).
 
 Pedestrian randomness (entry point, target seller) comes from the
 entity streams carried in from the coarse level: two draws per injected
@@ -63,7 +64,12 @@ class RouteOutcome(NamedTuple):
 
 
 class MarketScene:
-    """Seller grid and live pedestrian nodes."""
+    """Seller grid and live pedestrian nodes.
+
+    node_pos changes only through set_node, which drops the cached
+    neighbour table when it adds a node or moves one; setting a node to
+    the position it already has keeps the table.
+    """
 
     def __init__(self, params: MarketParams = MarketParams()):
         self.params = params
@@ -73,6 +79,7 @@ class MarketScene:
         self.node_pos = {s: (float(s % g) * params.spacing,
                              float(s // g) * params.spacing)
                          for s in range(self.num_sellers)}
+        self._table = None  # node id -> neighbour ids; None when stale
 
     @property
     def extent(self) -> float:
@@ -84,7 +91,10 @@ class MarketScene:
         return self.node_pos[seller]
 
     def set_node(self, node_id: int, pos) -> None:
-        self.node_pos[node_id] = (float(pos[0]), float(pos[1]))
+        pos = (float(pos[0]), float(pos[1]))
+        if self.node_pos.get(node_id) != pos:
+            self._table = None
+        self.node_pos[node_id] = pos
 
     def neighbors(self, node_id: int):
         """Nodes within radio range, ascending id: the reference adjacency."""
@@ -114,24 +124,35 @@ class MarketScene:
         np.fill_diagonal(adjacent, False)
         return ids, adjacent
 
+    def neighbor_table(self) -> dict:
+        """node id -> neighbors(node id), from one adjacency() per state."""
+        if self._table is None:
+            ids, adjacent = self.adjacency()
+            rows, cols = np.nonzero(adjacent)  # row-major: columns ascend
+            nbs = np.array(ids)[cols].tolist()
+            bounds = np.searchsorted(rows, np.arange(len(ids) + 1)).tolist()
+            self._table = {node: nbs[bounds[i]:bounds[i + 1]]
+                           for i, node in enumerate(ids)}
+        return self._table
+
 
 def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
     """Flood a route request from src; the path to dst if reached.
 
     Breadth-first over radio adjacency with duplicate suppression and
-    the scene hop limit, over an adjacency built once per discovery;
-    its rows list neighbours in ascending id, as neighbors does, so the
-    flood order is unchanged. Every reached node except dst rebroadcasts
-    the request exactly once (that is the request transmission count).
-    When dst is reached, the path is read back over the discovered
-    parents, the way the reply unicasts back to src.
+    the scene hop limit, over the scene's neighbour table, which lists
+    neighbours in ascending id as neighbors does, so the flood order is
+    that of a per-node scan. Discoveries between two scene changes share
+    one table. Every reached node except dst rebroadcasts the request
+    exactly once (that is the request transmission count). When dst is
+    reached, the path is read back over the discovered parents, the way
+    the reply unicasts back to src.
     """
     if src == dst:
         raise ValueError("route_discover requires src != dst")
     if src not in scene.node_pos or dst not in scene.node_pos:
         raise ValueError("src and dst must be nodes in the scene")
-    ids, adjacent = scene.adjacency()
-    row_of = {node: i for i, node in enumerate(ids)}
+    table = scene.neighbor_table()
     parent = {src: None}
     depth = {src: 0}
     frontier = deque([src])
@@ -139,8 +160,7 @@ def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
         node = frontier.popleft()
         if depth[node] >= scene.params.hop_limit:
             continue
-        for i in np.flatnonzero(adjacent[row_of[node]]).tolist():
-            nb = ids[i]
+        for nb in table[node]:
             if nb not in parent:
                 parent[nb] = node
                 depth[nb] = depth[node] + 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from multiprocessing.connection import wait as conn_wait
+from multiprocessing.util import register_after_fork
 
 from .engine import (
     BarrierTimeoutError,
@@ -43,8 +44,12 @@ def _serve(lp: LogicalProcess, conn) -> bool:
     """Answer one (op, *args) command with LogicalProcess.<op>(*args);
     False on close. A failure is relayed as an error reply and the
     worker serves on. Its locals die on return, so no step's inbox or
-    result is held while the next one is received."""
-    op, *args = conn.recv()
+    result is held while the next one is received. EOF, a parent that
+    is gone, is a close."""
+    try:
+        op, *args = conn.recv()
+    except EOFError:
+        return False
     if op == "close":
         return False
     try:
@@ -68,6 +73,11 @@ class ProcessBackend(InProcessBackend):
     The parent mirrors per-LP entity counts from the extract and restore
     replies, so the engine's per-step conservation check never needs a
     round trip. A worker says hello, empty, once its LP is built.
+
+    Every multiprocessing child forked later closes its copy of each
+    parent end as it starts, so a worker holds no parent end of its own
+    pipe, or of an earlier worker's, and reads EOF once the parent is
+    gone, however it went.
     """
 
     def __init__(self, config, model_spec):
@@ -89,6 +99,7 @@ class ProcessBackend(InProcessBackend):
                                          ids),
                                    daemon=True)
                 self.lps[lp_id] = parent
+                register_after_fork(parent, type(parent).close)
                 proc.start()
                 child.close()
                 self._procs[lp_id] = proc

@@ -14,7 +14,6 @@ import math
 import os
 import random
 import statistics
-from collections import deque
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from hybridsim.market import (
     MarketParams,
     MarketRun,
     MarketScene,
-    RouteOutcome,
     route_discover,
 )
 from hybridsim.protocol import decode_record
@@ -54,6 +52,7 @@ from hybridsim.territory import (
     world_side,
 )
 from hybridsim.transport import TransportParams, simulate_arrivals
+from market_oracle import flat_route_discover
 
 
 def _verdict(capsys, num: int, status: str, detail: str) -> None:
@@ -215,29 +214,6 @@ def _scan_reach(world, pos, radius, exclude):
     return out
 
 
-def _flat_route_discover(scene, src, dst):
-    """The same flood and path read-back, one neighbors scan per node."""
-    parent = {src: None}
-    depth = {src: 0}
-    q = deque([src])
-    while q:
-        node = q.popleft()
-        if depth[node] >= scene.params.hop_limit:
-            continue
-        for nb in scene.neighbors(node):
-            if nb not in parent:
-                parent[nb] = node
-                depth[nb] = depth[node] + 1
-                q.append(nb)
-    transmissions = len(parent) - (1 if dst in parent else 0)
-    if dst not in parent:
-        return RouteOutcome(None, (), transmissions)
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return RouteOutcome(len(path) - 1, tuple(reversed(path)), transmissions)
-
-
 class _ListLru:
     """Reference LRU on a plain list, most recent last."""
 
@@ -292,7 +268,7 @@ def test_c5_fast_paths_match_reference_oracles(capsys):
             scene.set_node(1000 + k,
                            (rng.uniform(-20, 100), rng.uniform(-20, 100)))
         src, dst = rng.sample(sorted(scene.node_pos), 2)
-        expect = _flat_route_discover(scene, src, dst)
+        expect = flat_route_discover(scene, src, dst)
         if expect.hops is None:
             continue  # only connected topologies count
         trials += 1

@@ -1,7 +1,6 @@
 """Market scene: grid topology, route discovery vs a flat oracle, pedestrians."""
 
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -15,12 +14,12 @@ from hybridsim.market import (
     MarketRun,
     MarketScene,
     PedestrianNode,
-    RouteOutcome,
     pedestrian_step,
     perimeter_point,
     route_discover,
 )
 from hybridsim.territory import EntityRecord
+from market_oracle import flat_route_discover
 
 
 def run_market(scene, n_customers, substeps_per_coarse, coarse_steps,
@@ -39,30 +38,6 @@ def run_market(scene, n_customers, substeps_per_coarse, coarse_steps,
         run.advance(substeps_per_coarse)
         bodies.append(run.status())
     return bodies, run.result_records(), run
-
-
-def flat_route_discover(scene, src, dst):
-    """Reference discovery: the same flood, one neighbors scan per node."""
-    parent = {src: None}
-    depth = {src: 0}
-    frontier = deque([src])
-    while frontier:
-        node = frontier.popleft()
-        if depth[node] >= scene.params.hop_limit:
-            continue
-        for nb in scene.neighbors(node):
-            if nb not in parent:
-                parent[nb] = node
-                depth[nb] = depth[node] + 1
-                frontier.append(nb)
-    transmissions = len(parent) - (1 if dst in parent else 0)
-    if dst not in parent:
-        return RouteOutcome(None, (), transmissions)
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return RouteOutcome(len(path) - 1, tuple(path), transmissions)
 
 
 @st.composite
@@ -97,6 +72,8 @@ def test_adjacency_rows_are_neighbors(scene):
     for i, node in enumerate(ids):
         row = [ids[j] for j in np.flatnonzero(adjacent[i]).tolist()]
         assert row == scene.neighbors(node)
+    assert scene.neighbor_table() == {node: scene.neighbors(node)
+                                      for node in ids}
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,6 +82,57 @@ def test_route_discover_matches_flat_oracle(data, scene):
     src, dst = data.draw(st.permutations(sorted(scene.node_pos)))[:2]
     assert route_discover(scene, src, dst) == \
         flat_route_discover(scene, src, dst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scene=scenes())
+def test_discoveries_follow_scene_changes(data, scene):
+    """Several discoveries over one scene while nodes are added, moved
+    and set to the positions they already have, each against the flat
+    oracle; a same-position set keeps the neighbour table."""
+    radio = scene.params.radio_range
+    lo, hi = -radio, scene.extent + radio
+    for _ in range(data.draw(st.integers(1, 12))):
+        nodes = sorted(scene.node_pos)
+        op = data.draw(st.sampled_from(["add", "move", "same", "discover"]))
+        if op == "discover":
+            if len(nodes) > 1:
+                src, dst = data.draw(st.permutations(nodes))[:2]
+                assert route_discover(scene, src, dst) == \
+                    flat_route_discover(scene, src, dst)
+        elif op == "same":
+            table = scene.neighbor_table()
+            node = data.draw(st.sampled_from(nodes))
+            scene.set_node(node, scene.node_pos[node])
+            assert scene.neighbor_table() is table
+        else:
+            ax, ay = scene.node_pos[data.draw(st.sampled_from(nodes))]
+            pos = data.draw(st.one_of(
+                st.sampled_from([(ax + radio, ay), (ax, ay - radio)]),
+                st.tuples(st.floats(lo, hi), st.floats(lo, hi)),
+                st.just((1e6, 1e6))))
+            node = (nodes[-1] + 1 if op == "add"
+                    else data.draw(st.sampled_from(nodes)))
+            scene.set_node(node, pos)
+
+
+def test_first_fine_step_builds_one_table_for_its_discoveries(monkeypatch):
+    # 32 pedestrians all query on the first fine step and none has moved
+    # yet, so their discoveries share one adjacency build
+    builds = []
+    adjacency = MarketScene.adjacency
+
+    def counted(scene):
+        builds.append(1)
+        return adjacency(scene)
+
+    monkeypatch.setattr(MarketScene, "adjacency", counted)
+    records = [EntityRecord(i, "mobile", 0.0, 0.0, None, 0.0, (), 0)
+               for i in range(32)]
+    run = MarketRun(MarketScene(), records, 32, master_seed=11)
+    run.fine_step()
+    assert run.route_discoveries == 32
+    assert len(builds) == 1
 
 
 def test_grid_geometry():

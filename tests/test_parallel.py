@@ -1,7 +1,11 @@
 """Process backend: bit-exact parity with in-process, failure handling."""
 
 import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
 import time
 from multiprocessing import connection as mp_connection
@@ -9,6 +13,7 @@ from multiprocessing import connection as mp_connection
 import numpy as np
 import pytest
 
+import hybridsim
 from hybridsim.config import make_params
 from hybridsim.coordination import FixedDurationPolicy, HybridSpec, ScriptedTrigger
 from hybridsim.engine import (
@@ -343,3 +348,51 @@ def test_close_gives_every_hung_worker_one_shared_deadline(monkeypatch):
         closed_in = time.monotonic() - t0
     assert closed_in < 2.0  # hung LPs are terminated, not given 5 s
     assert set(multiprocessing.active_children()) <= before
+
+
+_ORPHANING_PARENT = """
+import time
+from hybridsim.engine import EngineConfig
+from hybridsim.parallel import ProcessBackend
+from hybridsim.territory import TerritorySpec
+pb = ProcessBackend(EngineConfig(num_lps=2, total_timesteps=3,
+                                 master_seed=11),
+                    TerritorySpec(num_entities=6))
+print(*(proc.pid for proc in pb._procs.values()), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid):
+    """True while pid exists and is not a zombie (an orphan's reaper
+    may be slow to collect it)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_the_parent_is_killed():
+    src = os.path.dirname(os.path.dirname(hybridsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHANING_PARENT],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    pids = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2
+        parent.kill()  # SIGKILL: no atexit, no close()
+        parent.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)

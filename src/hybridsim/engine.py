@@ -7,28 +7,33 @@ inbox, one array move, generation), and reports the step's broadcasts,
 counters and positions; a failure in any phase is raised once, naming
 the LP and the step. InProcessBackend writes every backend operation
 (step, extract, restore, finish) once, over one primitive that asks an
-LP; the process backend (parallel.py) replaces only that primitive.
-A step's broadcasts are one territory.BROADCAST_COLUMNS table from the
-LP to the router: each LP's outbox is such an array, which a worker
-pickles as raw bytes, and the engine joins them in LP order and routes
-the result as it is. territory.BroadcastTable wraps it only so that the
-benchmark's reach check can read sampled rows as Broadcast objects.
+LP, plus a routing hook; the process backend (parallel.py) replaces the
+primitive and the hook. A step's broadcasts are one
+territory.BROADCAST_COLUMNS table: each LP's outbox is such an array,
+which a worker pickles as raw bytes, and the engine joins them in LP
+order. territory.BroadcastTable wraps it only so that the benchmark's
+reach check can read sampled rows as Broadcast objects.
 Once every LP has reported step t, the engine updates the global
 position table (step 0 fills all of it), hands the barrier to the
 hybrid coordinator, which alone knows the frozen entities, and routes
-the step's broadcasts in one vectorised pass of torus_pairs, the one
-torus neighbourhood query (DensityTrigger asks it too): each broadcast
-is tested only against the entities binned in its sender's cell and the
-neighbouring cells, with the same squared-distance expression as the
-flat scan in territory.broadcast_reach. One lexsort on (owner LP,
-receiver, message id, sender) then orders every copy, and each LP
-receives its share at the start of the next timestep as an
-EnvelopeBatch: the step's broadcast table plus two integer columns.
-Only the first copy of each message to an entity reaches the relay
-decision; the LP counts the later ones, all cache-filtered, in bulk,
-and decides the first copies as array passes. One timestep of flight
-latency, per-entity random streams and this canonical inbox order
-together make results independent of the LP count.
+the step's table. Reach (reach_copies) is one vectorised pass of
+torus_pairs, the one torus neighbourhood query (DensityTrigger asks it
+too): each broadcast is tested only against the points binned in its
+sender's cell and the neighbouring cells, with the same squared-distance
+expression as the flat scan in territory.broadcast_reach, sender
+excluded. Where the receivers live decides where it runs: the
+in-process backend routes the whole table over the global position
+table (route_broadcasts), dropping the copies of frozen entities; in
+the process backend each LP routes the whole table to its own entities
+as the next step begins, and the parent only counts what frozen
+entities lose. Either way canonical_order sorts the copies by
+(receiver, message id, sender), and an LP consumes its share as an
+EnvelopeBatch: the step's table plus two integer columns. Only the
+first copy of each message to an entity reaches the relay decision;
+the LP counts the later ones, all cache-filtered, in bulk, and decides
+the first copies as array passes. One timestep of flight latency,
+per-entity random streams and this canonical inbox order together make
+results independent of the LP count and of where routing runs.
 """
 
 from __future__ import annotations
@@ -147,12 +152,13 @@ class EnvelopeBatch:
 
     ``table`` is the step's broadcast table (territory.BROADCAST_COLUMNS).
     Copy i goes to entity ``dest[i]`` and carries row ``row[i]``; copies
-    are ordered by (dest, message id, sender), the order in which they
-    are consumed. Pickling ships only the table and the two columns.
-    The LP reads the columns; ``broadcasts`` reads the table's rows as
-    Broadcast objects. Iterating yields InterLpEnvelope rows, and a row
-    can be deleted; the benchmark's reach check (perfbench/checks.py)
-    reads and its test deletes them.
+    are in canonical_order, the order in which they are consumed. The
+    router builds one per LP in process, and each LP builds its own from
+    a StepTable in the process backend. The LP reads the columns;
+    ``broadcasts`` reads the table's rows as Broadcast objects. Iterating
+    yields InterLpEnvelope rows, and a row can be deleted; the
+    benchmark's reach check (perfbench/checks.py) reads and its test
+    deletes them.
     """
 
     __slots__ = ("produced_at", "table", "dest", "row")
@@ -168,10 +174,6 @@ class EnvelopeBatch:
     def broadcasts(self) -> BroadcastTable:
         return BroadcastTable(self.table)
 
-    def __reduce__(self):
-        return (EnvelopeBatch, (self.produced_at, self.table, self.dest,
-                                self.row))
-
     def __len__(self) -> int:
         return len(self.dest)
 
@@ -183,6 +185,14 @@ class EnvelopeBatch:
     def __delitem__(self, i: int) -> None:
         self.dest = np.delete(self.dest, i)
         self.row = np.delete(self.row, i)
+
+
+class StepTable(NamedTuple):
+    """A step's whole broadcast table, unrouted: what a process-backend
+    worker receives and routes to its own entities (LogicalProcess.inbox)."""
+
+    produced_at: int
+    table: np.ndarray
 
 
 class StepResult(NamedTuple):
@@ -199,9 +209,11 @@ class LogicalProcess:
     """Builds, steps and reports a disjoint set of entities, in id order.
 
     The entities are one territory.EntityColumns, changed between steps
-    only through extract and restore. The per-LP calls are looked up in
-    the territory module each time, so a function swapped in there is
-    the one used.
+    only through extract and restore. Its inbox is an EnvelopeBatch the
+    router built, or, in the process backend, the previous step's
+    StepTable, which it routes to its own entities (inbox). The per-LP
+    calls are looked up in the territory module each time, so a
+    function swapped in there is the one used.
     """
 
     def __init__(self, lp_id: int, entity_ids, spec, master_seed: int):
@@ -244,10 +256,20 @@ class LogicalProcess:
         self.cols.add(records)
         return len(records)
 
-    def run_step(self, t: int, inbox: Optional[EnvelopeBatch],
-                 report: StepReport) -> np.ndarray:
+    def inbox(self, sent: StepTable) -> EnvelopeBatch:
+        """The copies of a step's whole table that reach this LP's own
+        entities, in canonical order: what route_broadcasts gives this
+        LP when the same entities are unfrozen in its position table."""
+        cols, table = self.cols, sent.table
+        row, dest = reach_copies(table, cols.x, cols.y, cols.ids, self.side,
+                                 self.params.interaction_range)
+        order = canonical_order(table, row, dest)
+        return EnvelopeBatch(sent.produced_at, table, dest[order], row[order])
+
+    def run_step(self, t: int, inbox, report: StepReport) -> np.ndarray:
         """Update every owned entity once; returns this step's broadcasts.
 
+        inbox is None, an EnvelopeBatch or a StepTable to route first.
         First one territory.decide_relay call decides the first copy of
         each message to each entity, in the batch's canonical order
         (message id, then sender id), relaying from where the entity
@@ -260,12 +282,14 @@ class LogicalProcess:
         cols, params = self.cols, self.params
         cols.budget.fill(params.max_relays_per_step)
         relays = np.empty(0, dtype=BROADCAST_COLUMNS)
+        if inbox is not None and inbox.produced_at != t - 1:
+            raise EngineError(
+                f"stale envelope in lp={self.lp_id} inbox at step {t}:"
+                f" produced_at={inbox.produced_at}"
+            )
+        if isinstance(inbox, StepTable):
+            inbox = self.inbox(inbox)
         if inbox:
-            if inbox.produced_at != t - 1:
-                raise EngineError(
-                    f"stale envelope in lp={self.lp_id} inbox at step {t}:"
-                    f" produced_at={inbox.produced_at}"
-                )
             # a repeat carries the message the copy before it carried to
             # the same entity; entity k's first copies are [lo[k], hi[k])
             dest, mid = inbox.dest, inbox.table["message_id"][inbox.row]
@@ -299,7 +323,7 @@ class LogicalProcess:
     def positions(self):
         return self.cols.ids, self.cols.x.copy(), self.cols.y.copy()
 
-    def step(self, t: int, inbox: Optional[EnvelopeBatch]) -> StepResult:
+    def step(self, t: int, inbox) -> StepResult:
         """Run step t on inbox and report broadcasts, counts, positions;
         any failure is raised once, as a StepExecutionError."""
         try:
@@ -372,38 +396,70 @@ def torus_pairs(px, py, cx, cy, side: float, radius: float) -> tuple:
     return center[hit], point[hit]
 
 
+def reach_copies(table: np.ndarray, px, py, ids, side: float,
+                 radius: float) -> tuple:
+    """(row, dest) of every copy of the table's broadcasts to the points
+    (px, py) within radius, sender excluded; point k is entity ids[k],
+    or entity k when ids is None."""
+    row, k = torus_pairs(px, py, table["sender_x"], table["sender_y"], side,
+                         radius)
+    dest = k if ids is None else ids[k]
+    keep = dest != table["sender"][row]
+    return row[keep], dest[keep]
+
+
+def canonical_order(table: np.ndarray, row, dest) -> np.ndarray:
+    """The permutation that sorts copies (row of table to receiver key
+    dest) into inbox order: by dest, then message id, sender and row.
+    One sort of the table ranks its rows by (message id, sender, row),
+    so a copy's key is one integer: dest, then rank."""
+    rank = np.empty(len(table), dtype=np.int64)
+    rank[np.lexsort((table["sender"], table["message_id"]))] = np.arange(
+        len(table))
+    return np.argsort(dest * len(table) + rank[row])
+
+
+def frozen_copies(world: World, table: np.ndarray, interaction_range: float,
+                  frozen) -> int:
+    """How many copies of the table's broadcasts frozen entities lose:
+    those that reach their World positions, sender excluded."""
+    if not frozen or not len(table):
+        return 0
+    ids = np.fromiter(frozen, dtype=np.intp, count=len(frozen))
+    row, _ = reach_copies(table, world.pos_x[ids], world.pos_y[ids], ids,
+                          world.side, interaction_range)
+    return len(row)
+
+
 def route_broadcasts(world: World, broadcasts, interaction_range: float,
                      t: int, frozen, owner_of) -> tuple:
     """Turn this step's broadcasts, a BroadcastTable, into next step's
-    per-LP inboxes.
+    per-LP inboxes; the in-process backend's router.
 
-    Reach is torus_pairs over the global position table, sender
-    excluded. Copies addressed to frozen entities are dropped here and
-    counted; everything else is delivered at t + 1. owner_of maps entity
-    id to lp id. Returns (EnvelopeBatch by lp, routed count, frozen drop
-    count).
+    Reach is reach_copies over the global position table. Copies
+    addressed to frozen entities are dropped here and counted; everything
+    else is delivered at t + 1. owner_of maps entity id to lp id.
+    Returns (EnvelopeBatch by lp, routed count, frozen drop count).
     """
     if not broadcasts:
         return {}, 0, 0
     table = broadcasts.table
-    row, dest = torus_pairs(world.pos_x, world.pos_y, table["sender_x"],
-                            table["sender_y"], world.side, interaction_range)
-    keep = dest != table["sender"][row]
-    routed = int(np.count_nonzero(keep))
+    row, dest = reach_copies(table, world.pos_x, world.pos_y, None,
+                             world.side, interaction_range)
+    routed = len(dest)
     if frozen:
         is_frozen = np.zeros(world.num_entities, dtype=bool)
         is_frozen[np.fromiter(frozen, dtype=np.intp, count=len(frozen))] = True
-        keep &= ~is_frozen[dest]
-    dest = dest[keep]
-    row = row[keep]
+        keep = ~is_frozen[dest]
+        dest = dest[keep]
+        row = row[keep]
     frozen_drops = routed - len(dest)
 
     lp = owner_of[dest]
-    order = np.lexsort((table["sender"][row], table["message_id"][row],
-                        dest, lp))
-    # int32 halves what the process backend pickles per copy
-    dest = dest[order].astype(np.int32)
-    row = row[order].astype(np.int32)
+    # owner LP first, so each LP's share is one slice
+    order = canonical_order(table, row, lp * world.num_entities + dest)
+    dest = dest[order]
+    row = row[order]
     end = np.cumsum(np.bincount(lp)).tolist()
     inboxes = {lp_id: EnvelopeBatch(t, table, dest[a:b], row[a:b])
                for lp_id, (a, b) in enumerate(zip([0] + end, end)) if a < b}
@@ -435,6 +491,13 @@ class InProcessBackend:
     def step(self, t: int, inboxes: dict) -> dict:
         return self._ask("step", {lp_id: (t, inboxes.get(lp_id))
                                   for lp_id in sorted(self.lps)})
+
+    def route(self, world: World, table: np.ndarray,
+              interaction_range: float, t: int, frozen) -> tuple:
+        """Step t's table as step t + 1's inboxes, routed here by
+        route_broadcasts: (inboxes by lp, routed, frozen drops)."""
+        return route_broadcasts(world, BroadcastTable(table),
+                                interaction_range, t, frozen, self.owner_of)
 
     def extract(self, entity_ids) -> list:
         """Serialize and remove entities from their LPs, in input order.
@@ -515,7 +578,7 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
     try:
         world = World(model_spec.side, model_spec.num_entities)
         interaction_range = model_spec.params.interaction_range
-        inboxes = {}
+        inboxes, drops = {}, 0
         final_step = config.total_timesteps - 1
         for t in range(config.total_timesteps):
             results = backend.step(t, inboxes)
@@ -527,7 +590,11 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
                 step_report.merge(res.report)
                 outboxes.append(res.outbox)
                 world.update(res.ids, res.xs, res.ys)
-            all_broadcasts = BroadcastTable(np.concatenate(outboxes))
+            table = np.concatenate(outboxes)
+            if t and metrics.routed_per_step[-1] is None:
+                # the LPs routed step t - 1 themselves: every copy they
+                # delivered now, and every copy frozen entities lost
+                metrics.routed_per_step[-1] = step_report.delivered + drops
 
             coordinator.at_barrier(t, world, backend, metrics,
                                    force_end=(t == final_step))
@@ -541,9 +608,9 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
                 )
 
             if t < final_step:
-                inboxes, routed, drops = route_broadcasts(
-                    world, all_broadcasts, interaction_range, t, frozen,
-                    backend.owner_of)
+                # routed is None where the LPs route (the process backend)
+                inboxes, routed, drops = backend.route(
+                    world, table, interaction_range, t, frozen)
             else:
                 # nothing can be delivered beyond the horizon: final-step
                 # broadcasts die on the air and are not counted as routed
@@ -551,9 +618,9 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
 
             metrics.totals.merge(step_report)
             metrics.per_step.append(step_report)
-            metrics.routed += routed
             metrics.routed_per_step.append(routed)
             metrics.frozen_drops += drops
+        metrics.routed = sum(metrics.routed_per_step)
 
         metrics.wrapper_transcripts = coordinator.finish()
         metrics.monitor = backend.finish()

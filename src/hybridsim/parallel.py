@@ -1,15 +1,18 @@
 """Process-parallel backend: one OS process per logical process.
 
-The parent keeps the step loop, routing and coordination; each worker
-holds one LogicalProcess and answers the parent's commands with it over
-a pipe. ProcessBackend inherits step, extract, restore and finish from
-engine.InProcessBackend and replaces only how an LP is asked: a command
-down each LP's pipe, then one wait for all the replies. A step's
-command and reply carry numpy columns only (the inbox, the outbox
-table, the positions), which pickle as raw bytes. Counters are
-bit-identical to the in-process backend because partitioning,
-per-entity streams and the canonical inbox order are all independent
-of where an entity happens to live.
+The parent keeps the step loop and coordination; each worker holds one
+LogicalProcess and answers the parent's commands with it over a pipe.
+ProcessBackend inherits step, extract, restore and finish from
+engine.InProcessBackend and replaces how an LP is asked (a command down
+each LP's pipe, then one wait for all the replies) and the routing
+hook: every worker gets the previous step's whole broadcast table and
+routes it to its own entities, so the parent routes nothing and only
+counts the copies frozen entities lose. A step's command and reply
+carry numpy columns only (the table; the outbox table and the
+positions), which pickle as raw bytes. Counters are bit-identical to
+the in-process backend because partitioning, per-entity streams, the
+reach test and the canonical inbox order are all independent of where
+an entity lives and of where it is routed.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .engine import (
     InProcessBackend,
     LogicalProcess,
     StepExecutionError,
+    StepTable,
+    frozen_copies,
     owner_array,
     partition_entities,
 )
@@ -160,6 +165,17 @@ class ProcessBackend(InProcessBackend):
         if error is not None:
             raise error
         return payloads
+
+    def route(self, world, table, interaction_range: float, t: int,
+              frozen) -> tuple:
+        """Step t's whole table for every LP, to route to its own entities
+        as step t + 1 begins; frozen entities are in no LP, so the parent
+        counts the copies they lose. routed is None: the engine books it
+        from what step t + 1 delivers."""
+        if not len(table):
+            return {}, 0, 0
+        return (dict.fromkeys(self.lps, StepTable(t, table)), None,
+                frozen_copies(world, table, interaction_range, frozen))
 
     def entity_count(self) -> int:
         return sum(self._counts.values())

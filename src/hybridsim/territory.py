@@ -508,7 +508,7 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
 
 
 class World:
-    """Global position table the router reads at each barrier.
+    """Global position table the engine routes over at each barrier.
 
     Holds every entity's last reported position, including entities
     currently frozen into a sub-simulator (they keep their hand-off

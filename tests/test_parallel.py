@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hybridsim
+from hybridsim import engine
 from hybridsim.config import make_params
 from hybridsim.coordination import FixedDurationPolicy, HybridSpec, ScriptedTrigger
 from hybridsim.engine import (
@@ -22,6 +23,8 @@ from hybridsim.engine import (
     EngineError,
     InProcessBackend,
     LogicalProcess,
+    StepExecutionError,
+    StepTable,
     partition_entities,
     run_simulation,
 )
@@ -88,6 +91,74 @@ def test_step_reply_crosses_the_pipe_as_columns(monkeypatch):
     assert relayed > 0  # relay rows crossed too, not only births
 
 
+# what a step command pickles to beyond its table: the command tuple, the
+# StepTable and the array header
+COMMAND_ALLOWANCE = 1024
+
+
+def test_step_command_carries_the_table_only(monkeypatch):
+    """The parent sends each worker the previous step's whole table and
+    nothing per copy; the worker routes it."""
+    sent = []
+    send_bytes = mp_connection.Connection._send_bytes
+
+    def recording(conn, buf):
+        sent.append(bytes(buf))
+        return send_bytes(conn, buf)
+
+    monkeypatch.setattr(mp_connection.Connection, "_send_bytes", recording)
+    spec = TerritorySpec(300, make_params("bad",
+                                          {"generation_probability": 0.1}))
+    run_simulation(_config(2, steps=6), spec, mode="process")
+    commands = [(blob, pickle.loads(blob)) for blob in sent]
+    steps = [(blob, cmd) for blob, cmd in commands if cmd[0] == "step"]
+    assert len(steps) == 2 * 6
+    tables = [(blob, inbox) for blob, (_, t, inbox) in steps if t > 0]
+    assert len(tables) == 2 * 5
+    for blob, inbox in tables:
+        assert isinstance(inbox, StepTable) and len(inbox.table) > 0
+        assert len(blob) <= inbox.table.nbytes + COMMAND_ALLOWANCE
+
+
+@pytest.mark.parametrize("mode,calls", [("process", 0), ("inprocess", 5)])
+def test_only_the_inprocess_parent_calls_the_router(mode, calls,
+                                                    monkeypatch):
+    counted = []
+    route = engine.route_broadcasts
+
+    def counting(*args):
+        counted.append(args[3])
+        return route(*args)
+
+    monkeypatch.setattr(engine, "route_broadcasts", counting)
+    run_simulation(_config(2, steps=6), TerritorySpec(120), mode=mode)
+    assert counted == list(range(calls))  # one per non-final step
+
+
+def test_stale_table_is_rejected_in_a_worker():
+    """A table not produced at the step before reaches the worker's LP,
+    which refuses it; the parent raises that once, naming LP and step,
+    and the workers serve on."""
+    spec = TerritorySpec(300, make_params("bad",
+                                          {"generation_probability": 0.1}))
+    before = set(multiprocessing.active_children())
+    pb = ProcessBackend(_config(2, steps=6), spec)
+    try:
+        results = pb.step(0, {})
+        table = np.concatenate([results[lp].outbox for lp in sorted(results)])
+        assert len(table) > 0
+        stale = dict.fromkeys(pb.lps, StepTable(0, table))
+        with pytest.raises(StepExecutionError) as info:
+            pb.step(2, stale)
+        assert str(info.value) == ("step failed in lp=0 step=2: EngineError:"
+                                   " stale envelope in lp=0 inbox at step 2:"
+                                   " produced_at=0")
+        assert sorted(pb.step(1, stale)) == [0, 1]
+    finally:
+        pb.close()
+    assert set(multiprocessing.active_children()) <= before
+
+
 def test_auto_mode_picks_process_for_multiple_lps():
     spec = TerritorySpec(num_entities=60)
     one = run_simulation(_config(1, steps=10), spec, mode="auto")
@@ -96,7 +167,10 @@ def test_auto_mode_picks_process_for_multiple_lps():
 
 
 def test_hybrid_run_identical_across_backends():
-    spec = TerritorySpec(num_entities=64)
+    # enough messages that copies reach the frozen entities, which the
+    # process backend's parent counts alone, and the restored ones
+    spec = TerritorySpec(64, make_params("good",
+                                         {"generation_probability": 0.1}))
     hybrid = HybridSpec(trigger=ScriptedTrigger(spawn_at=(5,), transfer_count=4),
                         policy=FixedDurationPolicy(3))
     a = run_simulation(_config(1, steps=12, seed=20), spec, hybrid=hybrid,
@@ -105,6 +179,7 @@ def test_hybrid_run_identical_across_backends():
                        mode="process")
     assert a.level1.spawns == 1
     assert a.level1.entities_transferred == 4
+    assert a.frozen_drops > 0
     # wrapper transcripts are part of the comparable surface: the fine
     # level must see byte-identical traffic regardless of LP layout
     assert a.comparable() == b.comparable()

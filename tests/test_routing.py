@@ -1,7 +1,8 @@
-"""Cell-grid router against the flat per-broadcast reach scan."""
+"""Cell-grid router against the flat per-broadcast reach scan, and an
+LP routing a whole step table to its own entities against the router."""
 
 import math
-import pickle
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from hybridsim.engine import (
     EngineConfig,
     InProcessBackend,
     InterLpEnvelope,
+    LogicalProcess,
+    StepTable,
     grid_cells,
     owner_array,
     partition_entities,
@@ -64,8 +67,6 @@ def _assert_same(world, broadcasts, frozen, owner_of, reach=RANGE):
         batch = got[lp_id]
         assert len(batch) == len(envs)
         assert list(batch) == envs  # receivers and canonical row order
-        # what a worker receives: the table and columns, rebuilt exactly
-        assert list(pickle.loads(pickle.dumps(batch))) == envs
     return got
 
 
@@ -111,6 +112,103 @@ def _scenes(draw):
 @given(_scenes())
 def test_router_matches_flat_scan(scene):
     _assert_same(*scene)
+
+
+def _lps_over(world, owner_of, frozen, restored, reach, seed=3):
+    """One LogicalProcess per lp of owner_of, its entities standing where
+    world puts them. The frozen ids are extracted; the restored ids are
+    extracted and restored at new positions, as a reintegration does, and
+    world is updated to match."""
+    spec = SimpleNamespace(side=world.side, params=DisseminationParams(
+        interaction_range=reach, forwarding_threshold=0.0))
+    lps = []
+    for lp_id in range(int(owner_of.max()) + 1):
+        lp = LogicalProcess(lp_id, np.flatnonzero(owner_of == lp_id), spec,
+                            seed)
+        lp.cols.x[:] = world.pos_x[lp.cols.ids]
+        lp.cols.y[:] = world.pos_y[lp.cols.ids]
+        away = [eid for eid in lp.cols.ids.tolist()
+                if eid in frozen or eid in restored]
+        back = [rec._replace(x=restored[rec.entity_id][0],
+                             y=restored[rec.entity_id][1])
+                for rec in lp.extract(away) if rec.entity_id in restored]
+        lp.restore(back)
+        world.update([r.entity_id for r in back], [r.x for r in back],
+                     [r.y for r in back])
+        lps.append(lp)
+    return lps
+
+
+def _assert_lps_route_like_the_router(world, broadcasts, frozen, owner_of,
+                                      reach, restored):
+    lps = _lps_over(world, owner_of, frozen, restored, reach)
+    got = _assert_same(world, broadcasts, frozen, owner_of, reach)
+    sent = StepTable(7, broadcasts.table)
+    for lp in lps:
+        inbox = lp.inbox(sent)
+        want = got.get(lp.lp_id)
+        assert inbox.produced_at == 7 and inbox.table is broadcasts.table
+        assert np.array_equal(inbox.dest, [] if want is None else want.dest)
+        assert np.array_equal(inbox.row, [] if want is None else want.row)
+    return lps
+
+
+@st.composite
+def _lp_scenes(draw):
+    world, broadcasts, frozen, owner_of, reach = draw(_scenes())
+    n, side = world.num_entities, world.side
+    # senders exactly one range away along an axis, across the seam
+    # when the receiver stands near it
+    ids = st.integers(0, n - 1)
+    msg = DisseminationMessage(make_message_id(1, 1), 1, 0.0, 0.0, 3, 1, 1)
+    extra = [Broadcast(s, float((world.pos_x[e] + dx) % side),
+                       float((world.pos_y[e] + dy) % side), msg)
+             for s, e, (dx, dy) in draw(st.lists(st.tuples(
+                 ids, ids, st.sampled_from([(reach, 0.0), (-reach, 0.0),
+                                            (0.0, reach), (0.0, -reach)])),
+                 max_size=4))]
+    # one message from several senders standing on one receiver, in
+    # descending sender order, so only the sender key orders their copies
+    e = draw(ids)
+    extra += [Broadcast(s, float(world.pos_x[e]), float(world.pos_y[e]), msg)
+              for s in sorted(draw(st.sets(ids, max_size=3)), reverse=True)]
+    if extra:
+        broadcasts = BroadcastTable(np.concatenate(
+            [broadcasts.table, broadcast_table(extra).table]))
+    coord = st.floats(0.0, side, exclude_max=True)
+    restored = {eid: (draw(coord), draw(coord))
+                for eid in draw(st.sets(ids)) if eid not in frozen}
+    return world, broadcasts, frozen, owner_of, reach, restored
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lp_scenes())
+def test_lp_inbox_matches_the_router(scene):
+    _assert_lps_route_like_the_router(*scene)
+
+
+def test_lp_inbox_at_exact_range_across_the_seam():
+    # dyadic coordinates: 900 and 150 are exactly 250 apart on a torus of
+    # 1000, and 899.5 and 150 are 250.5 apart
+    world = World(1000.0, 6)
+    world.update(range(6), [900.0, 899.5, 150.0, 500.0, 500.0, 150.0],
+                 [500.0, 500.0, 500.0, 875.0, 874.5, 125.0])
+    msg = DisseminationMessage(make_message_id(2, 1), 2, 0.0, 0.0, 6, 0, 1)
+    other = msg._replace(message_id=make_message_id(0, 1), origin_entity=0)
+    broadcasts = broadcast_table([
+        Broadcast(5, 500.0, 125.0, msg),  # y wraps: reaches 3, not 4
+        Broadcast(2, 150.0, 500.0, msg),  # x wraps: reaches 0, not 1
+        Broadcast(4, 150.0, 500.0, msg),  # the same message, another sender
+        Broadcast(2, 150.0, 500.0, other)])
+    owner_of = np.array([1, 0, 1, 0, 0, 1])
+    lps = _assert_lps_route_like_the_router(world, broadcasts, {}, owner_of,
+                                            RANGE, {})
+    inbox = lps[1].inbox(StepTable(7, broadcasts.table))
+    # receiver 0: message 0's copy, then message 2 from senders 2 and 4;
+    # entity 2 is its own sender for rows 1 and 3, and entity 5 is 375 off
+    assert inbox.dest.tolist() == [0, 0, 0, 2]
+    assert inbox.row.tolist() == [3, 1, 2, 2]
+    assert lps[0].inbox(StepTable(7, broadcasts.table)).dest.tolist() == [3]
 
 
 def test_grid_cells_are_wider_than_the_range():

@@ -8,7 +8,8 @@ an explicit `gossip_probability` always beats what the preset says.
 Every key is validated on its own with a diagnostic naming the key and
 the accepted range; cross-field rules (for example the forwarding ring
 sitting inside the interaction range) are enforced by the parameter
-dataclasses they feed.
+dataclasses they feed. The gossip keys are not written down here: their
+types, defaults and ranges are territory.DisseminationParams'.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .coordination import (
     TimestepAlignment,
     parse_endpoint,
 )
-from .territory import DisseminationParams
+from .territory import DISSEMINATION_RANGES, DisseminationParams
 
 # Named tunings. "good" is the reference configuration; "bad" is the
 # aggressive-flooding variant used to demonstrate traffic blowup.
@@ -32,17 +33,6 @@ PRESETS = {
     "good": {},
     "bad": {"gossip_probability": 0.6, "forwarding_threshold": 100.0},
 }
-
-_DISSEMINATION_KEYS = (
-    "interaction_range",
-    "forwarding_threshold",
-    "gossip_probability",
-    "geofilter_distance",
-    "generation_probability",
-    "ttl",
-    "cache_capacity",
-    "max_relays_per_step",
-)
 
 
 class ConfigError(ValueError):
@@ -71,15 +61,7 @@ def _parse_str_list(text: str) -> tuple:
 
 
 def _positive(v):
-    return v > 0
-
-
-def _nonneg(v):
-    return v >= 0
-
-
-def _prob(v):
-    return 0.0 <= v <= 1.0
+    return 0 < v < math.inf
 
 
 def _all_positive(vs):
@@ -110,19 +92,6 @@ SCHEMA = {
     "mode": (_parse_str, _mode_known, "auto, inprocess or process", "auto"),
     "preset": (_parse_str_list, _presets_known,
                "one or more of: " + ", ".join(sorted(PRESETS)), ("good",)),
-    "interaction_range": (_parse_float, _positive, "finite number > 0",
-                          250.0),
-    "forwarding_threshold": (_parse_float, _nonneg,
-                             "finite number >= 0, below interaction_range",
-                             225.0),
-    "gossip_probability": (_parse_float, _prob, "number in [0, 1]", 0.2),
-    "geofilter_distance": (_parse_float, _positive, "finite number > 0",
-                           1000.0),
-    "generation_probability": (_parse_float, _prob, "number in [0, 1]",
-                               0.001),
-    "ttl": (_parse_int, _nonneg, "integer >= 0", 6),
-    "cache_capacity": (_parse_int, _positive, "integer >= 1", 128),
-    "max_relays_per_step": (_parse_int, _nonneg, "integer >= 0", 10),
     "spawn_at": (_parse_int_list, _all_nonneg,
                  "coarse steps, integers >= 0, comma separated", ()),
     "transfer_count": (_parse_int, _positive, "integer >= 1", 1),
@@ -135,6 +104,11 @@ SCHEMA = {
     "barrier_timeout": (_parse_float, _positive,
                         "finite number > 0 (seconds)", 60.0),
 }
+# the gossip keys, with DisseminationParams' types, defaults and ranges
+SCHEMA.update(
+    (f.name, (_parse_int if f.type == "int" else _parse_float,
+              *DISSEMINATION_RANGES[f.name], f.default))
+    for f in fields(DisseminationParams))
 
 
 def parse_config_file(path: str) -> dict:
@@ -175,12 +149,10 @@ def parse_config_file(path: str) -> dict:
 
 
 def _check(key: str, value, shown) -> None:
-    """Raise ConfigError unless SCHEMA's validator for key accepts value;
-    a float key also takes finite values only."""
-    parser, validator, accepted, _ = SCHEMA[key]
+    """Raise ConfigError unless SCHEMA's validator for key accepts value."""
+    _, validator, accepted, _ = SCHEMA[key]
     try:
-        ok = ((parser is not _parse_float or math.isfinite(value))
-              and validator(value))
+        ok = validator(value)
     except (ValueError, TypeError):
         ok = False
     if not ok:
@@ -261,14 +233,10 @@ class RunSettings:
 
 def make_params(preset: str, overrides: Optional[dict] = None) -> DisseminationParams:
     """Defaults, then the preset's deltas, then explicit overrides."""
-    if preset not in PRESETS:
-        raise ConfigError(
-            f"config key 'preset': value {preset!r} out of range; accepted:"
-            f" one or more of: {', '.join(sorted(PRESETS))}")
-    values = {key: SCHEMA[key][3] for key in _DISSEMINATION_KEYS}
-    values.update(PRESETS[preset])
+    _check("preset", (preset,), preset)
+    values = dict(PRESETS[preset])
     for key, value in (overrides or {}).items():
-        if key not in _DISSEMINATION_KEYS:
+        if key not in DISSEMINATION_RANGES:
             raise ConfigError(f"not a dissemination parameter: {key!r}")
         values[key] = value
     try:
@@ -296,7 +264,7 @@ def resolve_settings(file_values: Optional[dict] = None,
     overrides = tuple(sorted(
         (key, typed.pop(key))
         for key in list(typed)
-        if key in _DISSEMINATION_KEYS
+        if key in DISSEMINATION_RANGES
     ))
     return RunSettings(param_overrides=overrides, **typed)
 

@@ -21,6 +21,7 @@ from .coordination import (
     ENDPOINT_ENV_VAR,
     FixedDurationPolicy,
     HybridSpec,
+    Level1Settings,
     ScriptedTrigger,
     TimestepAlignment,
 )
@@ -39,12 +40,8 @@ _SESSION_RECORDS = (
     EntityRecord(6, "mobile", 90.0, 100.0, (110.0, 120.0), 9.0, (), 3),
 )
 _SESSION_INIT = dict(
-    entities=len(_SESSION_RECORDS), seed=777, master_seed=42, side=200.0,
-    substeps=3, grid_side=10, spacing=25.0, radio_range=30.0,
-    walking_speed=1.4, hop_limit=32, parking_capacity=100,
-    mean_cruise_time=10.0, mean_search_time=5.0, idle_time=5.0,
-    cruise_rate=2.0, search_rate=1.5, idle_rate=1.0,
-)
+    Level1Settings().init_fields(), entities=len(_SESSION_RECORDS),
+    seed=777, master_seed=42, side=200.0, substeps=3)
 _SESSION_SPAWN_STEP = 5
 _SESSION_COARSE_STEPS = 3
 

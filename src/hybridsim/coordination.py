@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import EngineError, torus_pairs
+from .market import MarketParams
 from .protocol import (
     LineChannel,
     ProtocolError,
@@ -44,10 +45,10 @@ from .protocol import (
     field_int,
 )
 from .rng import derive_seed
+from .transport import TransportParams
 
 ENDPOINT_ENV_VAR = "HYBRIDSIM_L1_ENDPOINT"
 
-RUNNING_L1A = "RUNNING_L1A"
 RUNNING_L1B = "RUNNING_L1B"
 DONE = "DONE"
 FAILED = "FAILED"
@@ -182,24 +183,51 @@ _END_POLICY = _EndPolicy()
 
 @dataclass(frozen=True)
 class Level1Settings:
-    """Sub-simulator configuration forwarded verbatim in INIT."""
+    """Sub-simulator configuration forwarded verbatim in INIT.
 
-    parking_capacity: int = 100
-    mean_cruise_time: float = 10.0
-    mean_search_time: float = 5.0
-    idle_time: float = 5.0
-    cruise_rate: float = 2.0
-    search_rate: float = 1.5
-    idle_rate: float = 1.0
-    grid_side: int = 10
-    spacing: float = 25.0
-    radio_range: float = 30.0
-    walking_speed: float = 1.4
-    hop_limit: int = 32
+    The fields are those TransportParams and MarketParams take from the
+    session configuration, with those types' defaults; building the
+    settings builds both, so a value either type refuses fails here.
+    """
+
+    parking_capacity: int = TransportParams.parking_capacity
+    mean_cruise_time: float = TransportParams.mean_cruise_time
+    mean_search_time: float = TransportParams.mean_search_time
+    idle_time: float = TransportParams.idle_time
+    cruise_rate: float = TransportParams.cruise_rate
+    search_rate: float = TransportParams.search_rate
+    idle_rate: float = TransportParams.idle_rate
+    grid_side: int = MarketParams.grid_side
+    spacing: float = MarketParams.spacing
+    radio_range: float = MarketParams.radio_range
+    walking_speed: float = MarketParams.walking_speed
+    hop_limit: int = MarketParams.hop_limit
+
+    def __post_init__(self):
+        self.params(TransportParams)
+        self.params(MarketParams)
 
     def init_fields(self) -> dict:
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_init(cls, init: dict) -> Level1Settings:
+        """The settings an INIT record's fields hold, each read as its
+        type; a value they refuse is a ProtocolError naming the field."""
+        values = {f.name: (field_int if f.type == "int" else field_float)(
+            init, f.name) for f in dataclasses.fields(cls)}
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ProtocolError(f"INIT {exc}") from None
+
+    def params(self, cls, **session):
+        """cls (TransportParams or MarketParams) built from these
+        settings; session gives the fields they do not hold."""
+        own = self.init_fields()
+        return cls(**session, **{f.name: own[f.name]
+                                 for f in dataclasses.fields(cls)
+                                 if f.name in own})
 
 
 @dataclass(frozen=True)
@@ -215,8 +243,8 @@ class HybridSpec:
     io_timeout: float = 60.0
 
     def __post_init__(self):
-        if self.io_timeout <= 0:
-            raise ValueError("io_timeout must be positive")
+        if not 0 < self.io_timeout < float("inf"):
+            raise ValueError("io_timeout must be finite and > 0")
         if self.endpoint is not None:
             parse_endpoint(self.endpoint)
 
@@ -249,7 +277,7 @@ class WrapperHandle:
         self.entity_ids = tuple(r.entity_id for r in self.records)
         self.channel = channel
         self._sock = sock
-        self.state = RUNNING_L1A
+        self.state = RUNNING_L1B
         self.end_sent_at: Optional[int] = None
 
     @property
@@ -270,13 +298,12 @@ class WrapperHandle:
                 f" entities={len(self.entity_ids)})")
 
 
-def _connect(endpoint: Optional[str], timeout: float):
-    if endpoint is None:
+def _connect(address: Optional[tuple], timeout: float):
+    if address is None:
         from . import wrapper
         sock = wrapper.start_local()
     else:
-        host, port = parse_endpoint(endpoint)
-        sock = socket.create_connection((host, port), timeout=timeout)
+        sock = socket.create_connection(address, timeout=timeout)
     sock.settimeout(timeout)
     channel = LineChannel(sock.makefile("rb"), sock.makefile("wb"),
                           transcript=[])
@@ -299,13 +326,13 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate entity ids in transfer: {ids}")
     endpoint = resolve_endpoint(spec)
-    if endpoint is not None:
-        parse_endpoint(endpoint)  # refuse malformed config before freezing
+    # refuse a malformed endpoint before freezing anything
+    address = None if endpoint is None else parse_endpoint(endpoint)
 
     records = backend.extract(ids)
     handle = None
     try:
-        sock, channel = _connect(endpoint, spec.io_timeout)
+        sock, channel = _connect(address, spec.io_timeout)
         handle = WrapperHandle(wrapper_id, t, records, channel, sock)
         init = spec.level1.init_fields()
         init.update(entities=len(records),
@@ -326,7 +353,6 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
         raise WrapperFailure(
             f"wrapper {wrapper_id} failed to start on {where}: {exc}"
         ) from exc
-    handle.state = RUNNING_L1B
     return handle
 
 

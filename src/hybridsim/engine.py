@@ -38,6 +38,7 @@ results independent of the LP count and of where routing runs.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -98,6 +99,10 @@ class EngineConfig:
             raise ValueError("num_lps must be >= 1")
         if self.total_timesteps < 1:
             raise ValueError("total_timesteps must be >= 1")
+        if not 0 <= self.master_seed < 2**63:
+            raise ValueError("master_seed must lie in [0, 2**63)")
+        if not 0 < self.barrier_timeout < math.inf:
+            raise ValueError("barrier_timeout must be finite and > 0")
 
 
 def partition_entities(entity_ids, num_lps: int, seed: int) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,6 +40,9 @@ _RETRY_CAP_FINE_STEPS = 16
 
 @dataclass(frozen=True)
 class MarketParams:
+    """Scene and routing settings: each float finite and > 0, each
+    integer >= 1."""
+
     grid_side: int = 10
     spacing: float = 25.0
     radio_range: float = 30.0
@@ -47,14 +50,13 @@ class MarketParams:
     hop_limit: int = 32
 
     def __post_init__(self):
-        if self.grid_side < 1:
-            raise ValueError("grid_side must be >= 1")
-        if self.spacing <= 0 or self.radio_range <= 0:
-            raise ValueError("spacing and radio_range must be positive")
-        if self.walking_speed <= 0:
-            raise ValueError("walking_speed must be positive")
-        if self.hop_limit < 1:
-            raise ValueError("hop_limit must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            is_float = f.type == "float"
+            if not (0 < value < math.inf and (is_float or value >= 1)):
+                accepted = "finite number > 0" if is_float else "integer >= 1"
+                raise ValueError(f"{f.name} = {value!r} out of range;"
+                                 f" accepted: {accepted}")
 
 
 class RouteOutcome(NamedTuple):

@@ -36,7 +36,7 @@ benchmark's reach check and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -58,6 +58,26 @@ def world_side(num_entities: int, area_per_entity: float = DENSITY_AREA_PER_ENTI
     return math.sqrt(num_entities * area_per_entity)
 
 
+_POSITIVE = (lambda v: 0 < v < math.inf, "finite number > 0")
+_PROBABILITY = (lambda v: 0 <= v <= 1, "number in [0, 1]")
+_COUNT = (lambda v: 0 <= v < math.inf, "integer >= 0")
+
+# DisseminationParams field -> (test, accepted values), the one statement
+# of each field's range, which config.SCHEMA reads. Each test compares
+# against finite bounds, so NaN and infinities fail it.
+DISSEMINATION_RANGES = {
+    "interaction_range": _POSITIVE,
+    "forwarding_threshold": (lambda v: 0 <= v < math.inf,
+                             "finite number >= 0, below interaction_range"),
+    "gossip_probability": _PROBABILITY,
+    "geofilter_distance": _POSITIVE,
+    "generation_probability": _PROBABILITY,
+    "ttl": _COUNT,
+    "cache_capacity": (lambda v: 1 <= v < math.inf, "integer >= 1"),
+    "max_relays_per_step": _COUNT,
+}
+
+
 @dataclass(frozen=True)
 class DisseminationParams:
     """Gossip tuning knobs; defaults are the reference configuration."""
@@ -72,22 +92,15 @@ class DisseminationParams:
     max_relays_per_step: int = 10
 
     def __post_init__(self):
-        if not (0.0 <= self.gossip_probability <= 1.0):
-            raise ValueError("gossip_probability must lie in [0, 1]")
-        if not (0.0 <= self.generation_probability <= 1.0):
-            raise ValueError("generation_probability must lie in [0, 1]")
-        if self.interaction_range <= 0:
-            raise ValueError("interaction_range must be positive")
-        if not (0.0 <= self.forwarding_threshold < self.interaction_range):
+        for f in fields(self):
+            ok, accepted = DISSEMINATION_RANGES[f.name]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"{f.name} = {value!r} out of range;"
+                                 f" accepted: {accepted}")
+        if not self.forwarding_threshold < self.interaction_range:
             raise ValueError(
-                "forwarding_threshold must lie in [0, interaction_range)"
-            )
-        if self.ttl < 0:
-            raise ValueError("ttl must be >= 0")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
-        if self.max_relays_per_step < 0:
-            raise ValueError("max_relays_per_step must be >= 0")
+                "forwarding_threshold must lie below interaction_range")
 
 
 def _torus_dist(ax: float, ay: float, bx: float, by: float, side: float) -> float:

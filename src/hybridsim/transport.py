@@ -16,13 +16,12 @@ vehicle simulator can be dropped in behind the identical interface:
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 from .rng import Stream
-
-PHASE_RATES_G_PER_TU = {"cruise": 2.0, "search": 1.5, "idle": 1.0}
 
 
 @dataclass(frozen=True)
@@ -32,39 +31,31 @@ class TransportParams:
     mean_cruise_time: float = 10.0
     mean_search_time: float = 5.0
     idle_time: float = 5.0
-    cruise_rate: float = PHASE_RATES_G_PER_TU["cruise"]
-    search_rate: float = PHASE_RATES_G_PER_TU["search"]
-    idle_rate: float = PHASE_RATES_G_PER_TU["idle"]
+    cruise_rate: float = 2.0  # grams per time unit in each phase
+    search_rate: float = 1.5
+    idle_rate: float = 1.0
     seed: int = 0
     # fixed (phase name, duration) script applied to every vehicle instead
     # of drawn durations; None for the stochastic model
     scripted_phases: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.n_vehicles < 0:
-            raise ValueError("n_vehicles must be >= 0")
-        if self.parking_capacity < 0:
-            raise ValueError("parking_capacity must be >= 0")
-        for name in ("mean_cruise_time", "mean_search_time", "idle_time",
-                     "cruise_rate", "search_rate", "idle_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.scripted_phases is not None:
-            for phase, dur in self.scripted_phases:
-                if phase not in PHASE_RATES_G_PER_TU:
-                    raise ValueError(f"unknown phase {phase!r}")
-                if dur < 0:
-                    raise ValueError("phase durations must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (f.name not in ("seed", "scripted_phases")
+                    and not 0 <= value < math.inf):
+                raise ValueError(f"{f.name} = {value!r} out of range;"
+                                 " accepted: finite number >= 0")
+        for phase, dur in self.scripted_phases or ():
+            if phase not in ("cruise", "search", "idle"):
+                raise ValueError(f"unknown phase {phase!r}")
+            if not 0 <= dur < math.inf:
+                raise ValueError("phase durations must be finite and >= 0")
 
 
 class TransportResult(NamedTuple):
     total_emissions: float  # grams
     customers_entering: int
-
-
-def _phase_rate(params: TransportParams, phase: str) -> float:
-    return {"cruise": params.cruise_rate, "search": params.search_rate,
-            "idle": params.idle_rate}[phase]
 
 
 def simulate_arrivals(params: TransportParams) -> TransportResult:
@@ -87,24 +78,16 @@ def simulate_arrivals(params: TransportParams) -> TransportResult:
             if parked:
                 phases.append(("idle", params.idle_time))
         for phase, dur in phases:
-            total += dur * _phase_rate(params, phase)
+            total += dur * getattr(params, phase + "_rate")
     customers = min(params.n_vehicles, params.parking_capacity)
     return TransportResult(total, customers)
 
 
 # --- external-command adapter -------------------------------------------
 
-_PARAM_FIELDS = {
-    "n_vehicles": int,
-    "parking_capacity": int,
-    "mean_cruise_time": float,
-    "mean_search_time": float,
-    "idle_time": float,
-    "cruise_rate": float,
-    "search_rate": float,
-    "idle_rate": float,
-    "seed": int,
-}
+_PARAM_FIELDS = {f.name: int if f.type == "int" else float
+                 for f in fields(TransportParams)
+                 if f.name != "scripted_phases"}
 
 
 def params_to_lines(params: TransportParams) -> str:
@@ -135,17 +118,17 @@ def result_to_lines(result: TransportResult) -> str:
 
 
 def result_from_lines(text: str) -> TransportResult:
-    fields = {}
+    found = {}
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if sep:
-            fields[key.strip()] = value.strip()
+            found[key.strip()] = value.strip()
     try:
-        return TransportResult(float(fields["total_emissions"]),
-                               int(fields["customers_entering"]))
+        return TransportResult(float(found["total_emissions"]),
+                               int(found["customers_entering"]))
     except KeyError as exc:
         raise ValueError(f"missing result field {exc}") from exc
 

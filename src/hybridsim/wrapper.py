@@ -24,7 +24,7 @@ import socket
 import sys
 import threading
 
-from .coordination import parse_endpoint
+from .coordination import Level1Settings, parse_endpoint
 from .market import MarketParams, MarketRun, MarketScene
 from .protocol import (
     LineChannel,
@@ -51,6 +51,7 @@ def run_session(rfile, wfile) -> None:
         raise ProtocolError("substeps must be >= 1")
     master_seed = field_int(init, "master_seed")
     l1_seed = field_int(init, "seed")
+    level1 = Level1Settings.from_init(init)
 
     records = []
     for _ in range(n):
@@ -64,24 +65,9 @@ def run_session(rfile, wfile) -> None:
     if ids != sorted(set(ids)):
         raise ProtocolError("ENTITY records must arrive in ascending id order")
 
-    arrivals = simulate_arrivals(TransportParams(
-        n_vehicles=n,
-        parking_capacity=field_int(init, "parking_capacity"),
-        mean_cruise_time=field_float(init, "mean_cruise_time"),
-        mean_search_time=field_float(init, "mean_search_time"),
-        idle_time=field_float(init, "idle_time"),
-        cruise_rate=field_float(init, "cruise_rate"),
-        search_rate=field_float(init, "search_rate"),
-        idle_rate=field_float(init, "idle_rate"),
-        seed=l1_seed,
-    ))
-    scene = MarketScene(MarketParams(
-        grid_side=field_int(init, "grid_side"),
-        spacing=field_float(init, "spacing"),
-        radio_range=field_float(init, "radio_range"),
-        walking_speed=field_float(init, "walking_speed"),
-        hop_limit=field_int(init, "hop_limit"),
-    ))
+    arrivals = simulate_arrivals(
+        level1.params(TransportParams, n_vehicles=n, seed=l1_seed))
+    scene = MarketScene(level1.params(MarketParams))
     run = MarketRun(scene, records, arrivals.customers_entering, master_seed)
 
     ch.send("READY", t0)

@@ -1,6 +1,7 @@
 """Config files, presets, flag precedence, validation diagnostics."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,13 @@ from hybridsim.config import (
     parse_config_file,
     resolve_settings,
 )
+from hybridsim.coordination import (
+    FixedDurationPolicy,
+    HybridSpec,
+    ScriptedTrigger,
+    TimestepAlignment,
+)
+from hybridsim.engine import EngineConfig
 from hybridsim.territory import DisseminationParams
 
 
@@ -182,6 +190,45 @@ def test_every_rejected_value_names_its_key(key, text, as_flag):
         assert not isinstance(v, float) or math.isfinite(v)
 
 
+# config key -> the run type that owns it, built from the parsed value
+_OWNERS = {
+    **{f.name: lambda v, name=f.name: DisseminationParams(**{name: v})
+       for f in fields(DisseminationParams)},
+    "steps": lambda v: EngineConfig(total_timesteps=v),
+    "seed": lambda v: EngineConfig(master_seed=v),
+    "barrier_timeout": lambda v: EngineConfig(barrier_timeout=v),
+    "transfer_count": lambda v: ScriptedTrigger(transfer_count=v),
+    "substeps": lambda v: TimestepAlignment(fine_substeps=v),
+    "duration": lambda v: FixedDurationPolicy(coarse_steps=v),
+    "endpoint": lambda v: HybridSpec(endpoint=v or None),
+}
+
+
+def _refuses(build, *args) -> bool:
+    try:
+        build(*args)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=800, deadline=None)
+@given(key=st.sampled_from(sorted(_OWNERS)),
+       text=st.one_of(_VALUE_TEXT, st.sampled_from(
+           ["-1", "1", "200", "225", "250", "1.0", "-0.0", "1e-300",
+            str(2**63 - 1), str(2**63), "h:65535", "h:65536"])))
+def test_config_refuses_exactly_what_the_run_type_refuses(key, text):
+    """The config has no range of its own for a key a run type owns: a
+    value that parses is refused by resolve_settings exactly when the
+    type refuses it."""
+    try:
+        value = SCHEMA[key][0](text)
+    except ValueError:
+        return
+    assert (_refuses(resolve_settings, {key: text})
+            == _refuses(_OWNERS[key], value)), (key, text)
+
+
 def test_flags_beat_file():
     s = resolve_settings({"steps": "100", "seed": "5"},
                          {"steps": "250", "ses": "64"})
@@ -241,6 +288,11 @@ def test_schema_defaults_are_self_consistent():
                 "duration", "endpoint", "repetitions", "out",
                 "barrier_timeout"):
         assert getattr(s, key) == SCHEMA[key][3]
+    # the gossip keys are DisseminationParams' fields, of the same type
+    for f in fields(DisseminationParams):
+        parser, _, _, default = SCHEMA[f.name]
+        assert default == f.default
+        assert type(parser(str(default))) is type(default)
 
 
 def test_run_settings_validate_however_built():

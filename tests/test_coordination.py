@@ -30,7 +30,7 @@ from hybridsim.coordination import (
     resolve_endpoint,
     spawn_level1,
 )
-from hybridsim import coordination, market, wrapper
+from hybridsim import coordination, market, transport, wrapper
 from hybridsim.engine import (EngineConfig, EngineError, InProcessBackend,
                               grid_cells, run_simulation)
 from hybridsim.metrics import RunMetrics
@@ -324,14 +324,36 @@ def test_level1_settings_init_fields():
     assert fields["walking_speed"] == 1.4
 
 
+def test_level1_settings_take_their_defaults_and_ranges_from_the_models():
+    """spacing=-1 was accepted and every spawn then died in the wrapper
+    thread; the settings now build TransportParams and MarketParams."""
+    level1 = Level1Settings()
+    for cls in (market.MarketParams, transport.TransportParams):
+        for name, value in level1.init_fields().items():
+            if hasattr(cls, name):
+                assert value == getattr(cls(), name)
+    assert (level1.params(transport.TransportParams, n_vehicles=3)
+            == transport.TransportParams(n_vehicles=3))
+    assert level1.params(market.MarketParams) == market.MarketParams()
+    for field, value in (("spacing", -1.0), ("spacing", math.nan),
+                         ("radio_range", math.inf), ("hop_limit", 0),
+                         ("idle_rate", math.nan), ("mean_cruise_time", -1.0),
+                         ("parking_capacity", math.inf)):
+        with pytest.raises(ValueError, match=f"^{field} = .* out of range"):
+            Level1Settings(**{field: value})
+
+
 def test_hybrid_spec_endpoint_validation():
     HybridSpec(endpoint="127.0.0.1:7420")  # fine
     with pytest.raises(ValueError):
         HybridSpec(endpoint="nocolon")
     with pytest.raises(ValueError):
         HybridSpec(endpoint="host:notaport")
-    with pytest.raises(ValueError):
-        HybridSpec(io_timeout=0.0)
+    # a NaN io_timeout once failed inside spawn_level1, after the
+    # entities were extracted
+    for timeout in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^io_timeout must "):
+            HybridSpec(io_timeout=timeout)
 
 
 @pytest.mark.parametrize("endpoint", ["h:-1", "h:+80", "h:0", "h:99999"])

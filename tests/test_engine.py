@@ -73,6 +73,15 @@ def test_engine_config_validation():
         EngineConfig(num_lps=0)
     with pytest.raises(ValueError):
         EngineConfig(total_timesteps=0)
+    # a seed outside [0, 2**63) once failed inside numpy, and a timeout of
+    # inf, nan or -1 only in process mode, at the first barrier
+    for field, value in (("master_seed", -1), ("master_seed", 2**63),
+                         ("barrier_timeout", float("inf")),
+                         ("barrier_timeout", float("nan")),
+                         ("barrier_timeout", -1.0), ("barrier_timeout", 0.0)):
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            EngineConfig(**{field: value})
+    EngineConfig(master_seed=2**63 - 1, barrier_timeout=1e-3)
 
 
 def _build_lp(spec, seed, lp_id=0):

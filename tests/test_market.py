@@ -147,6 +147,17 @@ def test_grid_geometry():
         scene.seller_position(100)
 
 
+def test_params_refuse_non_positive_and_non_finite_values():
+    for field in ("grid_side", "spacing", "radio_range", "walking_speed",
+                  "hop_limit"):
+        for value in (0, -1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{field} = "):
+                MarketParams(**{field: value})
+    for field in ("grid_side", "hop_limit"):
+        with pytest.raises(ValueError, match=f"^{field} = 0.5 .* >= 1"):
+            MarketParams(**{field: 0.5})
+
+
 def test_grid_radio_reaches_only_lateral_neighbors():
     # spacing 25, range 30: lateral in range, diagonal (35.36) is not
     scene = MarketScene(MarketParams())

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -112,6 +113,13 @@ def test_params_validation():
         DisseminationParams(gossip_probability=1.5)
     with pytest.raises(ValueError):
         DisseminationParams(ttl=-1)
+    with pytest.raises(ValueError, match="^cache_capacity = 0 out of range"):
+        DisseminationParams(cache_capacity=0)
+    # a negative or NaN geofence and an infinite range were once accepted
+    for field in (f.name for f in fields(DisseminationParams)):
+        for value in (-1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} = .* out of"):
+                DisseminationParams(**{field: value})
     # the bad-tuning preset values are legal
     DisseminationParams(gossip_probability=0.6, forwarding_threshold=100.0)
 

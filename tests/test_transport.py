@@ -1,5 +1,6 @@
 """Vehicle cohort model: emissions math, capacity, adapter contract."""
 
+import math
 import sys
 
 import pytest
@@ -102,6 +103,13 @@ def test_param_validation():
         TransportParams(scripted_phases=(("warp", 1.0),))
     with pytest.raises(ValueError):
         TransportParams(scripted_phases=(("idle", -1.0),))
+    for field in ("parking_capacity", "mean_search_time", "idle_time",
+                  "cruise_rate", "search_rate", "idle_rate"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{field} = "):
+                TransportParams(**{field: value})
+    with pytest.raises(ValueError):
+        TransportParams(scripted_phases=(("idle", math.nan),))
 
 
 def test_param_lines_roundtrip():

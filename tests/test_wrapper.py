@@ -135,14 +135,15 @@ def sessions(monkeypatch):
     return threads
 
 
-def _assert_session_failed(sessions, capsys):
-    """The one session has ended, and said once that it failed, before
-    the test returns and stops capturing its output."""
+def _assert_session_failed(sessions, capsys, cause=""):
+    """The one session has ended, and said once that it failed (for the
+    given cause), before the test returns and stops capturing its
+    output."""
     [th] = sessions
     th.join(timeout=10.0)
     assert not th.is_alive()
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("wrapper session failed: ")
+    assert line.startswith("wrapper session failed: " + cause)
 
 
 def test_session_rejects_zero_entities(sessions, capsys):
@@ -155,6 +156,21 @@ def test_session_rejects_zero_entities(sessions, capsys):
         ch.recv()
     ch.close()
     _assert_session_failed(sessions, capsys)
+
+
+def test_session_rejects_settings_out_of_range(sessions, capsys):
+    """A value Level1Settings refuses ends the session with a
+    ProtocolError naming the field, not an uncaught ValueError."""
+    sock = start_local()
+    sock.settimeout(10.0)  # a session that waits for ENTITY fails here
+    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
+                substeps=3, master_seed=1, seed=1, spacing=-1.0)
+    ch.send("INIT", 0, **init)
+    with pytest.raises(ProtocolError, match="closed"):
+        ch.recv()
+    ch.close()
+    _assert_session_failed(sessions, capsys, "INIT spacing = -1.0 out of")
 
 
 def test_session_rejects_out_of_order_entities(sessions, capsys):

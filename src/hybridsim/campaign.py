@@ -18,23 +18,20 @@ import csv
 import itertools
 import os
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 from .config import RunSettings, make_params
 from .engine import EngineConfig, run_simulation
-from .metrics import RunMetrics
+from .metrics import Level1Totals, RunMetrics, StepReport
 from .territory import TerritorySpec
 
 DETAIL_COLUMNS = (
-    "ses", "lps", "preset", "rep", "seed", "steps",
-    "generated", "delivered", "relayed",
-    "cache_filtered", "ttl_filtered", "geofiltered", "ring_filtered",
-    "budget_filtered", "gossip_declined",
-    "routed", "frozen_drops",
-    "spawns", "entities_transferred", "emissions_g", "customers", "arrived",
-    "market_messages", "route_discoveries", "fine_steps", "failures",
-    "wall_clock_seconds",
+    ("ses", "lps", "preset", "rep", "seed", "steps")
+    + tuple(f.name for f in fields(StepReport))
+    + ("routed", "frozen_drops")
+    + tuple(f.name for f in fields(Level1Totals))
+    + ("wall_clock_seconds",)
 )
 
 # the aggregated portion of a detail row
@@ -122,11 +119,12 @@ class CampaignResult:
         return base_wct / cell_wct
 
 
-def _detail_row(key: CellKey, rep: int, metrics) -> dict:
-    row = metrics.summary_row()
-    row["preset"] = key.preset
-    row["rep"] = rep
-    return {col: row[col] for col in DETAIL_COLUMNS}
+def _detail_row(key: CellKey, rep: int, metrics: RunMetrics) -> dict:
+    return {**key._asdict(), "rep": rep, "seed": metrics.master_seed,
+            "steps": metrics.total_timesteps, **metrics.totals.as_dict(),
+            "routed": metrics.routed, "frozen_drops": metrics.frozen_drops,
+            **metrics.level1.as_dict(),
+            "wall_clock_seconds": metrics.wall_clock_seconds}
 
 
 def run_campaign(settings: RunSettings, log=None) -> CampaignResult:
@@ -135,14 +133,14 @@ def run_campaign(settings: RunSettings, log=None) -> CampaignResult:
     Cells are settings.ses x lps x preset in that nesting order, and
     repetition rep of every cell runs with seed settings.seed + rep.
     """
+    seeds = settings.repetition_seeds()
     say = log or (lambda msg: None)
     result = CampaignResult(settings=settings)
     for key in itertools.starmap(CellKey, itertools.product(
             settings.ses, settings.lps, settings.preset)):
         cell = CellResult(key)
         result.cells.append(cell)
-        for rep in range(settings.repetitions):
-            seed = settings.seed + rep
+        for rep, seed in enumerate(seeds):
             say(f"cell ses={key.ses} lps={key.lps} preset={key.preset}"
                 f" rep={rep} seed={seed}")
             try:
@@ -175,13 +173,9 @@ def emit_results(result: CampaignResult, out_dir: str) -> tuple:
         writer.writeheader()
         for cell in result.cells:
             stats = cell.stats()
-            row = {
-                "ses": cell.key.ses,
-                "lps": cell.key.lps,
-                "preset": cell.key.preset,
-                "repetitions": result.settings.repetitions,
-                "completed": len(cell.rows),
-            }
+            row = dict(cell.key._asdict(),
+                       repetitions=result.settings.repetitions,
+                       completed=len(cell.rows))
             for col in STAT_COLUMNS:
                 mean, sd = stats[col]
                 row[f"{col}_mean"] = mean

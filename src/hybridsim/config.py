@@ -8,8 +8,9 @@ an explicit `gossip_probability` always beats what the preset says.
 Every key is validated on its own with a diagnostic naming the key and
 the accepted range; cross-field rules (for example the forwarding ring
 sitting inside the interaction range) are enforced by the parameter
-dataclasses they feed. The gossip keys are not written down here: their
-types, defaults and ranges are territory.DisseminationParams'.
+dataclasses they feed. A key a run type owns (the gossip keys, steps,
+seed, barrier_timeout, transfer_count, substeps, duration) takes its
+type, default and range from that type; none is written here.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .coordination import (
     TimestepAlignment,
     parse_endpoint,
 )
+from .engine import EngineConfig
 from .territory import DISSEMINATION_RANGES, DisseminationParams
 
 # Named tunings. "good" is the reference configuration; "bad" is the
@@ -52,8 +54,7 @@ def _parse_str(text: str) -> str:
 
 
 def _parse_int_list(text: str) -> tuple:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    return tuple(int(p, 10) for p in items)
+    return tuple(int(p, 10) for p in _parse_str_list(text))
 
 
 def _parse_str_list(text: str) -> tuple:
@@ -80,29 +81,37 @@ def _mode_known(v):
     return v in ("auto", "inprocess", "process")
 
 
+def _owned(owner, name: str, accepted: str) -> tuple:
+    """The SCHEMA entry for owner's field name: its type and default, and
+    a validator that refuses a value exactly when owner(name=value) does."""
+    default = getattr(owner(), name)
+    parser = _parse_float if isinstance(default, float) else _parse_int
+    return (parser, lambda v: bool(owner(**{name: v})), accepted, default)
+
+
 # key -> (parser, validator, accepted-range text, default)
 SCHEMA = {
     "ses": (_parse_int_list, _all_positive,
             "one or more integers >= 1, comma separated", (4000,)),
     "lps": (_parse_int_list, _all_positive,
             "one or more integers >= 1, comma separated", (1,)),
-    "steps": (_parse_int, _positive, "integer >= 1", 900),
-    "seed": (_parse_int, lambda v: 0 <= v < 2**63,
-             "integer in [0, 2**63)", 1),
+    "steps": _owned(EngineConfig, "total_timesteps", "integer >= 1"),
+    "seed": _owned(EngineConfig, "master_seed", "integer in [0, 2**63)"),
     "mode": (_parse_str, _mode_known, "auto, inprocess or process", "auto"),
     "preset": (_parse_str_list, _presets_known,
                "one or more of: " + ", ".join(sorted(PRESETS)), ("good",)),
     "spawn_at": (_parse_int_list, _all_nonneg,
                  "coarse steps, integers >= 0, comma separated", ()),
-    "transfer_count": (_parse_int, _positive, "integer >= 1", 1),
-    "substeps": (_parse_int, _positive, "integer >= 1", 3),
-    "duration": (_parse_int, _positive, "integer >= 1", 3),
+    "transfer_count": _owned(ScriptedTrigger, "transfer_count",
+                             "integer >= 1"),
+    "substeps": _owned(TimestepAlignment, "fine_substeps", "integer >= 1"),
+    "duration": _owned(FixedDurationPolicy, "coarse_steps", "integer >= 1"),
     "endpoint": (_parse_str, lambda v: v == "" or parse_endpoint(v),
                  "HOST:PORT with PORT in 1-65535, or empty for local", ""),
     "repetitions": (_parse_int, _positive, "integer >= 1", 5),
     "out": (_parse_str, lambda v: True, "directory path", "results"),
-    "barrier_timeout": (_parse_float, _positive,
-                        "finite number > 0 (seconds)", 60.0),
+    "barrier_timeout": _owned(EngineConfig, "barrier_timeout",
+                              "finite number > 0 (seconds)"),
 }
 # the gossip keys, with DisseminationParams' types, defaults and ranges
 SCHEMA.update(
@@ -207,6 +216,12 @@ class RunSettings:
         # a bad override combination fails here rather than mid-campaign
         for preset in self.preset:
             make_params(preset, dict(self.param_overrides))
+
+    def repetition_seeds(self) -> range:
+        """A campaign's seeds; refused unless the last is a valid seed."""
+        seeds = range(self.seed, self.seed + self.repetitions)
+        _check("seed", seeds[-1], f"{self.seed} + {self.repetitions - 1}")
+        return seeds
 
     def single_run(self) -> tuple:
         """The (ses, lps, preset) of a non-campaign run."""

@@ -169,21 +169,6 @@ class RunMetrics:
             "wrapper_transcripts": [dict(t) for t in self.wrapper_transcripts],
         }
 
-    def summary_row(self) -> dict:
-        """Flat row used by campaign CSV output."""
-        row = {
-            "ses": self.num_entities,
-            "lps": self.num_lps,
-            "steps": self.total_timesteps,
-            "seed": self.master_seed,
-        }
-        row.update(self.totals.as_dict())
-        row["routed"] = self.routed
-        row["frozen_drops"] = self.frozen_drops
-        row.update(self.level1.as_dict())
-        row["wall_clock_seconds"] = self.wall_clock_seconds
-        return row
-
     def to_json(self, indent: int = 2) -> str:
         doc = self.comparable()
         doc["num_lps"] = self.num_lps

@@ -20,6 +20,7 @@ address it refuses ends in one error line and exit status 2, unbound.
 from __future__ import annotations
 
 import argparse
+import math
 import socket
 import sys
 import threading
@@ -46,6 +47,9 @@ def run_session(rfile, wfile) -> None:
     if n < 1:
         raise ProtocolError("INIT with no entities")
     side = field_float(init, "side")
+    if not 0 < side < math.inf:
+        raise ProtocolError(f"INIT side = {side!r} out of range;"
+                            " accepted: finite number > 0")
     substeps = field_int(init, "substeps")
     if substeps < 1:
         raise ProtocolError("substeps must be >= 1")

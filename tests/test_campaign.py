@@ -50,6 +50,18 @@ def test_spec_validation():
         _small_settings(repetitions=0)
 
 
+def test_seeds_past_63_bits_are_refused_before_any_run():
+    top = 2**63 - 1
+    log = []
+    with pytest.raises(ConfigError, match="^config key 'seed'"):
+        run_campaign(_small_settings(seed=top, repetitions=2, steps=1),
+                     log=log.append)
+    assert log == []
+    result = run_campaign(_small_settings(seed=top, repetitions=1, steps=1))
+    assert result.complete
+    assert [r["seed"] for r in result.cells[0].rows] == [top]
+
+
 def test_run_campaign_rows_and_determinism(tmp_path):
     settings = _small_settings()
     result = run_campaign(settings)
@@ -133,7 +145,18 @@ def test_emit_results_layout(tmp_path):
 
     with open(detail_path, newline="") as fh:
         detail = list(csv.reader(fh))
-    assert detail[0] == list(DETAIL_COLUMNS)
+    # the order README's "Campaign CSV layout" documents
+    assert detail[0] == [
+        "ses", "lps", "preset", "rep", "seed", "steps",
+        "generated", "delivered", "relayed",
+        "cache_filtered", "ttl_filtered", "geofiltered", "ring_filtered",
+        "budget_filtered", "gossip_declined",
+        "routed", "frozen_drops",
+        "spawns", "entities_transferred", "emissions_g", "customers",
+        "arrived", "market_messages", "route_discoveries", "fine_steps",
+        "failures",
+        "wall_clock_seconds",
+    ]
     assert len(detail) == 1 + 4  # 2 cells x 2 reps
 
     with open(summary_path, newline="") as fh:

@@ -76,6 +76,23 @@ def test_seed_outside_63_bits_is_a_config_error(capsys):
         assert "[0, 2**63)" in err and err.count("\n") == 1
 
 
+def test_largest_seed_runs_alone_but_not_as_a_campaign(tmp_path, capsys):
+    # a single run ignores repetitions (default 5); a campaign would run
+    # seeds past 2**63 - 1, so it is refused before its first cell
+    top = str(2**63 - 1)
+    out = str(tmp_path / "out")
+    rc = main(["run", "--ses", "10", "--steps", "2", "--seed", top,
+               "--out", out])
+    assert rc == 0
+    capsys.readouterr()
+    rc = main(["campaign", "--ses", "10", "--steps", "2", "--seed", top,
+               "--repetitions", "2", "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'seed'")
+    assert "cell" not in err and err.count("\n") == 1
+
+
 def test_infinite_barrier_timeout_is_a_config_error(tmp_path, capsys):
     # a process run once died in selectors with a raw OverflowError
     conf = tmp_path / "exp.conf"

@@ -288,6 +288,16 @@ def test_schema_defaults_are_self_consistent():
                 "duration", "endpoint", "repetitions", "out",
                 "barrier_timeout"):
         assert getattr(s, key) == SCHEMA[key][3]
+    # the other owned keys take their defaults from their run types
+    for key, owner, name in (
+            ("steps", EngineConfig, "total_timesteps"),
+            ("seed", EngineConfig, "master_seed"),
+            ("barrier_timeout", EngineConfig, "barrier_timeout"),
+            ("transfer_count", ScriptedTrigger, "transfer_count"),
+            ("substeps", TimestepAlignment, "fine_substeps"),
+            ("duration", FixedDurationPolicy, "coarse_steps")):
+        assert SCHEMA[key][3] == getattr(owner(), name), key
+        assert type(SCHEMA[key][3]) is type(getattr(owner(), name)), key
     # the gossip keys are DisseminationParams' fields, of the same type
     for f in fields(DisseminationParams):
         parser, _, _, default = SCHEMA[f.name]

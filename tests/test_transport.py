@@ -1,7 +1,6 @@
-"""Vehicle cohort model: emissions math, capacity, adapter contract."""
+"""Vehicle cohort model: emissions math, capacity, determinism, validation."""
 
 import math
-import sys
 
 import pytest
 
@@ -9,11 +8,6 @@ from hybridsim.rng import Stream
 from hybridsim.transport import (
     TransportParams,
     TransportResult,
-    params_from_lines,
-    params_to_lines,
-    result_from_lines,
-    result_to_lines,
-    run_external,
     simulate_arrivals,
 )
 
@@ -111,40 +105,3 @@ def test_param_validation():
     with pytest.raises(ValueError):
         TransportParams(scripted_phases=(("idle", math.nan),))
 
-
-def test_param_lines_roundtrip():
-    p = TransportParams(n_vehicles=7, parking_capacity=2, mean_cruise_time=1.25,
-                        mean_search_time=0.5, idle_time=3.0, seed=42)
-    assert params_from_lines(params_to_lines(p)) == p
-
-
-def test_param_lines_reject_unknown_key():
-    with pytest.raises(ValueError, match="line 1"):
-        params_from_lines("wheels=4\n")
-
-
-def test_param_lines_skip_comments_and_blanks():
-    p = params_from_lines("# cohort\n\nn_vehicles=3\nseed=1\n")
-    assert p.n_vehicles == 3 and p.seed == 1
-
-
-def test_result_lines_roundtrip_bit_exact():
-    r = TransportResult(119.42007788187304, 4)
-    assert result_from_lines(result_to_lines(r)) == r
-
-
-def test_result_lines_missing_field():
-    with pytest.raises(ValueError):
-        result_from_lines("total_emissions=1.0\n")
-
-
-def test_external_adapter_matches_in_process():
-    p = TransportParams(n_vehicles=12, parking_capacity=6, seed=77)
-    got = run_external([sys.executable, "-m", "hybridsim.transport"], p)
-    assert got == simulate_arrivals(p)
-
-
-def test_external_adapter_reports_failure():
-    p = TransportParams(n_vehicles=1)
-    with pytest.raises(RuntimeError, match="failed"):
-        run_external([sys.executable, "-c", "import sys; sys.exit(3)"], p)

@@ -1,6 +1,7 @@
 """Wrapper sessions end to end, plus the golden transcript checks."""
 
 import io
+import math
 import threading
 
 import pytest
@@ -14,14 +15,20 @@ from hybridsim.conformance import (
     replay,
     save_transcript,
 )
-from hybridsim.coordination import Level1Settings
+from hybridsim.coordination import (
+    HybridSpec,
+    Level1Settings,
+    WrapperFailure,
+    spawn_level1,
+)
+from hybridsim.engine import EngineConfig, InProcessBackend
 from hybridsim.protocol import (
     LineChannel,
     ProtocolError,
     entity_fields,
     entity_from_fields,
 )
-from hybridsim.territory import EntityRecord
+from hybridsim.territory import EntityRecord, TerritorySpec
 from hybridsim import wrapper
 from hybridsim.wrapper import main, start_local
 
@@ -171,6 +178,35 @@ def test_session_rejects_settings_out_of_range(sessions, capsys):
         ch.recv()
     ch.close()
     _assert_session_failed(sessions, capsys, "INIT spacing = -1.0 out of")
+
+
+@pytest.mark.parametrize("side", [math.nan, 0.0, -1.0, math.inf])
+def test_session_rejects_side_out_of_range(side, sessions, capsys):
+    """A torus side that is not finite and > 0 ends the session with a
+    ProtocolError naming side; NaN once returned every entity at (0, 0)."""
+    sock = start_local()
+    sock.settimeout(10.0)
+    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    init = dict(Level1Settings().init_fields(), entities=1, side=side,
+                substeps=3, master_seed=1, seed=1)
+    ch.send("INIT", 0, **init)
+    with pytest.raises(ProtocolError, match="closed"):
+        ch.recv()
+    ch.close()
+    _assert_session_failed(sessions, capsys, f"INIT side = {side!r} out of")
+
+
+def test_spawn_with_refused_side_restores_entities(sessions, capsys):
+    config = EngineConfig(num_lps=2, total_timesteps=10, master_seed=7)
+    backend = InProcessBackend(config, TerritorySpec(num_entities=8))
+    before = backend.extract([2, 5])
+    backend.restore(before)
+    with pytest.raises(WrapperFailure, match="failed to start"):
+        spawn_level1(backend, [2, 5], 4, HybridSpec(), config.master_seed,
+                     math.nan, 0)
+    _assert_session_failed(sessions, capsys, "INIT side = nan out of")
+    assert backend.entity_count() == 8
+    assert backend.extract([2, 5]) == before
 
 
 def test_session_rejects_out_of_order_entities(sessions, capsys):

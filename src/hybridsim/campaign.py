@@ -23,12 +23,12 @@ from typing import NamedTuple, Optional
 
 from .config import RunSettings, make_params
 from .engine import EngineConfig, run_simulation
-from .metrics import Level1Totals, RunMetrics, StepReport
+from .metrics import STEP_COUNTERS, Level1Totals, RunMetrics
 from .territory import TerritorySpec
 
 DETAIL_COLUMNS = (
     ("ses", "lps", "preset", "rep", "seed", "steps")
-    + tuple(f.name for f in fields(StepReport))
+    + STEP_COUNTERS
     + ("routed", "frozen_drops")
     + tuple(f.name for f in fields(Level1Totals))
     + ("wall_clock_seconds",)

@@ -15,7 +15,7 @@ type, default and range from that type; none is written here.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -61,16 +61,13 @@ def _parse_str_list(text: str) -> tuple:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _positive(v):
-    return 0 < v < math.inf
-
-
+# operator.index refuses a non-integer; _check names the key
 def _all_positive(vs):
-    return len(vs) > 0 and all(v >= 1 for v in vs)
+    return len(vs) > 0 and all(operator.index(v) >= 1 for v in vs)
 
 
 def _all_nonneg(vs):
-    return all(v >= 0 for v in vs)
+    return all(operator.index(v) >= 0 for v in vs)
 
 
 def _presets_known(vs):
@@ -108,7 +105,8 @@ SCHEMA = {
     "duration": _owned(FixedDurationPolicy, "coarse_steps", "integer >= 1"),
     "endpoint": (_parse_str, lambda v: v == "" or parse_endpoint(v),
                  "HOST:PORT with PORT in 1-65535, or empty for local", ""),
-    "repetitions": (_parse_int, _positive, "integer >= 1", 5),
+    "repetitions": (_parse_int, lambda v: operator.index(v) >= 1,
+                    "integer >= 1", 5),
     "out": (_parse_str, lambda v: True, "directory path", "results"),
     "barrier_timeout": _owned(EngineConfig, "barrier_timeout",
                               "finite number > 0 (seconds)"),

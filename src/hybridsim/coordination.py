@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineError, torus_pairs
+from .engine import EngineError, check_ints, torus_pairs
 from .market import MarketParams
 from .protocol import (
     LineChannel,
@@ -69,8 +69,7 @@ class TimestepAlignment:
     fine_substeps: int = 3
 
     def __post_init__(self):
-        if self.fine_substeps < 1:
-            raise ValueError("fine_substeps must be >= 1")
+        check_ints(self, fine_substeps=1)
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,10 @@ class ScriptedTrigger:
     transfer_count: int = 1
 
     def __post_init__(self):
+        check_ints(self, transfer_count=1)
         object.__setattr__(self, "spawn_at", tuple(self.spawn_at))
         if any(int(t) != t or t < 0 for t in self.spawn_at):
             raise ValueError("spawn_at steps must be nonnegative integers")
-        if self.transfer_count < 1:
-            raise ValueError("transfer_count must be >= 1")
 
     def check(self, world, t: int, frozen) -> list:
         """The entity id tuples that leave at step t, one per firing."""
@@ -157,8 +155,7 @@ class FixedDurationPolicy:
     coarse_steps: int = 3
 
     def __post_init__(self):
-        if self.coarse_steps < 1:
-            raise ValueError("coarse_steps must be >= 1")
+        check_ints(self, coarse_steps=1)
 
     def decide(self, handle, t: int, status: dict) -> str:
         return "END" if t - handle.spawned_at >= self.coarse_steps else "CONTINUE"
@@ -204,6 +201,7 @@ class Level1Settings:
     hop_limit: int = MarketParams.hop_limit
 
     def __post_init__(self):
+        check_ints(self)
         self.params(TransportParams)
         self.params(MarketParams)
 

@@ -39,9 +39,10 @@ results independent of the LP count and of where routing runs.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -87,6 +88,22 @@ class BarrierTimeoutError(EngineError):
         )
 
 
+def check_ints(settings, **least) -> None:
+    """Refuse, by name, a value of an int field of dataclass settings that
+    operator.index refuses or that lies below least[field]; keep one it
+    takes (a numpy integer) as the plain int, which derives seeds alike."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "int":
+            try:
+                object.__setattr__(settings, f.name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{f.name} = {value!r} out of range;"
+                                 " accepted: integer") from None
+        if f.name in least and value < least[f.name]:
+            raise ValueError(f"{f.name} must be >= {least[f.name]}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     num_lps: int = 1
@@ -95,10 +112,7 @@ class EngineConfig:
     barrier_timeout: float = 60.0
 
     def __post_init__(self):
-        if self.num_lps < 1:
-            raise ValueError("num_lps must be >= 1")
-        if self.total_timesteps < 1:
-            raise ValueError("total_timesteps must be >= 1")
+        check_ints(self, num_lps=1, total_timesteps=1)
         if not 0 <= self.master_seed < 2**63:
             raise ValueError("master_seed must lie in [0, 2**63)")
         if not 0 < self.barrier_timeout < math.inf:

@@ -12,21 +12,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-# Per-delivery outcomes, in decision order. Every delivered message is
-# counted under exactly one of: relayed or one drop reason.
-DROP_REASONS = (
-    "cache_filtered",
-    "ttl_filtered",
-    "geofiltered",
-    "ring_filtered",
-    "budget_filtered",
-    "gossip_declined",
-)
-
-
 @dataclass
 class StepReport:
-    """Event counts for one (lp, timestep)."""
+    """Event counts for one (lp, timestep). The fields after relayed are
+    the drop reasons, in decision order: every delivered message is
+    counted under relayed or under exactly one drop reason."""
 
     generated: int = 0
     delivered: int = 0
@@ -39,14 +29,18 @@ class StepReport:
     gossip_declined: int = 0
 
     def merge(self, other: "StepReport") -> None:
-        for f in dataclasses.fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in STEP_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def dropped(self) -> int:
         return sum(getattr(self, r) for r in DROP_REASONS)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+STEP_COUNTERS = tuple(f.name for f in dataclasses.fields(StepReport))
+DROP_REASONS = STEP_COUNTERS[STEP_COUNTERS.index("relayed") + 1:]
 
 
 @dataclass

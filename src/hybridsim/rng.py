@@ -1,7 +1,7 @@
 """Counter-based random streams with explicit draw accounting.
 
 Every simulated entity owns an independent Philox stream keyed by
-(master seed, entity id) as an exact uint64 array. A stream counts how
+(master seed, entity id), two exact 64-bit integers. A stream counts how
 many values it has drawn, so its exact state serializes as one integer
 and is rebuilt anywhere in O(1) (seek). Engine-internal streams use
 tag-derived ids in a disjoint key namespace.
@@ -20,14 +20,14 @@ _NAMED_BIT = 1 << 63
 
 def seek(gen: np.random.Generator, key, cursor: int) -> np.random.Generator:
     """Point a Philox generator at draw number cursor of the stream keyed
-    by key, in O(1). Philox makes four draws per counter step: the bit
-    generator is set to counter cursor // 4 with no draws in reserve,
-    and cursor % 4 draws are discarded."""
-    counter, empty = np.zeros((2, 4), dtype=np.uint64)
-    counter[0] = cursor // 4
+    by key, (master seed, stream id) as exact ints, in O(1). Philox makes
+    four draws per counter step: the bit generator is set to counter
+    cursor // 4 with no draws in reserve, and cursor % 4 draws are
+    discarded. A key outside [0, 2**64) raises OverflowError."""
     gen.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"key": key, "counter": counter},
-        "buffer": empty, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        "bit_generator": "Philox",
+        "state": {"key": key, "counter": [cursor >> 2, 0, 0, 0]},
+        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     if cursor % 4:
         gen.random(cursor % 4)
     return gen
@@ -43,14 +43,14 @@ class Stream:
     __slots__ = ("cursor", "_key", "_gen")
 
     def __init__(self, master_seed: int, stream_id: int, cursor: int = 0):
-        self._key = np.array([master_seed, stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=self._key))
+        self._key = (master_seed, stream_id)
+        self._gen = seek(np.random.Generator(np.random.Philox()), self._key, 0)
         self.cursor = 0
         if cursor:
             self.skip(cursor)
 
     def __repr__(self):
-        return f"Stream(key={self._key.tolist()}, cursor={self.cursor})"
+        return f"Stream(key={list(self._key)}, cursor={self.cursor})"
 
     def skip(self, n: int) -> None:
         """Discard the next n draws in O(1): the generator is set at the new
@@ -80,8 +80,7 @@ class Stream:
 def named_generator(master_seed: int, tag: str) -> np.random.Generator:
     """Raw numpy generator for engine-internal bulk use (e.g. permutation)."""
     sid = _NAMED_BIT | zlib.crc32(tag.encode("utf-8"))
-    key = np.array([master_seed, sid], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return seek(np.random.Generator(np.random.Philox()), [master_seed, sid], 0)
 
 
 def derive_seed(*parts) -> int:

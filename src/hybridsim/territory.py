@@ -221,7 +221,7 @@ DRAW_BLOCK = 64
 _COLUMNS = {"ids": int, "x": float, "y": float, "tx": float, "ty": float,
             "speed": float, "mobile": bool, "budget": int, "cursor": int,
             "cache_len": int, "cache_ids": np.int64, "cache_stamps": np.int64,
-            "keys": np.uint64, "draws": float}
+            "draws": float}
 
 
 class EntityColumns:
@@ -229,8 +229,9 @@ class EntityColumns:
 
     Waypoints (tx, ty) are NaN while there are none. Row k of ``draws``
     holds draws [c - c % block, c - c % block + block) of the stream keyed
-    by keys[k], c = cursor[k] the draws consumed; the row is refilled,
-    by one generator set to each key in turn, when its last value is read.
+    by (master_seed, ids[k]), c = cursor[k] the draws consumed; the row
+    is refilled, by one generator set to each key in turn, when its last
+    value is read, so each block of a stream is loaded once.
 
     Row k's duplicate cache is the cache_len[k] message ids (>= 0) in
     cache_ids[k] whose last-touch stamps in cache_stamps[k] are nonzero;
@@ -246,21 +247,33 @@ class EntityColumns:
         self.clock = 1  # the next stamp
         self._gen = np.random.Generator(np.random.Philox(key=0))
         for name, dtype in _COLUMNS.items():
-            width = {"keys": (2,), "draws": (block,), "cache_ids": (1,),
+            width = {"draws": (block,), "cache_ids": (1,),
                      "cache_stamps": (1,)}.get(name, ())
             setattr(self, name, np.empty((0, *width), dtype=dtype))
 
-    def _fill(self, key, start: int, row) -> None:
-        """Load row with draws [start, start + block) of key's stream."""
-        rng.seek(self._gen, key, start).random(out=row)
+    def _fill(self, eid: int, start: int, row) -> None:
+        """Load row with draws [start, start + block) of eid's stream."""
+        rng.seek(self._gen, [self.master_seed, eid], start).random(out=row)
 
-    def draw(self, rows) -> np.ndarray:
-        """The next draw of each entity in rows (distinct row indices)."""
-        c = self.cursor[rows]
-        v = self.draws[rows, c % self.block]
-        self.cursor[rows] = c = c + 1
-        for k in rows[c % self.block == 0].tolist():
-            self._fill(self.keys[k], self.cursor.item(k), self.draws[k])
+    def draw(self, rows, n: int = 1) -> np.ndarray:
+        """The next n draws of each entity in rows (distinct row indices),
+        as an (n, len(rows)) array; a row is refilled each time it runs out,
+        within the n draws or at their end."""
+        b, c = self.block, self.cursor[rows]
+        p = c % b
+        at = p[None] if n == 1 else np.minimum(p + np.arange(n)[:, None],
+                                               b - 1)  # rewritten below
+        v = self.draws[rows, at]
+        self.cursor[rows] = c + n
+        due = (p >= b - n).nonzero()[0]  # the columns whose block runs out
+        if len(due):
+            for i, k, eid, j in zip(due.tolist(), rows[due].tolist(),
+                                    self.ids[rows[due]].tolist(),
+                                    (b - p[due]).tolist()):
+                for j in range(j, n + 1, b):  # draw j of the n opens a block
+                    self._fill(eid, c.item(i) + j, self.draws[k])
+                    if j < n:
+                        v[j:j + b, i] = self.draws[k, :n - j]
         return v
 
     def _grow(self, width: int) -> None:
@@ -329,8 +342,7 @@ class EntityColumns:
         new = dict(ids=ids, x=xs, y=ys, tx=tx, ty=ty, speed=speeds,
                    mobile=[k == "mobile" for k in kinds],
                    budget=[0] * len(ids), cursor=cursors, cache_len=lens,
-                   cache_ids=cache_ids, cache_stamps=cache_stamps,
-                   keys=[(self.master_seed, eid) for eid in ids])
+                   cache_ids=cache_ids, cache_stamps=cache_stamps)
         new = {name: np.asarray(col, dtype=_COLUMNS[name])
                for name, col in new.items()}
         n_old = len(self.ids)
@@ -338,8 +350,8 @@ class EntityColumns:
         at = np.argsort(order)  # where each old, then new, row lands
         draws = np.empty((len(order), self.block))
         draws[at[:n_old]] = self.draws
-        for key, c, k in zip(new["keys"], cursors, at[n_old:].tolist()):
-            self._fill(key, c - c % self.block, draws[k])
+        for eid, c, k in zip(ids, cursors, at[n_old:].tolist()):
+            self._fill(eid, c - c % self.block, draws[k])
         self.clock += int(lens.max())
         self._grow(width)
         for name, col in new.items():
@@ -364,8 +376,7 @@ def build_entity(entity_ids, master_seed: int, side: float,
     cols = EntityColumns(master_seed, params.cache_capacity)
     cols.add([EntityRecord(eid, "static" if eid % 2 else "mobile", 0.0, 0.0,
                            None, 0.0, (), 0) for eid in entity_ids])
-    every = np.arange(len(cols.ids))
-    cols.x, cols.y = cols.draw(every) * side, cols.draw(every) * side
+    cols.x, cols.y = cols.draw(np.arange(len(cols.ids)), 2) * side
     return cols
 
 
@@ -381,9 +392,10 @@ def rwp_step(cols: EntityColumns, side: float) -> None:
     rows, left = np.flatnonzero(cols.mobile), None
     while len(rows):
         fresh = rows[np.isnan(cols.tx[rows])]
-        cols.tx[fresh] = cols.draw(fresh) * side
-        cols.ty[fresh] = cols.draw(fresh) * side
-        cols.speed[fresh] = RWP_SPEED_MIN + SPEED_SPAN * cols.draw(fresh)
+        if len(fresh):  # one draw call for the wave's fresh waypoints
+            tx, ty, speed = cols.draw(fresh, 3)
+            cols.tx[fresh], cols.ty[fresh] = tx * side, ty * side
+            cols.speed[fresh] = RWP_SPEED_MIN + SPEED_SPAN * speed
         if left is None:  # a step covers its first leg's speed
             left = cols.speed[rows]
         # shortest displacement on the torus, axis by axis
@@ -415,8 +427,8 @@ def generate_message(cols: EntityColumns, t: int,
     relays its own message back. Returns the broadcasts as
     BROADCAST_COLUMNS rows, in id order.
     """
-    born = np.flatnonzero(cols.draw(np.arange(len(cols.ids)))
-                          < params.generation_probability)
+    [coin] = cols.draw(np.arange(len(cols.ids)))
+    born = np.flatnonzero(coin < params.generation_probability)
     out = np.empty(len(born), dtype=BROADCAST_COLUMNS)
     out["sender"] = out["origin_entity"] = cols.ids[born]
     out["sender_x"] = out["origin_x"] = cols.x[born]
@@ -498,7 +510,7 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
         left = cols.budget[k] > 0
         i, k = i[left], k[left]
         tossed += len(k)
-        coin = cols.draw(k) < params.gossip_probability
+        coin = cols.draw(k)[0] < params.gossip_probability
         i, k = i[coin], k[coin]
         cols.budget[k] -= 1
         relayed[i] = True

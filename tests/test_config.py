@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from hybridsim.config import (
 from hybridsim.coordination import (
     FixedDurationPolicy,
     HybridSpec,
+    Level1Settings,
     ScriptedTrigger,
     TimestepAlignment,
 )
@@ -313,6 +315,52 @@ def test_run_settings_validate_however_built():
     with pytest.raises(ConfigError):
         RunSettings(preset=("bad",),
                     param_overrides=(("interaction_range", 50.0),))
+
+
+_INT_FIELDS = [(EngineConfig, "num_lps"), (EngineConfig, "total_timesteps"),
+               (EngineConfig, "master_seed"),
+               (TimestepAlignment, "fine_substeps"),
+               (ScriptedTrigger, "transfer_count"),
+               (FixedDurationPolicy, "coarse_steps"),
+               (Level1Settings, "parking_capacity"),
+               (Level1Settings, "grid_side"), (Level1Settings, "hop_limit")]
+
+
+def test_int_field_list_is_complete():
+    owners = {owner for owner, _ in _INT_FIELDS}
+    assert {(o, f.name) for o in owners for f in fields(o)
+            if f.type == "int"} == set(_INT_FIELDS)
+
+
+@pytest.mark.parametrize("owner,name", _INT_FIELDS,
+                         ids=[f"{o.__name__}.{n}" for o, n in _INT_FIELDS])
+def test_integer_fields_refuse_non_integers_by_name(owner, name):
+    """A library-built setting refuses a non-integer at construction,
+    naming the field, and keeps an integer operator.index takes (numpy
+    included) as a plain int."""
+    for bad in (2.5, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError,
+                           match=f"^{name} = .* out of range; accepted: integer$"):
+            owner(**{name: bad})
+    for good in (np.int64(3), np.uint8(3)):
+        value = getattr(owner(**{name: good}), name)
+        assert type(value) is int and value == 3
+
+
+@pytest.mark.parametrize("key,bad,good", [
+    ("repetitions", 1.5, 2), ("steps", 2.5, 2), ("seed", 1.0, 1),
+    ("ses", (10, 2.5), (10, 2)), ("lps", (1.0,), (1,)),
+    ("spawn_at", (3, 4.5), (3, 4)), ("transfer_count", 2.0, 2),
+    ("substeps", 1.5, 1), ("duration", 2.5, 2)])
+def test_run_settings_refuse_non_integers_by_key(key, bad, good):
+    """Integer settings built from the library fail at construction with
+    a ConfigError naming the key, not later inside a run; numpy integers
+    pass."""
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        RunSettings(**{key: bad})
+    good = (tuple(map(np.int64, good)) if isinstance(good, tuple)
+            else np.int64(good))
+    RunSettings(**{key: good})
 
 
 def test_hybrid_none_when_unconfigured():

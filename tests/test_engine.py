@@ -459,6 +459,22 @@ def test_column_step_matches_scalar_oracle(preset, n, steps, overrides,
     assert full == (capacity == 4)
 
 
+def test_each_draw_block_is_loaded_once(monkeypatch):
+    """Over a run with no hand-offs, rng.seek runs once per entity at
+    build and once per block its stream then enters: entity count plus
+    the sum of cursor // DRAW_BLOCK, so no block is refilled twice."""
+    seeks = []
+    seek = territory.rng.seek
+    monkeypatch.setattr(territory.rng, "seek",
+                        lambda *a: seeks.append(a) or seek(*a))
+    spec = TerritorySpec(300, make_params("good"))
+    lp = LogicalProcess(0, range(300), spec, 17)
+    lockstep(spec, 17, 150, [lp])
+    cursor = lp.cols.cursor
+    assert cursor.min() >= territory.DRAW_BLOCK  # every stream refilled
+    assert len(seeks) == 300 + int((cursor // territory.DRAW_BLOCK).sum())
+
+
 def test_first_copy_run_matches_per_copy_run(monkeypatch):
     """A whole bad-preset run, mostly repeat copies, is the same with
     every copy decided one by one by the scalar oracle."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridsim.rng import Stream, derive_seed, named_generator
+from hybridsim.rng import Stream, derive_seed, named_generator, seek
 
 
 def test_same_key_same_sequence():
@@ -131,3 +131,28 @@ def test_seeds_just_above_a_2048_boundary_are_distinct():
 def test_seed_beyond_64_bits_rejected():
     with pytest.raises(OverflowError):
         Stream(2**64 + 1, 0)
+
+
+_SEEK_CURSORS = [*range(10), 63, 64, 65, 2**20 + 3]
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**63 - 1])
+@pytest.mark.parametrize("stream_id", [0, 2**63 + 5, 2**64 - 1])
+def test_seek_matches_sequential_draws(master_seed, stream_id):
+    """seek lands on the draw that a freshly keyed Philox gives after
+    cursor draws one after another, mid counter block too, with keys at
+    both ends of the uint64 range."""
+    fresh = np.random.Generator(np.random.Philox(
+        key=np.array([master_seed, stream_id], dtype=np.uint64)))
+    want = fresh.random(_SEEK_CURSORS[-1] + 8)
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for cursor in _SEEK_CURSORS:
+        got = seek(gen, [master_seed, stream_id], cursor).random(8)
+        assert got.tolist() == want[cursor:cursor + 8].tolist(), cursor
+
+
+def test_seek_refuses_keys_outside_64_bits():
+    gen = np.random.Generator(np.random.Philox(key=0))
+    for key in ([2**64, 0], [0, 2**64], [-1, 0]):
+        with pytest.raises(OverflowError):
+            seek(gen, key, 0)

@@ -138,6 +138,33 @@ def _touch(cols, key, k=0):
     return cols.touch(np.array([k]), np.array([key])).item()
 
 
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_draw_matches_stream_at_any_block(block, monkeypatch):
+    """draw(rows, n) gives each row its stream's next n draws, in order,
+    whether the n draws stay inside a block, end it, or cross one or
+    more refills, from cursors that are not multiples of 4 or of the
+    block."""
+    monkeypatch.setattr(territory, "DRAW_BLOCK", block)
+    seed, cursors = 2**63 - 1, [1, 2, 5, 7, 62, 63, 66, 129, 1031]
+    cols = EntityColumns(seed, P.cache_capacity)
+    ids = list(range(3, 3 + 2 * len(cursors), 2))
+    cols.add([EntityRecord(eid, "static", 0.0, 0.0, None, 0.0, (), c)
+              for eid, c in zip(ids, cursors)])
+    streams = [Stream(seed, eid, cursor=c) for eid, c in zip(ids, cursors)]
+    rnd = random.Random(block)
+    for _ in range(60):
+        rows = np.array(sorted(rnd.sample(range(len(ids)),
+                                          rnd.randint(0, len(ids)))),
+                        dtype=np.intp)
+        n = rnd.choice([1, 2, 3, 5, 7])
+        got = cols.draw(rows, n)
+        assert got.shape == (n, len(rows))
+        want = [[streams[k].uniform() for _ in range(n)]
+                for k in rows.tolist()]
+        assert got.T.tolist() == want
+    assert cols.cursor.tolist() == [s.cursor for s in streams]
+
+
 def test_build_entity_kind_by_parity():
     side = world_side(100)
     cols = build_entity(range(6), 99, side, P)

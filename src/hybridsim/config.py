@@ -6,16 +6,16 @@ flags-over-file, then expanded before any explicit key is applied, so
 an explicit `gossip_probability` always beats what the preset says.
 
 Every key is validated on its own with a diagnostic naming the key and
-the accepted range; cross-field rules (for example the forwarding ring
+the accepted values; cross-field rules (for example the forwarding ring
 sitting inside the interaction range) are enforced by the parameter
-dataclasses they feed. A key a run type owns (the gossip keys, steps,
-seed, barrier_timeout, transfer_count, substeps, duration) takes its
-type, default and range from that type; none is written here.
+dataclasses they feed. A numeric key takes its accepted values from a
+metrics field type, and a key a run type owns (the gossip keys, steps,
+seed, barrier_timeout, transfer_count, substeps, duration) its type
+and default too, from that type's field; none is written here.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -27,7 +27,8 @@ from .coordination import (
     parse_endpoint,
 )
 from .engine import EngineConfig
-from .territory import DISSEMINATION_RANGES, DisseminationParams
+from .metrics import AtLeastOne, Count, accepts, settings_fields
+from .territory import DisseminationParams, TerritorySpec
 
 # Named tunings. "good" is the reference configuration; "bad" is the
 # aggressive-flooding variant used to demonstrate traffic blowup.
@@ -61,15 +62,6 @@ def _parse_str_list(text: str) -> tuple:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-# operator.index refuses a non-integer; _check names the key
-def _all_positive(vs):
-    return len(vs) > 0 and all(operator.index(v) >= 1 for v in vs)
-
-
-def _all_nonneg(vs):
-    return all(operator.index(v) >= 0 for v in vs)
-
-
 def _presets_known(vs):
     return len(vs) > 0 and all(v in PRESETS for v in vs)
 
@@ -78,44 +70,43 @@ def _mode_known(v):
     return v in ("auto", "inprocess", "process")
 
 
-def _owned(owner, name: str, accepted: str) -> tuple:
-    """The SCHEMA entry for owner's field name: its type and default, and
-    a validator that refuses a value exactly when owner(name=value) does."""
-    default = getattr(owner(), name)
-    parser = _parse_float if isinstance(default, float) else _parse_int
-    return (parser, lambda v: bool(owner(**{name: v})), accepted, default)
+def _entry(field, default, least=None) -> tuple:
+    """The SCHEMA entry of a value field (a metrics.Accepts) takes, or with
+    least of a comma-separated list of least or more such values."""
+    if least is None:
+        parser = _parse_int if field.kind is int else _parse_float
+        return (parser, field.admits, field.text, default)
+    return (_parse_int_list,
+            lambda vs: len(vs) >= least and all(map(field.admits, vs)),
+            f"{least} or more, comma separated, each {field.text}", default)
 
 
-# key -> (parser, validator, accepted-range text, default)
+def _owned(owner, name: str) -> tuple:
+    """The SCHEMA entry of owner's field name, with its type and default."""
+    return _entry(settings_fields(owner)[name], getattr(owner(), name))
+
+
+# key -> (parser, validator, accepted text, default)
 SCHEMA = {
-    "ses": (_parse_int_list, _all_positive,
-            "one or more integers >= 1, comma separated", (4000,)),
-    "lps": (_parse_int_list, _all_positive,
-            "one or more integers >= 1, comma separated", (1,)),
-    "steps": _owned(EngineConfig, "total_timesteps", "integer >= 1"),
-    "seed": _owned(EngineConfig, "master_seed", "integer in [0, 2**63)"),
+    "ses": _entry(settings_fields(TerritorySpec)["num_entities"], (4000,), 1),
+    "lps": _entry(settings_fields(EngineConfig)["num_lps"], (1,), 1),
+    "steps": _owned(EngineConfig, "total_timesteps"),
+    "seed": _owned(EngineConfig, "master_seed"),
     "mode": (_parse_str, _mode_known, "auto, inprocess or process", "auto"),
     "preset": (_parse_str_list, _presets_known,
                "one or more of: " + ", ".join(sorted(PRESETS)), ("good",)),
-    "spawn_at": (_parse_int_list, _all_nonneg,
-                 "coarse steps, integers >= 0, comma separated", ()),
-    "transfer_count": _owned(ScriptedTrigger, "transfer_count",
-                             "integer >= 1"),
-    "substeps": _owned(TimestepAlignment, "fine_substeps", "integer >= 1"),
-    "duration": _owned(FixedDurationPolicy, "coarse_steps", "integer >= 1"),
+    "spawn_at": _entry(accepts(Count), (), 0),  # ScriptedTrigger's steps
+    "transfer_count": _owned(ScriptedTrigger, "transfer_count"),
+    "substeps": _owned(TimestepAlignment, "fine_substeps"),
+    "duration": _owned(FixedDurationPolicy, "coarse_steps"),
     "endpoint": (_parse_str, lambda v: v == "" or parse_endpoint(v),
                  "HOST:PORT with PORT in 1-65535, or empty for local", ""),
-    "repetitions": (_parse_int, lambda v: operator.index(v) >= 1,
-                    "integer >= 1", 5),
+    "repetitions": _entry(accepts(AtLeastOne), 5),
     "out": (_parse_str, lambda v: True, "directory path", "results"),
-    "barrier_timeout": _owned(EngineConfig, "barrier_timeout",
-                              "finite number > 0 (seconds)"),
+    "barrier_timeout": _owned(EngineConfig, "barrier_timeout"),
 }
-# the gossip keys, with DisseminationParams' types, defaults and ranges
-SCHEMA.update(
-    (f.name, (_parse_int if f.type == "int" else _parse_float,
-              *DISSEMINATION_RANGES[f.name], f.default))
-    for f in fields(DisseminationParams))
+SCHEMA.update((name, _owned(DisseminationParams, name))
+              for name in settings_fields(DisseminationParams))
 
 
 def parse_config_file(path: str) -> dict:
@@ -249,7 +240,7 @@ def make_params(preset: str, overrides: Optional[dict] = None) -> DisseminationP
     _check("preset", (preset,), preset)
     values = dict(PRESETS[preset])
     for key, value in (overrides or {}).items():
-        if key not in DISSEMINATION_RANGES:
+        if key not in settings_fields(DisseminationParams):
             raise ConfigError(f"not a dissemination parameter: {key!r}")
         values[key] = value
     try:
@@ -277,7 +268,7 @@ def resolve_settings(file_values: Optional[dict] = None,
     overrides = tuple(sorted(
         (key, typed.pop(key))
         for key in list(typed)
-        if key in DISSEMINATION_RANGES
+        if key in settings_fields(DisseminationParams)
     ))
     return RunSettings(param_overrides=overrides, **typed)
 

@@ -34,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import EngineError, check_ints, torus_pairs
+from . import metrics
+from .engine import EngineError, torus_pairs
 from .market import MarketParams
 from .protocol import (
     LineChannel,
@@ -63,17 +64,14 @@ class WrapperFailure(EngineError):
 
 
 @dataclass(frozen=True)
-class TimestepAlignment:
+class TimestepAlignment(metrics.TypedSettings):
     """How fine steps nest inside one coarse step."""
 
-    fine_substeps: int = 3
-
-    def __post_init__(self):
-        check_ints(self, fine_substeps=1)
+    fine_substeps: metrics.AtLeastOne = 3
 
 
 @dataclass(frozen=True)
-class ScriptedTrigger:
+class ScriptedTrigger(metrics.TypedSettings):
     """Fire at fixed coarse steps, taking the lowest-id free entities.
 
     spawn_at may repeat a step to start several wrappers at once; each
@@ -83,13 +81,13 @@ class ScriptedTrigger:
     """
 
     spawn_at: tuple = ()
-    transfer_count: int = 1
+    transfer_count: metrics.AtLeastOne = 1
 
     def __post_init__(self):
-        check_ints(self, transfer_count=1)
-        object.__setattr__(self, "spawn_at", tuple(self.spawn_at))
-        if any(int(t) != t or t < 0 for t in self.spawn_at):
-            raise ValueError("spawn_at steps must be nonnegative integers")
+        super().__post_init__()
+        step = metrics.accepts(metrics.Count)
+        object.__setattr__(self, "spawn_at", tuple(
+            step.check("spawn_at step", t) for t in self.spawn_at))
 
     def check(self, world, t: int, frozen) -> list:
         """The entity id tuples that leave at step t, one per firing."""
@@ -108,7 +106,7 @@ DENSITY_BLOCK = 512
 
 
 @dataclass(frozen=True)
-class DensityTrigger:
+class DensityTrigger(metrics.TypedSettings):
     """Fire when some circular region holds at least threshold entities.
 
     Candidate regions are disks of the given radius centered on each
@@ -119,14 +117,8 @@ class DensityTrigger:
     uses, over blocks of DENSITY_BLOCK centers.
     """
 
-    threshold: float = float("inf")
-    radius: float = 250.0
-
-    def __post_init__(self):
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+    threshold: metrics.Threshold = float("inf")
+    radius: metrics.Positive = 250.0
 
     def check(self, world, t: int, frozen) -> list:
         """[ids in the winning disk, ascending], or [] if none fires."""
@@ -149,13 +141,10 @@ class DensityTrigger:
 
 
 @dataclass(frozen=True)
-class FixedDurationPolicy:
+class FixedDurationPolicy(metrics.TypedSettings):
     """END after a fixed number of coarse steps in the wrapper."""
 
-    coarse_steps: int = 3
-
-    def __post_init__(self):
-        check_ints(self, coarse_steps=1)
+    coarse_steps: metrics.AtLeastOne = 3
 
     def decide(self, handle, t: int, status: dict) -> str:
         return "END" if t - handle.spawned_at >= self.coarse_steps else "CONTINUE"
@@ -179,45 +168,29 @@ _END_POLICY = _EndPolicy()
 
 
 @dataclass(frozen=True)
-class Level1Settings:
+class Level1Settings(metrics.TypedSettings):
     """Sub-simulator configuration forwarded verbatim in INIT.
 
     The fields are those TransportParams and MarketParams take from the
-    session configuration, with those types' defaults; building the
-    settings builds both, so a value either type refuses fails here.
+    session configuration, with the same field types and defaults, so a
+    value either model refuses fails here.
     """
 
-    parking_capacity: int = TransportParams.parking_capacity
-    mean_cruise_time: float = TransportParams.mean_cruise_time
-    mean_search_time: float = TransportParams.mean_search_time
-    idle_time: float = TransportParams.idle_time
-    cruise_rate: float = TransportParams.cruise_rate
-    search_rate: float = TransportParams.search_rate
-    idle_rate: float = TransportParams.idle_rate
-    grid_side: int = MarketParams.grid_side
-    spacing: float = MarketParams.spacing
-    radio_range: float = MarketParams.radio_range
-    walking_speed: float = MarketParams.walking_speed
-    hop_limit: int = MarketParams.hop_limit
-
-    def __post_init__(self):
-        check_ints(self)
-        self.params(TransportParams)
-        self.params(MarketParams)
+    parking_capacity: metrics.Count = TransportParams.parking_capacity
+    mean_cruise_time: metrics.NonNegative = TransportParams.mean_cruise_time
+    mean_search_time: metrics.NonNegative = TransportParams.mean_search_time
+    idle_time: metrics.NonNegative = TransportParams.idle_time
+    cruise_rate: metrics.NonNegative = TransportParams.cruise_rate
+    search_rate: metrics.NonNegative = TransportParams.search_rate
+    idle_rate: metrics.NonNegative = TransportParams.idle_rate
+    grid_side: metrics.AtLeastOne = MarketParams.grid_side
+    spacing: metrics.Positive = MarketParams.spacing
+    radio_range: metrics.Positive = MarketParams.radio_range
+    walking_speed: metrics.Positive = MarketParams.walking_speed
+    hop_limit: metrics.AtLeastOne = MarketParams.hop_limit
 
     def init_fields(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_init(cls, init: dict) -> Level1Settings:
-        """The settings an INIT record's fields hold, each read as its
-        type; a value they refuse is a ProtocolError naming the field."""
-        values = {f.name: (field_int if f.type == "int" else field_float)(
-            init, f.name) for f in dataclasses.fields(cls)}
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            raise ProtocolError(f"INIT {exc}") from None
 
     def params(self, cls, **session):
         """cls (TransportParams or MarketParams) built from these
@@ -229,7 +202,7 @@ class Level1Settings:
 
 
 @dataclass(frozen=True)
-class HybridSpec:
+class HybridSpec(metrics.TypedSettings):
     """Everything run_simulation needs to run hybrid: what fires, how
     time nests, when wrappers end, what the sub-simulators get."""
 
@@ -238,11 +211,10 @@ class HybridSpec:
     policy: object = FixedDurationPolicy()
     level1: Level1Settings = Level1Settings()
     endpoint: Optional[str] = None  # HOST:PORT; None runs wrappers in-process
-    io_timeout: float = 60.0
+    io_timeout: metrics.Positive = 60.0
 
     def __post_init__(self):
-        if not 0 < self.io_timeout < float("inf"):
-            raise ValueError("io_timeout must be finite and > 0")
+        super().__post_init__()
         if self.endpoint is not None:
             parse_endpoint(self.endpoint)
 

@@ -8,7 +8,7 @@ counters and positions; a failure in any phase is raised once, naming
 the LP and the step. InProcessBackend writes every backend operation
 (step, extract, restore, finish) once, over one primitive that asks an
 LP, plus a routing hook; the process backend (parallel.py) replaces the
-primitive and the hook. A step's broadcasts are one
+primitive, the hook and how the LPs start. A step's broadcasts are one
 territory.BROADCAST_COLUMNS table: each LP's outbox is such an array,
 which a worker pickles as raw bytes, and the engine joins them in LP
 order. territory.BroadcastTable wraps it only so that the benchmark's
@@ -38,16 +38,14 @@ results independent of the LP count and of where routing runs.
 
 from __future__ import annotations
 
-import math
-import operator
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import rng, territory
+from . import metrics, rng, territory
 from .metrics import InvariantMonitor, RunMetrics, StepReport
 from .territory import (
     BROADCAST_COLUMNS,
@@ -88,35 +86,12 @@ class BarrierTimeoutError(EngineError):
         )
 
 
-def check_ints(settings, **least) -> None:
-    """Refuse, by name, a value of an int field of dataclass settings that
-    operator.index refuses or that lies below least[field]; keep one it
-    takes (a numpy integer) as the plain int, which derives seeds alike."""
-    for f in fields(settings):
-        value = getattr(settings, f.name)
-        if f.type == "int":
-            try:
-                object.__setattr__(settings, f.name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{f.name} = {value!r} out of range;"
-                                 " accepted: integer") from None
-        if f.name in least and value < least[f.name]:
-            raise ValueError(f"{f.name} must be >= {least[f.name]}")
-
-
 @dataclass(frozen=True)
-class EngineConfig:
-    num_lps: int = 1
-    total_timesteps: int = 900
-    master_seed: int = 1
-    barrier_timeout: float = 60.0
-
-    def __post_init__(self):
-        check_ints(self, num_lps=1, total_timesteps=1)
-        if not 0 <= self.master_seed < 2**63:
-            raise ValueError("master_seed must lie in [0, 2**63)")
-        if not 0 < self.barrier_timeout < math.inf:
-            raise ValueError("barrier_timeout must be finite and > 0")
+class EngineConfig(metrics.TypedSettings):
+    num_lps: metrics.AtLeastOne = 1
+    total_timesteps: metrics.AtLeastOne = 900
+    master_seed: metrics.Seed = 1
+    barrier_timeout: metrics.Positive = 60.0  # seconds
 
 
 def partition_entities(entity_ids, num_lps: int, seed: int) -> dict:
@@ -128,8 +103,7 @@ def partition_entities(entity_ids, num_lps: int, seed: int) -> dict:
     ids = sorted(entity_ids)
     if not ids:
         raise ValueError("cannot partition an empty entity set")
-    if num_lps < 1:
-        raise ValueError("num_lps must be >= 1")
+    metrics.accepts(metrics.AtLeastOne).check("num_lps", num_lps)
     if num_lps > len(ids):
         raise ValueError(
             f"num_lps ({num_lps}) exceeds entity count ({len(ids)})"
@@ -491,16 +465,21 @@ class InProcessBackend:
     With num_lps == 1 this is the plain sequential simulator; with more
     it steps the same LogicalProcess objects over the same partition as
     the process backend, which inherits every operation written here
-    over _ask and replaces only _ask, how an LP is asked.
+    and replaces _start, how the LPs start, and _ask, how one is asked.
     """
 
     def __init__(self, config: EngineConfig, model_spec):
+        """An LP for each part of partition_entities' partition, which
+        both backends look up here, when they start."""
         assignment = partition_entities(range(model_spec.num_entities),
                                         config.num_lps, config.master_seed)
+        self.owner_of = owner_array(assignment, model_spec.num_entities)
+        self._start(config, model_spec, assignment)
+
+    def _start(self, config, model_spec, assignment: dict) -> None:
         self.lps = {lp_id: LogicalProcess(lp_id, ids, model_spec,
                                           config.master_seed)
                     for lp_id, ids in assignment.items()}
-        self.owner_of = owner_array(assignment, model_spec.num_entities)
 
     def _ask(self, op: str, args_by_lp: dict) -> dict:
         """lp_id -> LogicalProcess.<op>(*args), each named LP in turn."""

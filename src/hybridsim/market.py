@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import metrics
 from .rng import Stream
 
 QUERYING = "QUERYING"
@@ -39,24 +40,14 @@ _RETRY_CAP_FINE_STEPS = 16
 
 
 @dataclass(frozen=True)
-class MarketParams:
-    """Scene and routing settings: each float finite and > 0, each
-    integer >= 1."""
+class MarketParams(metrics.TypedSettings):
+    """Scene and routing settings."""
 
-    grid_side: int = 10
-    spacing: float = 25.0
-    radio_range: float = 30.0
-    walking_speed: float = 1.4  # distance units per fine step
-    hop_limit: int = 32
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            is_float = f.type == "float"
-            if not (0 < value < math.inf and (is_float or value >= 1)):
-                accepted = "finite number > 0" if is_float else "integer >= 1"
-                raise ValueError(f"{f.name} = {value!r} out of range;"
-                                 f" accepted: {accepted}")
+    grid_side: metrics.AtLeastOne = 10
+    spacing: metrics.Positive = 25.0
+    radio_range: metrics.Positive = 30.0
+    walking_speed: metrics.Positive = 1.4  # distance units per fine step
+    hop_limit: metrics.AtLeastOne = 32
 
 
 class RouteOutcome(NamedTuple):

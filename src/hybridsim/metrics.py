@@ -1,5 +1,7 @@
-"""Counters and run-level metrics.
+"""Settings field types, counters and run-level metrics.
 
+A settings type subclasses TypedSettings and declares each numeric field
+with one of the types below, which states the values it accepts.
 StepReport counts one logical process's events for one timestep; reports
 merge across processes and steps. RunMetrics is the full outcome of a
 run, including the always-on invariant monitor and sub-simulator totals.
@@ -8,9 +10,85 @@ run, including the always-on invariant monitor and sub-simulator totals.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import operator
+import typing
 from dataclasses import dataclass, field
+from typing import Annotated, Callable, NamedTuple
+
+_index = operator.index
+
+
+class Accepts(NamedTuple):
+    """The values of kind (int or float) that a settings field takes:
+    those test passes, as text says. An int test reads the value through
+    operator.index, so a float fails it, and so does a TypeError."""
+
+    kind: type
+    test: Callable
+    text: str
+
+    def check(self, name: str, value):
+        """value, refused by name unless accepted; an int kind gives the
+        plain int, so a numpy seed derives seeds as the int does."""
+        try:
+            ok = self.test(value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} = {value!r} out of range;"
+                             f" accepted: {self.text}")
+        return _index(value) if self.kind is int else value
+
+    def admits(self, value) -> bool:
+        try:
+            self.check("", value)
+        except ValueError:
+            return False
+        return True
+
+
+def _typed(kind: type, test: Callable, text: str):
+    return Annotated[kind, Accepts(kind, test, text)]
+
+
+Positive = _typed(float, lambda v: 0 < v < math.inf, "finite number > 0")
+NonNegative = _typed(float, lambda v: 0 <= v < math.inf, "finite number >= 0")
+Probability = _typed(float, lambda v: 0 <= v <= 1, "number in [0, 1]")
+Threshold = _typed(float, lambda v: 0 < v <= math.inf,
+                   "number > 0, or inf for never")
+Count = _typed(int, lambda v: _index(v) >= 0, "integer >= 0")
+AtLeastOne = _typed(int, lambda v: _index(v) >= 1, "integer >= 1")
+Seed = _typed(int, lambda v: 0 <= _index(v) < 2**63, "integer in [0, 2**63)")
+
+
+def accepts(field_type) -> Accepts:
+    """What field_type, one of the types above, accepts."""
+    return field_type.__metadata__[0]
+
+
+@functools.cache
+def settings_fields(cls) -> dict:
+    """name -> Accepts of each field of dataclass cls declared with one of
+    the types above; resolved once per class."""
+    return {name: accepts(hint) for name, hint
+            in typing.get_type_hints(cls, include_extras=True).items()
+            if isinstance(getattr(hint, "__metadata__", (None,))[0], Accepts)}
+
+
+class TypedSettings:
+    """Base of a frozen settings dataclass: building one checks each field
+    declared with a type above, keeping what Accepts.check gives."""
+
+    def __post_init__(self):
+        for name, field_accepts in settings_fields(type(self)).items():
+            value = getattr(self, name)
+            checked = field_accepts.check(name, value)
+            if checked is not value:
+                object.__setattr__(self, name, checked)
+
 
 @dataclass
 class StepReport:

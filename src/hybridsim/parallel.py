@@ -30,8 +30,6 @@ from .engine import (
     StepExecutionError,
     StepTable,
     frozen_copies,
-    owner_array,
-    partition_entities,
 )
 
 
@@ -74,7 +72,8 @@ class ProcessBackend(InProcessBackend):
     """InProcessBackend's operations, each LP in its own worker process.
 
     ``lps`` maps each lp id to the parent's end of its worker's pipe, and
-    only _ask, how an LP is asked, differs from the in-process backend.
+    only _start, which starts the workers, and _ask, how an LP is asked,
+    differ from the in-process backend.
     The parent mirrors per-LP entity counts from the extract and restore
     replies, so the engine's per-step conservation check never needs a
     round trip. A worker says hello, empty, once its LP is built.
@@ -85,13 +84,10 @@ class ProcessBackend(InProcessBackend):
     gone, however it went.
     """
 
-    def __init__(self, config, model_spec):
+    def _start(self, config, model_spec, assignment: dict) -> None:
         self.config = config
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods()
                              else "spawn")
-        assignment = partition_entities(range(model_spec.num_entities),
-                                        config.num_lps, config.master_seed)
-        self.owner_of = owner_array(assignment, model_spec.num_entities)
         self._counts = {lp_id: len(ids) for lp_id, ids in assignment.items()}
         self.lps = {}
         self._procs = {}

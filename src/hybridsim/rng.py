@@ -18,6 +18,12 @@ import numpy as np
 _NAMED_BIT = 1 << 63
 
 
+def generator() -> np.random.Generator:
+    """A Philox generator for seek to set; seeded, since an unseeded (or
+    only keyed) Philox reads OS entropy."""
+    return np.random.Generator(np.random.Philox(0))
+
+
 def seek(gen: np.random.Generator, key, cursor: int) -> np.random.Generator:
     """Point a Philox generator at draw number cursor of the stream keyed
     by key, (master seed, stream id) as exact ints, in O(1). Philox makes
@@ -44,7 +50,7 @@ class Stream:
 
     def __init__(self, master_seed: int, stream_id: int, cursor: int = 0):
         self._key = (master_seed, stream_id)
-        self._gen = seek(np.random.Generator(np.random.Philox()), self._key, 0)
+        self._gen = seek(generator(), self._key, 0)
         self.cursor = 0
         if cursor:
             self.skip(cursor)
@@ -80,7 +86,7 @@ class Stream:
 def named_generator(master_seed: int, tag: str) -> np.random.Generator:
     """Raw numpy generator for engine-internal bulk use (e.g. permutation)."""
     sid = _NAMED_BIT | zlib.crc32(tag.encode("utf-8"))
-    return seek(np.random.Generator(np.random.Philox()), [master_seed, sid], 0)
+    return seek(generator(), [master_seed, sid], 0)
 
 
 def derive_seed(*parts) -> int:

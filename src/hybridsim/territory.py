@@ -36,12 +36,12 @@ benchmark's reach check and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import rng
+from . import metrics, rng
 from .metrics import InvariantMonitor, StepReport
 
 DENSITY_AREA_PER_ENTITY = 10000.0  # one entity per this many square space units
@@ -53,51 +53,25 @@ SPEED_SPAN = RWP_SPEED_MAX - RWP_SPEED_MIN
 
 def world_side(num_entities: int, area_per_entity: float = DENSITY_AREA_PER_ENTITY) -> float:
     """Side of the square torus holding num_entities at fixed density."""
-    if num_entities <= 0:
-        raise ValueError("num_entities must be positive")
+    metrics.accepts(metrics.AtLeastOne).check("num_entities", num_entities)
     return math.sqrt(num_entities * area_per_entity)
 
 
-_POSITIVE = (lambda v: 0 < v < math.inf, "finite number > 0")
-_PROBABILITY = (lambda v: 0 <= v <= 1, "number in [0, 1]")
-_COUNT = (lambda v: 0 <= v < math.inf, "integer >= 0")
-
-# DisseminationParams field -> (test, accepted values), the one statement
-# of each field's range, which config.SCHEMA reads. Each test compares
-# against finite bounds, so NaN and infinities fail it.
-DISSEMINATION_RANGES = {
-    "interaction_range": _POSITIVE,
-    "forwarding_threshold": (lambda v: 0 <= v < math.inf,
-                             "finite number >= 0, below interaction_range"),
-    "gossip_probability": _PROBABILITY,
-    "geofilter_distance": _POSITIVE,
-    "generation_probability": _PROBABILITY,
-    "ttl": _COUNT,
-    "cache_capacity": (lambda v: 1 <= v < math.inf, "integer >= 1"),
-    "max_relays_per_step": _COUNT,
-}
-
-
 @dataclass(frozen=True)
-class DisseminationParams:
+class DisseminationParams(metrics.TypedSettings):
     """Gossip tuning knobs; defaults are the reference configuration."""
 
-    interaction_range: float = 250.0
-    forwarding_threshold: float = 225.0
-    gossip_probability: float = 0.2
-    geofilter_distance: float = 1000.0
-    generation_probability: float = 0.001
-    ttl: int = 6
-    cache_capacity: int = 128
-    max_relays_per_step: int = 10
+    interaction_range: metrics.Positive = 250.0
+    forwarding_threshold: metrics.NonNegative = 225.0
+    gossip_probability: metrics.Probability = 0.2
+    geofilter_distance: metrics.Positive = 1000.0
+    generation_probability: metrics.Probability = 0.001
+    ttl: metrics.Count = 6
+    cache_capacity: metrics.AtLeastOne = 128
+    max_relays_per_step: metrics.Count = 10
 
     def __post_init__(self):
-        for f in fields(self):
-            ok, accepted = DISSEMINATION_RANGES[f.name]
-            value = getattr(self, f.name)
-            if not ok(value):
-                raise ValueError(f"{f.name} = {value!r} out of range;"
-                                 f" accepted: {accepted}")
+        super().__post_init__()
         if not self.forwarding_threshold < self.interaction_range:
             raise ValueError(
                 "forwarding_threshold must lie below interaction_range")
@@ -111,8 +85,7 @@ def _torus_dist(ax: float, ay: float, bx: float, by: float, side: float) -> floa
 
 def toroidal_distance(a, b, side: float) -> float:
     """Shortest distance between points a and b on the side x side torus."""
-    if side <= 0:
-        raise ValueError("side must be positive")
+    metrics.accepts(metrics.Positive).check("side", side)
     return _torus_dist(a[0], a[1], b[0], b[1], side)
 
 
@@ -245,7 +218,7 @@ class EntityColumns:
         self.master_seed, self.capacity = master_seed, capacity
         self.block = block = DRAW_BLOCK
         self.clock = 1  # the next stamp
-        self._gen = np.random.Generator(np.random.Philox(key=0))
+        self._gen = rng.generator()
         for name, dtype in _COLUMNS.items():
             width = {"draws": (block,), "cache_ids": (1,),
                      "cache_stamps": (1,)}.get(name, ())
@@ -574,12 +547,12 @@ def broadcast_reach(world: World, sender_pos, interaction_range: float,
 
 
 @dataclass(frozen=True)
-class TerritorySpec:
+class TerritorySpec(metrics.TypedSettings):
     """Picklable description of a territory: entity count and gossip
     parameters. A LogicalProcess builds its entities from it in any
     process."""
 
-    num_entities: int
+    num_entities: metrics.AtLeastOne
     params: DisseminationParams = DisseminationParams()
 
     @property

@@ -11,40 +11,35 @@ never changes the ones already simulated.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from . import metrics
 from .rng import Stream
 
 
 @dataclass(frozen=True)
-class TransportParams:
-    n_vehicles: int = 0
-    parking_capacity: int = 100
-    mean_cruise_time: float = 10.0
-    mean_search_time: float = 5.0
-    idle_time: float = 5.0
-    cruise_rate: float = 2.0  # grams per time unit in each phase
-    search_rate: float = 1.5
-    idle_rate: float = 1.0
-    seed: int = 0
+class TransportParams(metrics.TypedSettings):
+    n_vehicles: metrics.Count = 0
+    parking_capacity: metrics.Count = 100
+    mean_cruise_time: metrics.NonNegative = 10.0
+    mean_search_time: metrics.NonNegative = 5.0
+    idle_time: metrics.NonNegative = 5.0
+    cruise_rate: metrics.NonNegative = 2.0  # grams per time unit in each phase
+    search_rate: metrics.NonNegative = 1.5
+    idle_rate: metrics.NonNegative = 1.0
+    seed: metrics.Seed = 0
     # fixed (phase name, duration) script applied to every vehicle instead
     # of drawn durations; None for the stochastic model
     scripted_phases: Optional[tuple] = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (f.name not in ("seed", "scripted_phases")
-                    and not 0 <= value < math.inf):
-                raise ValueError(f"{f.name} = {value!r} out of range;"
-                                 " accepted: finite number >= 0")
+        super().__post_init__()
+        duration = metrics.accepts(metrics.NonNegative)
         for phase, dur in self.scripted_phases or ():
             if phase not in ("cruise", "search", "idle"):
                 raise ValueError(f"unknown phase {phase!r}")
-            if not 0 <= dur < math.inf:
-                raise ValueError("phase durations must be finite and >= 0")
+            duration.check(f"{phase} duration", dur)
 
 
 class TransportResult(NamedTuple):

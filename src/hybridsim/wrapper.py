@@ -20,11 +20,12 @@ address it refuses ends in one error line and exit status 2, unbound.
 from __future__ import annotations
 
 import argparse
-import math
 import socket
 import sys
 import threading
+from dataclasses import dataclass
 
+from . import metrics
 from .coordination import Level1Settings, parse_endpoint
 from .market import MarketParams, MarketRun, MarketScene
 from .protocol import (
@@ -39,23 +40,36 @@ from .territory import wrap_coord
 from .transport import TransportParams, simulate_arrivals
 
 
+@dataclass(frozen=True)
+class SessionInit(metrics.TypedSettings):
+    """The fields of an INIT record that are not Level1Settings'."""
+
+    entities: metrics.AtLeastOne
+    side: metrics.Positive
+    substeps: metrics.AtLeastOne
+    master_seed: metrics.Seed
+    seed: metrics.Seed
+
+
+def read_init(cls, init: dict):
+    """cls (SessionInit or Level1Settings) built from an INIT record's
+    fields, each read as its type; a value cls refuses is a ProtocolError
+    naming the field."""
+    values = {name: (field_int if field.kind is int else field_float)(
+        init, name) for name, field in metrics.settings_fields(cls).items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ProtocolError(f"INIT {exc}") from None
+
+
 def run_session(rfile, wfile) -> None:
     """Serve one complete session on an open byte-stream pair."""
     ch = LineChannel(rfile, wfile)
     kind, t0, init = ch.recv(expect="INIT")
-    n = field_int(init, "entities")
-    if n < 1:
-        raise ProtocolError("INIT with no entities")
-    side = field_float(init, "side")
-    if not 0 < side < math.inf:
-        raise ProtocolError(f"INIT side = {side!r} out of range;"
-                            " accepted: finite number > 0")
-    substeps = field_int(init, "substeps")
-    if substeps < 1:
-        raise ProtocolError("substeps must be >= 1")
-    master_seed = field_int(init, "master_seed")
-    l1_seed = field_int(init, "seed")
-    level1 = Level1Settings.from_init(init)
+    session = read_init(SessionInit, init)
+    level1 = read_init(Level1Settings, init)
+    n = session.entities
 
     records = []
     for _ in range(n):
@@ -70,9 +84,10 @@ def run_session(rfile, wfile) -> None:
         raise ProtocolError("ENTITY records must arrive in ascending id order")
 
     arrivals = simulate_arrivals(
-        level1.params(TransportParams, n_vehicles=n, seed=l1_seed))
+        level1.params(TransportParams, n_vehicles=n, seed=session.seed))
     scene = MarketScene(level1.params(MarketParams))
-    run = MarketRun(scene, records, arrivals.customers_entering, master_seed)
+    run = MarketRun(scene, records, arrivals.customers_entering,
+                    session.master_seed)
 
     ch.send("READY", t0)
 
@@ -93,7 +108,7 @@ def run_session(rfile, wfile) -> None:
             )
         if rkind == "END":
             break
-        run.advance(substeps)
+        run.advance(session.substeps)
 
     st = run.status()
     ch.send("RESULT", coarse,
@@ -103,8 +118,8 @@ def run_session(rfile, wfile) -> None:
             emissions=arrivals.total_emissions,
             customers=arrivals.customers_entering)
     for rec in run.result_records():
-        wrapped = rec._replace(x=wrap_coord(rec.x, side),
-                               y=wrap_coord(rec.y, side))
+        wrapped = rec._replace(x=wrap_coord(rec.x, session.side),
+                               y=wrap_coord(rec.y, session.side))
         ch.send("ENTITY", coarse, **entity_fields(wrapped))
     ch.send("BYE", coarse)
 

@@ -1,12 +1,18 @@
 """Config files, presets, flag precedence, validation diagnostics."""
 
+import importlib
 import math
-from dataclasses import fields
+import pkgutil
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hybridsim
 from hybridsim.config import (
     PRESETS,
     SCHEMA,
@@ -18,6 +24,7 @@ from hybridsim.config import (
     resolve_settings,
 )
 from hybridsim.coordination import (
+    DensityTrigger,
     FixedDurationPolicy,
     HybridSpec,
     Level1Settings,
@@ -25,7 +32,11 @@ from hybridsim.coordination import (
     TimestepAlignment,
 )
 from hybridsim.engine import EngineConfig
-from hybridsim.territory import DisseminationParams
+from hybridsim.market import MarketParams
+from hybridsim.metrics import TypedSettings, settings_fields
+from hybridsim.territory import DisseminationParams, TerritorySpec
+from hybridsim.transport import TransportParams
+from hybridsim.wrapper import SessionInit
 
 
 def _write(tmp_path, text):
@@ -317,34 +328,108 @@ def test_run_settings_validate_however_built():
                     param_overrides=(("interaction_range", 50.0),))
 
 
-_INT_FIELDS = [(EngineConfig, "num_lps"), (EngineConfig, "total_timesteps"),
-               (EngineConfig, "master_seed"),
-               (TimestepAlignment, "fine_substeps"),
-               (ScriptedTrigger, "transfer_count"),
-               (FixedDurationPolicy, "coarse_steps"),
-               (Level1Settings, "parking_capacity"),
-               (Level1Settings, "grid_side"), (Level1Settings, "hop_limit")]
+# every settings type: the package's frozen dataclasses with fields, but
+# RunSettings, whose keys SCHEMA checks (test_run_settings_refuse_...)
+_SETTINGS_TYPES = (EngineConfig, DisseminationParams, TerritorySpec,
+                   MarketParams, TransportParams, TimestepAlignment,
+                   ScriptedTrigger, DensityTrigger, FixedDurationPolicy,
+                   Level1Settings, HybridSpec, SessionInit)
+# the values each settings type needs besides the one under test
+_REQUIRED = {TerritorySpec: dict(num_entities=10),
+             SessionInit: dict(entities=1, side=1.0, substeps=1,
+                               master_seed=0, seed=0),
+             DisseminationParams: dict(forwarding_threshold=0.0)}
+# field type (its accepted text) -> a value just below its range, and
+# which of 2.5, NaN and inf it takes
+_FIELD_TYPES = {
+    "finite number > 0": (0.0, {2.5}),
+    "finite number >= 0": (-1e-300, {2.5}),
+    "number in [0, 1]": (-1e-300, set()),
+    "number > 0, or inf for never": (0.0, {2.5, math.inf}),
+    "integer >= 0": (-1, set()),
+    "integer >= 1": (0, set()),
+    "integer in [0, 2**63)": (-1, set()),
+}
+
+
+def _typed_fields(kind):
+    return [(owner, name) for owner in _SETTINGS_TYPES
+            for name, f in settings_fields(owner).items() if f.kind is kind]
+
+
+_INT_FIELDS = _typed_fields(int)
+_FLOAT_FIELDS = _typed_fields(float)
+
+
+def _frozen_dataclasses() -> set:
+    found = set()
+    for info in pkgutil.iter_modules(hybridsim.__path__):
+        module = importlib.import_module(f"hybridsim.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and is_dataclass(obj)
+                     and obj.__dataclass_params__.frozen and fields(obj))
+    return found
 
 
 def test_int_field_list_is_complete():
-    owners = {owner for owner, _ in _INT_FIELDS}
-    assert {(o, f.name) for o in owners for f in fields(o)
-            if f.type == "int"} == set(_INT_FIELDS)
+    """Every settings type is listed, and each of its int and float fields
+    is declared with a metrics field type, so a type or field added
+    without its accepted values fails here."""
+    assert _frozen_dataclasses() - {RunSettings} == set(_SETTINGS_TYPES)
+    for owner in _SETTINGS_TYPES:
+        numeric = {name for name, hint in get_type_hints(owner).items()
+                   if hint in (int, float)}
+        assert numeric == set(settings_fields(owner)), owner
+        assert issubclass(owner, TypedSettings), owner
+    assert len(_INT_FIELDS) == 22 and len(_FLOAT_FIELDS) == 28
+
+
+def _refusal(owner, name, value) -> str:
+    """The ValueError text of building owner with name = value."""
+    with pytest.raises(ValueError) as info:
+        owner(**{**_REQUIRED.get(owner, {}), name: value})
+    return str(info.value)
+
+
+def _probes(owner, name) -> list:
+    """(value, taken?) for 2.5, NaN, inf and a value below the range."""
+    below, takes = _FIELD_TYPES[settings_fields(owner)[name].text]
+    return [(v, v in takes) for v in (2.5, math.nan, math.inf, below)]
 
 
 @pytest.mark.parametrize("owner,name", _INT_FIELDS,
                          ids=[f"{o.__name__}.{n}" for o, n in _INT_FIELDS])
 def test_integer_fields_refuse_non_integers_by_name(owner, name):
-    """A library-built setting refuses a non-integer at construction,
-    naming the field, and keeps an integer operator.index takes (numpy
-    included) as a plain int."""
-    for bad in (2.5, 3.0, np.float64(3.0), "3", None):
-        with pytest.raises(ValueError,
-                           match=f"^{name} = .* out of range; accepted: integer$"):
-            owner(**{name: bad})
+    """A library-built setting refuses a non-integer or a value below its
+    range at construction, naming the field and its accepted values, and
+    keeps an integer operator.index takes (numpy included) as a plain int."""
+    accepted = re.escape(settings_fields(owner)[name].text)
+    for bad in (3.0, np.float64(3.0), "3", None,
+                *(v for v, taken in _probes(owner, name) if not taken)):
+        assert re.fullmatch(f"{name} = .* out of range; accepted: {accepted}",
+                            _refusal(owner, name, bad)), (name, bad)
     for good in (np.int64(3), np.uint8(3)):
-        value = getattr(owner(**{name: good}), name)
+        built = owner(**{**_REQUIRED.get(owner, {}), name: good})
+        value = getattr(built, name)
         assert type(value) is int and value == 3
+
+
+@pytest.mark.parametrize("owner,name", _FLOAT_FIELDS,
+                         ids=[f"{o.__name__}.{n}" for o, n in _FLOAT_FIELDS])
+def test_float_fields_refuse_out_of_range_by_name(owner, name):
+    """2.5, NaN, inf and a value below the range are each refused by name,
+    with the field's accepted values, unless the field type takes it (an
+    infinite DensityTrigger threshold never fires); so are a string and
+    None."""
+    accepted = re.escape(settings_fields(owner)[name].text)
+    for value, taken in _probes(owner, name) + [("3", False), (None, False)]:
+        if taken:
+            built = owner(**{**_REQUIRED.get(owner, {}), name: value})
+            assert getattr(built, name) == value
+        else:
+            assert re.fullmatch(
+                f"{name} = .* out of range; accepted: {accepted}",
+                _refusal(owner, name, value)), (name, value)
 
 
 @pytest.mark.parametrize("key,bad,good", [
@@ -372,3 +457,39 @@ def test_hybrid_none_when_unconfigured():
     assert spec.align.fine_substeps == 5
     assert spec.policy.coarse_steps == 7
     assert spec.endpoint is None  # empty string means local
+
+
+def _readme_table(header: str) -> dict:
+    """key -> the other cells, backticks dropped, of the README table
+    under the given header row."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        key, *cells = [c.strip().strip("`")
+                       for c in line.strip("|").split("|")]
+        rows[key] = cells
+    return rows
+
+
+def _shown(default) -> str:
+    if default in ((), ""):
+        return "empty"
+    return ", ".join(map(str, default)) if isinstance(default, tuple) \
+        else str(default)
+
+
+def test_readme_key_tables_match_the_schema():
+    """The README's two key tables list exactly SCHEMA's keys with their
+    defaults, and the gossip table each key's accepted text and bad-preset
+    value, so the documentation cannot drift from the schema."""
+    run_keys = _readme_table("| key | default | meaning |")
+    gossip = _readme_table("| key | default | bad preset | accepted |")
+    assert sorted([*run_keys, *gossip]) == sorted(SCHEMA)
+    for key, (default, _) in run_keys.items():
+        assert default == _shown(SCHEMA[key][3]), key
+    for key, (default, bad, accepted) in gossip.items():
+        assert default == _shown(SCHEMA[key][3]), key
+        assert bad == str(PRESETS["bad"].get(key, "")), key
+        assert accepted == SCHEMA[key][2], key

@@ -33,7 +33,7 @@ from hybridsim.coordination import (
 from hybridsim import coordination, market, transport, wrapper
 from hybridsim.engine import (EngineConfig, EngineError, InProcessBackend,
                               grid_cells, run_simulation)
-from hybridsim.metrics import RunMetrics
+from hybridsim.metrics import RunMetrics, settings_fields
 from hybridsim.protocol import ProtocolError, entity_fields, format_value
 from hybridsim.rng import derive_seed
 from hybridsim.territory import EntityRecord, TerritorySpec, World
@@ -326,12 +326,14 @@ def test_level1_settings_init_fields():
 
 def test_level1_settings_take_their_defaults_and_ranges_from_the_models():
     """spacing=-1 was accepted and every spawn then died in the wrapper
-    thread; the settings now build TransportParams and MarketParams."""
+    thread; each field now has its model's field type and default."""
     level1 = Level1Settings()
     for cls in (market.MarketParams, transport.TransportParams):
         for name, value in level1.init_fields().items():
             if hasattr(cls, name):
                 assert value == getattr(cls(), name)
+                assert (settings_fields(Level1Settings)[name]
+                        == settings_fields(cls)[name]), name
     assert (level1.params(transport.TransportParams, n_vehicles=3)
             == transport.TransportParams(n_vehicles=3))
     assert level1.params(market.MarketParams) == market.MarketParams()
@@ -352,7 +354,8 @@ def test_hybrid_spec_endpoint_validation():
     # a NaN io_timeout once failed inside spawn_level1, after the
     # entities were extracted
     for timeout in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="^io_timeout must "):
+        with pytest.raises(ValueError, match="^io_timeout = .* out of range;"
+                                             " accepted: finite number > 0$"):
             HybridSpec(io_timeout=timeout)
 
 

@@ -75,11 +75,15 @@ def test_engine_config_validation():
         EngineConfig(total_timesteps=0)
     # a seed outside [0, 2**63) once failed inside numpy, and a timeout of
     # inf, nan or -1 only in process mode, at the first barrier
-    for field, value in (("master_seed", -1), ("master_seed", 2**63),
-                         ("barrier_timeout", float("inf")),
-                         ("barrier_timeout", float("nan")),
-                         ("barrier_timeout", -1.0), ("barrier_timeout", 0.0)):
-        with pytest.raises(ValueError, match=f"^{field} must "):
+    for field, value, accepted in (
+            ("master_seed", -1, r"integer in \[0, 2\*\*63\)"),
+            ("master_seed", 2**63, r"integer in \[0, 2\*\*63\)"),
+            ("barrier_timeout", float("inf"), "finite number > 0"),
+            ("barrier_timeout", float("nan"), "finite number > 0"),
+            ("barrier_timeout", -1.0, "finite number > 0"),
+            ("barrier_timeout", 0.0, "finite number > 0")):
+        with pytest.raises(ValueError, match=f"^{field} = .* out of range;"
+                                             f" accepted: {accepted}$"):
             EngineConfig(**{field: value})
     EngineConfig(master_seed=2**63 - 1, barrier_timeout=1e-3)
 

@@ -1,12 +1,20 @@
 """Stream reproducibility, independence, and cursor restore."""
 
+import random
 import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridsim.coordination import (
+    FixedDurationPolicy,
+    HybridSpec,
+    ScriptedTrigger,
+)
+from hybridsim.engine import EngineConfig, run_simulation
 from hybridsim.rng import Stream, derive_seed, named_generator, seek
+from hybridsim.territory import TerritorySpec
 
 
 def test_same_key_same_sequence():
@@ -156,3 +164,25 @@ def test_seek_refuses_keys_outside_64_bits():
     for key in ([2**64, 0], [0, 2**64], [-1, 0]):
         with pytest.raises(OverflowError):
             seek(gen, key, 0)
+
+
+def test_a_run_reads_no_os_entropy(monkeypatch):
+    """A run is a pure function of its config: no generator it builds
+    reads OS entropy. numpy seeds an unseeded (or only keyed) Philox
+    through random.SystemRandom, which reads random._urandom, so that is
+    where the reads are counted; os.urandom would not see them."""
+    reads = []
+    urandom = random._urandom
+    monkeypatch.setattr(random, "_urandom",
+                        lambda n: reads.append(n) or urandom(n))
+    np.random.Philox(key=0)
+    assert reads, "the probe must see numpy's entropy reads"
+    reads.clear()
+    hybrid = HybridSpec(trigger=ScriptedTrigger(spawn_at=(2,),
+                                                transfer_count=4),
+                        policy=FixedDurationPolicy(coarse_steps=2))
+    m = run_simulation(EngineConfig(num_lps=2, total_timesteps=8,
+                                    master_seed=3),
+                       TerritorySpec(40), hybrid=hybrid, mode="inprocess")
+    assert m.level1.spawns == 1 and m.level1.customers > 0
+    assert reads == []

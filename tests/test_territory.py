@@ -18,6 +18,7 @@ from hybridsim.territory import (
     DisseminationParams,
     EntityColumns,
     EntityRecord,
+    TerritorySpec,
     World,
     broadcast_reach,
     broadcast_table,
@@ -122,6 +123,15 @@ def test_params_validation():
                 DisseminationParams(**{field: value})
     # the bad-tuning preset values are legal
     DisseminationParams(gossip_probability=0.6, forwarding_threshold=100.0)
+
+
+def test_territory_spec_refuses_entity_counts_by_name():
+    for n in (0, -3, 20.5, 20.0, math.nan):
+        with pytest.raises(ValueError,
+                           match="^num_entities = .* out of range;"
+                                 " accepted: integer >= 1$"):
+            TerritorySpec(n)
+    assert TerritorySpec(np.int64(20)).num_entities == 20
 
 
 def _one(entity_id, seed, side, params=P):

@@ -196,6 +196,27 @@ def test_session_rejects_side_out_of_range(side, sessions, capsys):
     _assert_session_failed(sessions, capsys, f"INIT side = {side!r} out of")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("master_seed", -1), ("seed", -5), ("master_seed", 2**63),
+    ("entities", 0), ("substeps", 0)])
+def test_session_rejects_init_field_out_of_range(field, value, sessions,
+                                                 capsys):
+    """An INIT session field out of range ends the session with a
+    ProtocolError naming it; a negative seed once died inside numpy with
+    an OverflowError."""
+    sock = start_local()
+    sock.settimeout(10.0)
+    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
+                substeps=3, master_seed=1, seed=1)
+    ch.send("INIT", 0, **{**init, field: value})
+    with pytest.raises(ProtocolError, match="closed"):
+        ch.recv()
+    ch.close()
+    _assert_session_failed(sessions, capsys,
+                           f"INIT {field} = {value!r} out of range")
+
+
 def test_spawn_with_refused_side_restores_entities(sessions, capsys):
     config = EngineConfig(num_lps=2, total_timesteps=10, master_seed=7)
     backend = InProcessBackend(config, TerritorySpec(num_entities=8))

@@ -21,8 +21,7 @@ def main():
     print(f"{'fine step':>9} {'querying':>9} {'walking':>8}"
           f" {'arrived':>8} {'messages':>9}")
     last = None
-    while not run.all_arrived():
-        st = run.status()
+    while (st := run.status())["arrived"] < n:
         row = (st["querying"], st["walking"], st["arrived"], st["msgs"])
         if row != last:
             print(f"{run.fine_clock:>9} {row[0]:>9} {row[1]:>8}"

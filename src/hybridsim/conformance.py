@@ -17,17 +17,11 @@ import io
 import os
 from importlib.resources import files
 
-from .coordination import (
-    ENDPOINT_ENV_VAR,
-    FixedDurationPolicy,
-    HybridSpec,
-    Level1Settings,
-    ScriptedTrigger,
-    TimestepAlignment,
-)
-from .engine import EngineConfig, run_simulation
+from .campaign import run_one
+from .config import RunSettings
+from .coordination import ENDPOINT_ENV_VAR, Level1Settings
 from .protocol import LineChannel, entity_fields
-from .territory import DisseminationParams, EntityRecord, TerritorySpec
+from .territory import EntityRecord
 from .wrapper import run_session, start_local
 
 GOLDEN_NAMES = ("session_small", "hybrid_w0", "hybrid_w1")
@@ -45,7 +39,8 @@ _SESSION_INIT = dict(
 _SESSION_SPAWN_STEP = 5
 _SESSION_COARSE_STEPS = 3
 
-# the hybrid scenario: two wrappers spawned at the same barrier
+# the hybrid scenario: two wrappers spawned at the same barrier; every
+# key is a RunSettings key
 HYBRID_SCENARIO = dict(ses=64, steps=12, seed=20260822, spawn_at=(5, 5),
                        transfer_count=4, substeps=3, duration=3)
 
@@ -82,7 +77,7 @@ def replay(lines) -> tuple:
     expected = [line[2:] for line in lines if line.startswith("< ")]
     rfile = io.BytesIO(("".join(l + "\n" for l in sent)).encode("ascii"))
     wfile = io.BytesIO()
-    run_session(rfile, wfile)
+    run_session(LineChannel(rfile, wfile))
     actual = wfile.getvalue().decode("ascii").splitlines()
     return expected, actual
 
@@ -113,8 +108,7 @@ def check_all() -> list:
 
 def _record_session() -> list:
     """Drive the pinned standalone session and capture its transcript."""
-    sock = start_local()
-    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"), transcript=[])
+    ch = LineChannel.over_socket(start_local(), transcript=[])
     try:
         t0 = _SESSION_SPAWN_STEP
         ch.send("INIT", t0, **_SESSION_INIT)
@@ -131,22 +125,16 @@ def _record_session() -> list:
         ch.recv(expect="BYE")
     finally:
         ch.close()
-        sock.close()
     return list(ch.transcript)
 
 
 def _record_hybrid() -> dict:
-    """Run the scripted hybrid scenario; transcripts per wrapper."""
-    sc = HYBRID_SCENARIO
-    spec = TerritorySpec(sc["ses"], DisseminationParams())
-    hy = HybridSpec(
-        trigger=ScriptedTrigger(spawn_at=sc["spawn_at"],
-                                transfer_count=sc["transfer_count"]),
-        align=TimestepAlignment(fine_substeps=sc["substeps"]),
-        policy=FixedDurationPolicy(coarse_steps=sc["duration"]))
-    cfg = EngineConfig(num_lps=1, total_timesteps=sc["steps"],
-                       master_seed=sc["seed"])
-    metrics = run_simulation(cfg, spec, hybrid=hy, mode="inprocess")
+    """Run the scripted hybrid scenario, one LP in-process, the way a
+    single run is built from its settings; transcripts per wrapper."""
+    settings = RunSettings(**dict(HYBRID_SCENARIO,
+                                  ses=(HYBRID_SCENARIO["ses"],)),
+                           mode="inprocess")
+    metrics = run_one(settings, *settings.single_run(), settings.seed, {})
     return {f"hybrid_w{t['wrapper_id']}": t["lines"]
             for t in metrics.wrapper_transcripts}
 

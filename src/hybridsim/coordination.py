@@ -42,8 +42,7 @@ from .protocol import (
     ProtocolError,
     entity_fields,
     entity_from_fields,
-    field_float,
-    field_int,
+    field,
 )
 from .rng import derive_seed
 from .transport import TransportParams
@@ -155,16 +154,9 @@ class UntilArrivedPolicy:
     """END once the wrapper reports no pedestrian still underway."""
 
     def decide(self, handle, t: int, status: dict) -> str:
-        remaining = field_int(status, "querying") + field_int(status, "walking")
+        remaining = (field(status, "querying", int)
+                     + field(status, "walking", int))
         return "END" if remaining == 0 else "CONTINUE"
-
-
-class _EndPolicy:
-    def decide(self, handle, t, status):
-        return "END"
-
-
-_END_POLICY = _EndPolicy()
 
 
 @dataclass(frozen=True)
@@ -239,14 +231,12 @@ def resolve_endpoint(spec: HybridSpec) -> Optional[str]:
 class WrapperHandle:
     """One live sub-simulator session, L0 side."""
 
-    def __init__(self, wrapper_id: int, spawned_at: int, records, channel,
-                 sock):
+    def __init__(self, wrapper_id: int, spawned_at: int, records, channel):
         self.wrapper_id = wrapper_id
         self.spawned_at = spawned_at
         self.records = tuple(records)  # snapshot kept until RESULT validates
         self.entity_ids = tuple(r.entity_id for r in self.records)
-        self.channel = channel
-        self._sock = sock
+        self.channel = channel  # owns the session's socket
         self.state = RUNNING_L1B
         self.end_sent_at: Optional[int] = None
 
@@ -256,11 +246,6 @@ class WrapperHandle:
 
     def close(self) -> None:
         self.channel.close()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
 
     def __repr__(self):
         return (f"WrapperHandle(id={self.wrapper_id},"
@@ -268,16 +253,14 @@ class WrapperHandle:
                 f" entities={len(self.entity_ids)})")
 
 
-def _connect(address: Optional[tuple], timeout: float):
+def _connect(address: Optional[tuple], timeout: float) -> LineChannel:
     if address is None:
         from . import wrapper
         sock = wrapper.start_local()
     else:
         sock = socket.create_connection(address, timeout=timeout)
     sock.settimeout(timeout)
-    channel = LineChannel(sock.makefile("rb"), sock.makefile("wb"),
-                          transcript=[])
-    return sock, channel
+    return LineChannel.over_socket(sock, transcript=[])
 
 
 def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
@@ -302,8 +285,8 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
     records = backend.extract(ids)
     handle = None
     try:
-        sock, channel = _connect(address, spec.io_timeout)
-        handle = WrapperHandle(wrapper_id, t, records, channel, sock)
+        channel = _connect(address, spec.io_timeout)
+        handle = WrapperHandle(wrapper_id, t, records, channel)
         init = spec.level1.init_fields()
         init.update(entities=len(records),
                     seed=derive_seed(master_seed, "wrapper", t, wrapper_id),
@@ -366,7 +349,7 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
     kind, rstep, rf = ch.recv(expect="RESULT")
     if rstep != t:
         raise ProtocolError(f"RESULT for step {rstep}, expected {t}")
-    n = field_int(rf, "entities")
+    n = field(rf, "entities", int)
     if n != len(handle.entity_ids):
         raise ConservationError(
             f"wrapper {handle.wrapper_id} returned {n} entities,"
@@ -403,7 +386,7 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
                 f"entity {r.entity_id} rng cursor moved backwards:"
                 f" {snap.cursor} -> {r.cursor}")
         draw_total += r.cursor - snap.cursor
-    reported = field_int(rf, "rng_draws")
+    reported = field(rf, "rng_draws", int)
     if draw_total != reported:
         raise ConservationError(
             f"wrapper {handle.wrapper_id} draw accounting: cursors advanced"
@@ -414,12 +397,12 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
                  [r.x for r in returned], [r.y for r in returned])
     if metrics is not None:
         lv = metrics.level1
-        lv.emissions_g += field_float(rf, "emissions")
-        lv.customers += field_int(rf, "customers")
-        lv.arrived += field_int(rf, "arrived")
-        lv.market_messages += field_int(rf, "msgs")
-        lv.route_discoveries += field_int(rf, "routes")
-        lv.fine_steps += field_int(rf, "fine_steps")
+        lv.emissions_g += field(rf, "emissions", float)
+        lv.customers += field(rf, "customers", int)
+        lv.arrived += field(rf, "arrived", int)
+        lv.market_messages += field(rf, "msgs", int)
+        lv.route_discoveries += field(rf, "routes", int)
+        lv.fine_steps += field(rf, "fine_steps", int)
     handle.state = DONE
     handle.close()
 
@@ -458,7 +441,10 @@ class HybridCoordinator:
 
     def at_barrier(self, t: int, world, backend, metrics,
                    force_end: bool = False) -> None:
-        policy = _END_POLICY if force_end else self.spec.policy
+        # every active wrapper was spawned at an earlier barrier, so one
+        # coarse step in it is enough to be told END
+        policy = (FixedDurationPolicy(coarse_steps=1) if force_end
+                  else self.spec.policy)
         for wid in sorted(self.active):
             handle = self.active[wid]
             try:

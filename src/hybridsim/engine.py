@@ -302,7 +302,7 @@ class LogicalProcess:
             hops = inbox.table["hop_count"][inbox.row[repeat]]
             report.delivered += len(hops)
             report.cache_filtered += len(hops)
-            self.monitor.note_delivery(int(hops.max(initial=0)))
+            self.monitor.note(max_delivered_hop=int(hops.max(initial=0)))
             relays = territory.decide_relay(
                 cols, np.repeat(np.arange(len(cols.ids)), hi - lo),
                 inbox.table[inbox.row[~repeat]], params, self.side, report,
@@ -328,7 +328,8 @@ class LogicalProcess:
 
     def finish(self) -> InvariantMonitor:
         """The run's invariant extrema, with every cache's high water."""
-        self.monitor.note_cache(int(self.cols.cache_len.max(initial=0)))
+        self.monitor.note(
+            cache_high_water=int(self.cols.cache_len.max(initial=0)))
         return self.monitor
 
 

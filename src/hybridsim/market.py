@@ -169,22 +169,24 @@ def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
 
 
 class PedestrianNode:
-    """One market visitor carried down from the coarse level."""
+    """One market visitor carried down from the coarse level.
 
-    __slots__ = ("entity_id", "node_id", "x", "y", "entry_x", "entry_y",
-                 "target_seller", "known_target", "state",
+    Its position is the scene's node_pos[node_id]; the node keeps where
+    it entered and its entity's stream cursor after the entry draws.
+    """
+
+    __slots__ = ("entity_id", "node_id", "entry_x", "entry_y",
+                 "target_seller", "cursor", "state",
                  "reply_due", "route_hops", "retries", "retry_wait")
 
-    def __init__(self, entity_id: int, node_id: int, x: float, y: float,
-                 target_seller: int):
+    def __init__(self, entity_id: int, node_id: int, entry_x: float,
+                 entry_y: float, target_seller: int, cursor: int):
         self.entity_id = entity_id
         self.node_id = node_id
-        self.x = x
-        self.y = y
-        self.entry_x = x
-        self.entry_y = y
+        self.entry_x = entry_x
+        self.entry_y = entry_y
         self.target_seller = target_seller
-        self.known_target = None
+        self.cursor = cursor
         self.state = QUERYING
         self.reply_due = None  # fine step when the position reply arrives
         self.route_hops = None
@@ -205,21 +207,23 @@ def perimeter_point(extent: float, u: float):
     return (0.0, extent - (d - 3.0 * extent))
 
 
-def pedestrian_step(ped: PedestrianNode, walking_speed: float) -> None:
-    """One fine step of movement; only WALKING pedestrians move."""
+def pedestrian_step(scene: MarketScene, ped: PedestrianNode) -> None:
+    """One fine step of movement towards the target seller, through
+    scene.set_node; only WALKING pedestrians move."""
     if ped.state != WALKING:
         return
-    tx, ty = ped.known_target
-    dx = tx - ped.x
-    dy = ty - ped.y
+    x, y = scene.node_pos[ped.node_id]
+    tx, ty = scene.seller_position(ped.target_seller)
+    dx = tx - x
+    dy = ty - y
     dist = math.hypot(dx, dy)
-    if dist <= walking_speed:
-        ped.x, ped.y = tx, ty
+    speed = scene.params.walking_speed
+    if dist <= speed:
+        scene.set_node(ped.node_id, (tx, ty))
         ped.state = ARRIVED
         return
-    f = walking_speed / dist
-    ped.x += dx * f
-    ped.y += dy * f
+    f = speed / dist
+    scene.set_node(ped.node_id, (x + dx * f, y + dy * f))
 
 
 class MarketRun:
@@ -239,8 +243,7 @@ class MarketRun:
         self.records = list(records)
         self.n_customers = n_customers
         self.master_seed = master_seed
-        self.peds = []  # PedestrianNode, one per entering customer
-        self.draws = {}  # entity_id -> Stream (live, carried cursor)
+        self.peds = []  # PedestrianNode of records[i], one per customer
         self.injected = False
         self.fine_clock = 0
         self.messages = 0
@@ -254,10 +257,9 @@ class MarketRun:
             x, y = perimeter_point(extent, stream.uniform())
             target = stream.randrange(self.scene.num_sellers)
             node_id = self.scene.num_sellers + i
-            ped = PedestrianNode(rec.entity_id, node_id, x, y, target)
             self.scene.set_node(node_id, (x, y))
-            self.peds.append(ped)
-            self.draws[rec.entity_id] = stream
+            self.peds.append(PedestrianNode(rec.entity_id, node_id, x, y,
+                                            target, stream.cursor))
         self.injected = True
 
     def _start_query(self, ped: PedestrianNode) -> None:
@@ -282,16 +284,13 @@ class MarketRun:
                     if self.fine_clock >= ped.reply_due:
                         # the position reply lands this fine step; walking
                         # begins on the next one
-                        ped.known_target = self.scene.seller_position(
-                            ped.target_seller)
                         ped.state = WALKING
                 elif ped.retry_wait > 0:
                     ped.retry_wait -= 1
                 else:
                     self._start_query(ped)
             elif ped.state == WALKING:
-                pedestrian_step(ped, self.scene.params.walking_speed)
-                self.scene.set_node(ped.node_id, (ped.x, ped.y))
+                pedestrian_step(self.scene, ped)
         self.fine_clock += 1
 
     def advance(self, substeps: int) -> None:
@@ -315,9 +314,6 @@ class MarketRun:
             "fine_steps": self.fine_clock,
         }
 
-    def all_arrived(self) -> bool:
-        return self.injected and all(p.state == ARRIVED for p in self.peds)
-
     def result_records(self) -> list:
         """Entity records going back up, with market displacement applied.
 
@@ -325,22 +321,15 @@ class MarketRun:
         displacement (entry to final position); entities that never
         entered the market return untouched.
         """
-        out = []
-        by_entity = {p.entity_id: p for p in self.peds}
-        for rec in self.records:
-            ped = by_entity.get(rec.entity_id)
-            if ped is None:
-                out.append(rec)
-                continue
-            stream = self.draws[ped.entity_id]
-            out.append(rec._replace(
-                x=rec.x + (ped.x - ped.entry_x),
-                y=rec.y + (ped.y - ped.entry_y),
-                cursor=stream.cursor,
-            ))
+        out = list(self.records)
+        for i, (rec, ped) in enumerate(zip(self.records, self.peds)):
+            x, y = self.scene.node_pos[ped.node_id]
+            out[i] = rec._replace(x=rec.x + (x - ped.entry_x),
+                                  y=rec.y + (y - ped.entry_y),
+                                  cursor=ped.cursor)
         return out
 
     def total_draws(self) -> int:
-        return sum(self.draws[rec.entity_id].cursor - rec.cursor
-                   for rec in self.records if rec.entity_id in self.draws)
+        return sum(ped.cursor - rec.cursor
+                   for ped, rec in zip(self.peds, self.records))
 

@@ -136,34 +136,15 @@ class InvariantMonitor:
     max_relays_entity_step: int = 0
     cache_high_water: int = 0
 
-    def note_delivery(self, hop_count: int) -> None:
-        if hop_count > self.max_delivered_hop:
-            self.max_delivered_hop = hop_count
-
-    def note_relay(self, ring_distance: float, origin_distance: float,
-                   relays_this_step: int) -> None:
-        if ring_distance < self.relay_ring_min:
-            self.relay_ring_min = ring_distance
-        if ring_distance > self.relay_ring_max:
-            self.relay_ring_max = ring_distance
-        if origin_distance > self.relay_origin_max:
-            self.relay_origin_max = origin_distance
-        if relays_this_step > self.max_relays_entity_step:
-            self.max_relays_entity_step = relays_this_step
-
-    def note_cache(self, high_water: int) -> None:
-        if high_water > self.cache_high_water:
-            self.cache_high_water = high_water
+    def note(self, **values) -> None:
+        """Fold values in by field name: relay_ring_min keeps the smallest
+        value seen, every other field the largest."""
+        for name, value in values.items():
+            keep = min if name == "relay_ring_min" else max
+            setattr(self, name, keep(getattr(self, name), value))
 
     def merge(self, other: "InvariantMonitor") -> None:
-        self.max_delivered_hop = max(self.max_delivered_hop, other.max_delivered_hop)
-        self.relay_ring_min = min(self.relay_ring_min, other.relay_ring_min)
-        self.relay_ring_max = max(self.relay_ring_max, other.relay_ring_max)
-        self.relay_origin_max = max(self.relay_origin_max, other.relay_origin_max)
-        self.max_relays_entity_step = max(
-            self.max_relays_entity_step, other.max_relays_entity_step
-        )
-        self.cache_high_water = max(self.cache_high_water, other.cache_high_water)
+        self.note(**dataclasses.asdict(other))
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)

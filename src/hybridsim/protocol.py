@@ -107,29 +107,18 @@ def decode_record(line) -> tuple:
     return kind, step, fields
 
 
-def field_int(fields: dict, key: str) -> int:
+_NOT_A = {int: "an integer", float: "a number"}
+
+
+def field(fields: dict, key: str, kind):
+    """fields[key] read as kind (int, float or str); a missing or
+    unreadable value is a ProtocolError naming the key."""
     try:
-        return int(fields[key])
+        return kind(fields[key])
     except KeyError as exc:
         raise ProtocolError(f"missing field {key!r}") from exc
     except ValueError as exc:
-        raise ProtocolError(f"field {key!r} is not an integer") from exc
-
-
-def field_float(fields: dict, key: str) -> float:
-    try:
-        return float(fields[key])
-    except KeyError as exc:
-        raise ProtocolError(f"missing field {key!r}") from exc
-    except ValueError as exc:
-        raise ProtocolError(f"field {key!r} is not a number") from exc
-
-
-def field_str(fields: dict, key: str) -> str:
-    try:
-        return fields[key]
-    except KeyError as exc:
-        raise ProtocolError(f"missing field {key!r}") from exc
+        raise ProtocolError(f"field {key!r} is not {_NOT_A[kind]}") from exc
 
 
 def entity_fields(rec) -> dict:
@@ -148,10 +137,10 @@ def entity_fields(rec) -> dict:
 
 def entity_from_fields(fields: dict):
     from .territory import EntityRecord
-    kind = field_str(fields, "kind")
+    kind = field(fields, "kind", str)
     if kind not in ("mobile", "static"):
         raise ProtocolError(f"bad entity kind {kind!r}")
-    target_s = field_str(fields, "target")
+    target_s = field(fields, "target", str)
     if target_s == "none":
         target = None
     else:
@@ -160,17 +149,17 @@ def entity_from_fields(fields: dict):
             target = (float(tx), float(ty))
         except ValueError as exc:
             raise ProtocolError(f"bad target {target_s!r}") from exc
-    cache_s = field_str(fields, "cache")
+    cache_s = field(fields, "cache", str)
     try:
         cache = () if cache_s == "-" else tuple(int(c) for c in cache_s.split(","))
     except ValueError as exc:
         raise ProtocolError(f"bad cache list {cache_s!r}") from exc
-    cursor = field_int(fields, "cursor")
+    cursor = field(fields, "cursor", int)
     if cursor < 0:
         raise ProtocolError("negative stream cursor")
-    return EntityRecord(field_int(fields, "id"), kind,
-                        field_float(fields, "x"), field_float(fields, "y"),
-                        target, field_float(fields, "speed"), cache, cursor)
+    return EntityRecord(field(fields, "id", int), kind,
+                        field(fields, "x", float), field(fields, "y", float),
+                        target, field(fields, "speed", float), cache, cursor)
 
 
 class LineChannel:
@@ -178,12 +167,20 @@ class LineChannel:
 
     The transcript is recorded from this endpoint's perspective:
     "> " for lines sent, "< " for lines received, in wire order.
+    A channel over a socket (over_socket) owns it: close closes the
+    socket with its two files.
     """
 
-    def __init__(self, rfile, wfile, transcript=None):
+    def __init__(self, rfile, wfile, transcript=None, sock=None):
         self._rfile = rfile
         self._wfile = wfile
         self.transcript = transcript
+        self.sock = sock
+
+    @classmethod
+    def over_socket(cls, sock: socket.socket, transcript=None):
+        return cls(sock.makefile("rb"), sock.makefile("wb"), transcript,
+                   sock)
 
     def send(self, kind: str, step: int, /, **fields) -> None:
         raw = encode_record(kind, step, **fields)
@@ -220,8 +217,9 @@ class LineChannel:
         return kind, step, fields
 
     def close(self) -> None:
-        for f in (self._wfile, self._rfile):
+        for f in (self._wfile, self._rfile, self.sock):
             try:
-                f.close()
+                if f is not None:
+                    f.close()
             except OSError:
                 pass

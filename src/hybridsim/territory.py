@@ -454,7 +454,7 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
     moves: one more hop, one less to live, origin and creation kept.
     """
     report.delivered += len(rows)
-    monitor.note_delivery(int(copies["hop_count"].max(initial=0)))
+    monitor.note(max_delivered_hop=int(copies["hop_count"].max(initial=0)))
     hit = np.empty(len(rows), dtype=bool)
     for i in _rounds(rows):
         hit[i] = cols.touch(rows[i], copies["message_id"][i])
@@ -494,8 +494,10 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
     report.gossip_declined += tossed - len(c)
     report.relayed += len(c)
     if len(c):  # the monitor keeps only extremes
-        for d in (ring.min(), ring.max()):
-            monitor.note_relay(float(d), float(origin.max()), int(used.max()))
+        monitor.note(relay_ring_min=float(ring.min()),
+                     relay_ring_max=float(ring.max()),
+                     relay_origin_max=float(origin.max()),
+                     max_relays_entity_step=int(used.max()))
     k = rows[c]
     out = copies[c]
     out["sender"], out["sender_x"], out["sender_y"] = \

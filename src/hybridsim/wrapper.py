@@ -33,8 +33,7 @@ from .protocol import (
     ProtocolError,
     entity_fields,
     entity_from_fields,
-    field_float,
-    field_int,
+    field,
 )
 from .territory import wrap_coord
 from .transport import TransportParams, simulate_arrivals
@@ -55,17 +54,16 @@ def read_init(cls, init: dict):
     """cls (SessionInit or Level1Settings) built from an INIT record's
     fields, each read as its type; a value cls refuses is a ProtocolError
     naming the field."""
-    values = {name: (field_int if field.kind is int else field_float)(
-        init, name) for name, field in metrics.settings_fields(cls).items()}
+    values = {name: field(init, name, accepts.kind)
+              for name, accepts in metrics.settings_fields(cls).items()}
     try:
         return cls(**values)
     except ValueError as exc:
         raise ProtocolError(f"INIT {exc}") from None
 
 
-def run_session(rfile, wfile) -> None:
-    """Serve one complete session on an open byte-stream pair."""
-    ch = LineChannel(rfile, wfile)
+def run_session(ch: LineChannel) -> None:
+    """Serve one complete session on an open channel."""
     kind, t0, init = ch.recv(expect="INIT")
     session = read_init(SessionInit, init)
     level1 = read_init(Level1Settings, init)
@@ -88,19 +86,16 @@ def run_session(rfile, wfile) -> None:
     scene = MarketScene(level1.params(MarketParams))
     run = MarketRun(scene, records, arrivals.customers_entering,
                     session.master_seed)
+    # the vehicle cohort's outcome rides on every STATUS and the RESULT
+    cohort = dict(emissions=arrivals.total_emissions,
+                  customers=arrivals.customers_entering)
 
     ch.send("READY", t0)
 
     coarse = t0
     while True:
         coarse += 1
-        st = run.status()
-        ch.send("STATUS", coarse,
-                querying=st["querying"], walking=st["walking"],
-                arrived=st["arrived"], msgs=st["msgs"], routes=st["routes"],
-                fine_steps=st["fine_steps"],
-                emissions=arrivals.total_emissions,
-                customers=arrivals.customers_entering)
+        ch.send("STATUS", coarse, **run.status(), **cohort)
         rkind, rstep, _ = ch.recv(expect=("CONTINUE", "END"))
         if rstep != coarse:
             raise ProtocolError(
@@ -111,12 +106,9 @@ def run_session(rfile, wfile) -> None:
         run.advance(session.substeps)
 
     st = run.status()
-    ch.send("RESULT", coarse,
-            entities=n, arrived=st["arrived"], msgs=st["msgs"],
-            routes=st["routes"], fine_steps=run.fine_clock,
-            rng_draws=run.total_draws(),
-            emissions=arrivals.total_emissions,
-            customers=arrivals.customers_entering)
+    ch.send("RESULT", coarse, entities=n, arrived=st["arrived"],
+            msgs=st["msgs"], routes=st["routes"], fine_steps=st["fine_steps"],
+            rng_draws=run.total_draws(), **cohort)
     for rec in run.result_records():
         wrapped = rec._replace(x=wrap_coord(rec.x, session.side),
                                y=wrap_coord(rec.y, session.side))
@@ -125,20 +117,11 @@ def run_session(rfile, wfile) -> None:
 
 
 def serve_connection(sock: socket.socket) -> None:
-    rfile = sock.makefile("rb")
-    wfile = sock.makefile("wb")
+    ch = LineChannel.over_socket(sock)
     try:
-        run_session(rfile, wfile)
+        run_session(ch)
     finally:
-        for f in (wfile, rfile):
-            try:
-                f.close()
-            except OSError:
-                pass
-        try:
-            sock.close()
-        except OSError:
-            pass
+        ch.close()
 
 
 def start_local() -> socket.socket:

@@ -157,7 +157,7 @@ def decide_relay(entity, msg, sender_x, sender_y, params, side, report,
                  monitor) -> Optional[DisseminationMessage]:
     """Cache, ttl, geofence, ring, budget, coin; one draw at the coin."""
     report.delivered += 1
-    monitor.note_delivery(msg.hop_count)
+    monitor.note(max_delivered_hop=msg.hop_count)
     if entity.cache.touch(msg.message_id):
         report.cache_filtered += 1
         return None
@@ -181,8 +181,10 @@ def decide_relay(entity, msg, sender_x, sender_y, params, side, report,
         return None
     entity.relay_budget -= 1
     report.relayed += 1
-    monitor.note_relay(ring_distance, origin_distance,
-                       params.max_relays_per_step - entity.relay_budget)
+    monitor.note(relay_ring_min=ring_distance, relay_ring_max=ring_distance,
+                 relay_origin_max=origin_distance,
+                 max_relays_entity_step=(params.max_relays_per_step
+                                         - entity.relay_budget))
     return msg._replace(ttl_remaining=msg.ttl_remaining - 1,
                         hop_count=msg.hop_count + 1)
 
@@ -254,7 +256,7 @@ class ScalarLP:
                 hops = inbox.table["hop_count"][row[repeat]]
                 report.delivered += len(hops)
                 report.cache_filtered += len(hops)
-                self.monitor.note_delivery(int(hops.max(initial=0)))
+                self.monitor.note(max_delivered_hop=int(hops.max(initial=0)))
                 dest, row = dest[~repeat], row[~repeat]
             lo = np.searchsorted(dest, ids, side="left")
             hi = np.searchsorted(dest, ids, side="right")
@@ -289,7 +291,7 @@ class ScalarLP:
 
     def finish(self) -> InvariantMonitor:
         for e in self.entities.values():
-            self.monitor.note_cache(e.cache.high_water)
+            self.monitor.note(cache_high_water=e.cache.high_water)
         return self.monitor
 
 

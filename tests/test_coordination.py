@@ -590,7 +590,7 @@ def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
     assert coord.active == {} and coord.frozen_ids() == set()
     assert backend.entity_count() == 12
     assert backend.extract([3, 8]) == before
-    assert handle._sock.fileno() == -1  # closed, not leaked
+    assert handle.channel.sock.fileno() == -1  # closed, not leaked
 
 
 # --- conservation checks with a scripted fake wrapper --------------------
@@ -650,7 +650,7 @@ def _result(n, draws=0, **over):
 
 
 def _ended_handle(script, records=(_R0, _R1)):
-    h = WrapperHandle(3, 5, records, _ScriptChannel(script), None)
+    h = WrapperHandle(3, 5, records, _ScriptChannel(script))
     h.state = RUNNING_L1B
     h.end_sent_at = 5
     return h
@@ -794,8 +794,7 @@ def test_coordinator_terminates_protocol_breaker_and_continues():
     records = tuple(backend.extract([4, 6]))
     # a wrapper that sends STATUS for the wrong step
     bad = WrapperHandle(0, 5, records,
-                        _ScriptChannel([("STATUS", 99, {"querying": "0"})]),
-                        None)
+                        _ScriptChannel([("STATUS", 99, {"querying": "0"})]))
     bad.state = RUNNING_L1B
     coord.active[0] = bad
     assert coord.frozen_ids() == {4, 6}

@@ -235,18 +235,19 @@ def test_perimeter_point_walks_the_boundary():
 
 
 def test_pedestrian_step_moves_and_snaps():
-    ped = PedestrianNode(0, 100, 0.0, 0.0, 0)
+    scene = MarketScene(MarketParams(grid_side=2))  # seller 1 at (25, 0)
+    ped = PedestrianNode(0, 4, 15.0, 0.0, 1, 0)
+    scene.set_node(ped.node_id, (15.0, 0.0))
     ped.state = WALKING
-    ped.known_target = (10.0, 0.0)
-    pedestrian_step(ped, 1.4)
-    assert ped.x == pytest.approx(1.4) and ped.y == 0.0
-    ped.x = 9.0
-    pedestrian_step(ped, 1.4)  # 1.0 remaining <= speed: snap and arrive
-    assert (ped.x, ped.y) == (10.0, 0.0)
+    pedestrian_step(scene, ped)  # walking speed 1.4
+    x, y = scene.node_pos[ped.node_id]
+    assert x == pytest.approx(16.4) and y == 0.0
+    scene.set_node(ped.node_id, (24.0, 0.0))
+    pedestrian_step(scene, ped)  # 1.0 remaining <= speed: snap and arrive
+    assert scene.node_pos[ped.node_id] == (25.0, 0.0)
     assert ped.state == ARRIVED
-    x_before = ped.x
-    pedestrian_step(ped, 1.4)  # arrived pedestrians stay put
-    assert ped.x == x_before
+    pedestrian_step(scene, ped)  # arrived pedestrians stay put
+    assert scene.node_pos[ped.node_id] == (25.0, 0.0)
 
 
 def test_reply_and_walk_timing_exact():
@@ -257,8 +258,6 @@ def test_reply_and_walk_timing_exact():
     run._inject()
     ped = run.peds[0]
     # pin the pedestrian below the corner, in range of seller 0 only
-    ped.x = ped.entry_x = 0.0
-    ped.y = ped.entry_y = -20.0
     ped.target_seller = 2
     scene.set_node(ped.node_id, (0.0, -20.0))
     run.fine_step()  # query floods: route is ped -> 0 -> 1 -> 2, 3 hops
@@ -269,9 +268,9 @@ def test_reply_and_walk_timing_exact():
     assert run.fine_clock == 6 and ped.state == QUERYING
     run.fine_step()  # clock 6: reply lands, walking starts next step
     assert ped.state == WALKING
-    assert (ped.x, ped.y) == (0.0, -20.0)
+    assert scene.node_pos[ped.node_id] == (0.0, -20.0)
     run.fine_step()
-    assert (ped.x, ped.y) != (0.0, -20.0)
+    assert scene.node_pos[ped.node_id] != (0.0, -20.0)
 
 
 def test_retry_backoff_doubles_and_caps():
@@ -281,8 +280,6 @@ def test_retry_backoff_doubles_and_caps():
     run = MarketRun(scene, recs, 1, master_seed=1)
     run._inject()
     ped = run.peds[0]
-    ped.x = ped.entry_x = 1e6
-    ped.y = ped.entry_y = 1e6
     scene.set_node(ped.node_id, (1e6, 1e6))
     waits = []
     for _ in range(80):
@@ -299,8 +296,6 @@ def test_messages_count_request_plus_reply():
     run = MarketRun(scene, recs, 1, master_seed=3)
     run._inject()
     ped = run.peds[0]
-    ped.x = ped.entry_x = 0.0
-    ped.y = ped.entry_y = -20.0
     ped.target_seller = 3
     scene.set_node(ped.node_id, (0.0, -20.0))
     run.fine_step()
@@ -314,13 +309,14 @@ def test_run_completes_in_default_scene():
     bodies, records, run = run_market(MarketScene(), n_customers=8,
                                       substeps_per_coarse=3, coarse_steps=150,
                                       master_seed=11)
-    assert run.all_arrived()
+    assert [ped.state for ped in run.peds] == [ARRIVED] * 8
     assert bodies[-1]["arrived"] == 8
     assert bodies[-1]["querying"] == 0 and bodies[-1]["walking"] == 0
     assert run.route_discoveries >= 8
     # each pedestrian walked from its entry to its target seller
     for ped in run.peds:
-        assert (ped.x, ped.y) == run.scene.seller_position(ped.target_seller)
+        assert run.scene.node_pos[ped.node_id] == \
+            run.scene.seller_position(ped.target_seller)
 
 
 def test_message_floor_two_transmissions_per_hop():
@@ -338,9 +334,10 @@ def test_result_records_apply_displacement_and_cursor():
     run.advance(30)
     out = run.result_records()
     ped = run.peds[0]
+    x, y = run.scene.node_pos[ped.node_id]
     assert out[0].entity_id == 3
-    assert out[0].x == pytest.approx(40.0 + (ped.x - ped.entry_x))
-    assert out[0].y == pytest.approx(50.0 + (ped.y - ped.entry_y))
+    assert out[0].x == pytest.approx(40.0 + (x - ped.entry_x))
+    assert out[0].y == pytest.approx(50.0 + (y - ped.entry_y))
     assert out[0].cursor == 6 + 2  # entry point + target draw
     assert out[0].cache_ids == (9,) and out[0].speed == 1.0
     # the non-customer record comes back untouched
@@ -366,6 +363,10 @@ def test_injection_draws_exactly_two_per_customer():
         assert out.cursor == rec.cursor + 2
     # non-customers keep their cursors
     assert run.result_records()[3] == recs[3]
+    # the total is measured from the cursors, not assumed
+    run.peds[1].cursor += 1
+    assert run.total_draws() == 2 * 3 + 1
+    assert run.result_records()[1].cursor == recs[1].cursor + 3
 
 
 def test_market_run_deterministic():
@@ -374,7 +375,8 @@ def test_market_run_deterministic():
                 for i in range(4)]
         run = MarketRun(MarketScene(), recs, 4, master_seed=15)
         run.advance(120)
-        return ([(p.x, p.y, p.state) for p in run.peds], run.messages,
+        return ([(run.scene.node_pos[p.node_id], p.state, p.cursor)
+                 for p in run.peds], run.messages,
                 run.route_discoveries, run.total_draws())
     assert go() == go()
 

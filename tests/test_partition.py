@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hybridsim import engine
 from hybridsim.config import PRESETS, make_params
 from hybridsim.coordination import (
+    DensityTrigger,
     FixedDurationPolicy,
     HybridSpec,
     ScriptedTrigger,
@@ -33,7 +34,10 @@ _GOSSIP = {
 
 
 @st.composite
-def _scenarios(draw, hand_off: bool):
+def _scenarios(draw, kind: str):
+    """kind is coarse (no hand-off), hand_off (one scripted firing) or
+    density (a DensityTrigger, which fires at any barrier where some
+    disk around a free entity holds threshold entities)."""
     n = draw(st.integers(8, 160))
     k = draw(st.integers(2, min(5, n)))
     order = draw(st.permutations(range(n)))
@@ -52,11 +56,16 @@ def _scenarios(draw, hand_off: bool):
     assert all(fields[key].admits(v) for key, v in overrides.items())
     steps = draw(st.integers(3, 20))
     hybrid = None
-    if hand_off:
-        spawn_at = (draw(st.integers(0, steps - 2)),)
+    if kind == "hand_off":
+        trigger = ScriptedTrigger(spawn_at=(draw(st.integers(0, steps - 2)),),
+                                  transfer_count=draw(st.integers(1, 6)))
+    elif kind == "density":
+        # a disk of radius r holds pi r^2 / 10^4 entities on average
+        trigger = DensityTrigger(threshold=draw(st.integers(2, 9)),
+                                 radius=draw(st.floats(40.0, 200.0)))
+    if kind != "coarse":
         hybrid = HybridSpec(
-            trigger=ScriptedTrigger(spawn_at=spawn_at,
-                                    transfer_count=draw(st.integers(1, 6))),
+            trigger=trigger,
             policy=FixedDurationPolicy(coarse_steps=draw(st.integers(1, 3))))
     return dict(
         parts=parts, steps=steps, hybrid=hybrid,
@@ -82,18 +91,19 @@ def _check(sc, mode: str) -> None:
     assert split == one_lp
 
 
-@pytest.mark.parametrize("hand_off", [False, True],
-                         ids=["coarse", "hand_off"])
+_KINDS = ["coarse", "hand_off", "density"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_any_partition_gives_the_one_lp_run(hand_off, data):
-    _check(data.draw(_scenarios(hand_off)), "inprocess")
+def test_any_partition_gives_the_one_lp_run(kind, data):
+    _check(data.draw(_scenarios(kind)), "inprocess")
 
 
-@pytest.mark.parametrize("hand_off", [False, True],
-                         ids=["coarse", "hand_off"])
+@pytest.mark.parametrize("kind", _KINDS)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
-def test_any_partition_gives_the_one_lp_run_in_processes(hand_off, data):
+def test_any_partition_gives_the_one_lp_run_in_processes(kind, data):
     """The process backend forks a worker per LP: a few examples only."""
-    _check(data.draw(_scenarios(hand_off)), "process")
+    _check(data.draw(_scenarios(kind)), "process")

@@ -13,9 +13,7 @@ from hybridsim.protocol import (
     encode_record,
     entity_fields,
     entity_from_fields,
-    field_float,
-    field_int,
-    field_str,
+    field,
     format_value,
 )
 from hybridsim.territory import EntityRecord
@@ -102,16 +100,20 @@ def test_decode_rejects_garbage():
 
 
 def test_field_accessors_name_missing_key():
-    with pytest.raises(ProtocolError, match="msgs"):
-        field_int({}, "msgs")
-    with pytest.raises(ProtocolError, match="mean"):
-        field_float({}, "mean")
-    with pytest.raises(ProtocolError, match="tag"):
-        field_str({}, "tag")
-    with pytest.raises(ProtocolError):
-        field_int({"msgs": "1.5"}, "msgs")
-    with pytest.raises(ProtocolError):
-        field_float({"mean": "x"}, "mean")
+    with pytest.raises(ProtocolError, match="^missing field 'msgs'$"):
+        field({}, "msgs", int)
+    with pytest.raises(ProtocolError, match="^missing field 'mean'$"):
+        field({}, "mean", float)
+    with pytest.raises(ProtocolError, match="^missing field 'tag'$"):
+        field({}, "tag", str)
+    with pytest.raises(ProtocolError,
+                       match="^field 'msgs' is not an integer$"):
+        field({"msgs": "1.5"}, "msgs", int)
+    with pytest.raises(ProtocolError, match="^field 'mean' is not a number$"):
+        field({"mean": "x"}, "mean", float)
+    assert field({"msgs": "7"}, "msgs", int) == 7
+    assert field({"mean": "1.5"}, "mean", float) == 1.5
+    assert field({"tag": "a,b"}, "tag", str) == "a,b"
 
 
 def _rec(**kw):

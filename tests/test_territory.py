@@ -476,6 +476,27 @@ def test_decide_relay_filter_order_and_counters():
     assert out.ttl_remaining + out.hop_count == 6
     assert e2.budget[0] == 9
     assert rep.relayed == 1
+    # only the relay reached the monitor's relay extrema
+    assert mon.relay_ring_min == pytest.approx(240.0)
+    assert mon.relay_ring_max == mon.relay_ring_min
+    assert mon.relay_origin_max == 0.0 and mon.max_relays_entity_step == 1
+
+
+def test_monitor_keeps_the_least_ring_and_the_largest_of_the_rest():
+    mon = InvariantMonitor()
+    assert mon.as_dict()["relay_ring_min"] is None  # no relay yet
+    mon.note(relay_ring_min=240.0, relay_ring_max=240.0, max_delivered_hop=3)
+    mon.note(relay_ring_min=230.0, relay_ring_max=245.0, max_delivered_hop=2,
+             cache_high_water=5)
+    mon.merge(InvariantMonitor(relay_ring_min=228.0, relay_ring_max=241.0,
+                               relay_origin_max=900.0,
+                               max_relays_entity_step=4))
+    want = dict(max_delivered_hop=3, relay_ring_min=228.0,
+                relay_ring_max=245.0, relay_origin_max=900.0,
+                max_relays_entity_step=4, cache_high_water=5)
+    assert mon.as_dict() == want
+    mon.merge(InvariantMonitor())  # a monitor that saw nothing
+    assert mon.as_dict() == want
 
 
 def test_decide_relay_draw_consumed_only_at_coin():

@@ -43,7 +43,7 @@ def _open_session(records=_RECORDS, step=5, master_seed=42, seed=777,
                   side=500.0, substeps=3):
     """start_local plus INIT/ENTITY/READY; returns the coarse channel."""
     sock = start_local()
-    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    ch = LineChannel.over_socket(sock)
     init = dict(Level1Settings().init_fields(),
                 entities=len(records), side=side, substeps=substeps,
                 master_seed=master_seed, seed=seed)
@@ -155,7 +155,7 @@ def _assert_session_failed(sessions, capsys, cause=""):
 
 def test_session_rejects_zero_entities(sessions, capsys):
     sock = start_local()
-    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    ch = LineChannel.over_socket(sock)
     init = dict(Level1Settings().init_fields(), entities=0, side=100.0,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **init)
@@ -170,7 +170,7 @@ def test_session_rejects_settings_out_of_range(sessions, capsys):
     ProtocolError naming the field, not an uncaught ValueError."""
     sock = start_local()
     sock.settimeout(10.0)  # a session that waits for ENTITY fails here
-    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    ch = LineChannel.over_socket(sock)
     init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
                 substeps=3, master_seed=1, seed=1, spacing=-1.0)
     ch.send("INIT", 0, **init)
@@ -186,7 +186,7 @@ def test_session_rejects_side_out_of_range(side, sessions, capsys):
     ProtocolError naming side; NaN once returned every entity at (0, 0)."""
     sock = start_local()
     sock.settimeout(10.0)
-    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    ch = LineChannel.over_socket(sock)
     init = dict(Level1Settings().init_fields(), entities=1, side=side,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **init)
@@ -206,7 +206,7 @@ def test_session_rejects_init_field_out_of_range(field, value, sessions,
     an OverflowError."""
     sock = start_local()
     sock.settimeout(10.0)
-    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    ch = LineChannel.over_socket(sock)
     init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **{**init, field: value})
@@ -232,7 +232,7 @@ def test_spawn_with_refused_side_restores_entities(sessions, capsys):
 
 def test_session_rejects_out_of_order_entities(sessions, capsys):
     sock = start_local()
-    ch = LineChannel(sock.makefile("rb"), sock.makefile("wb"))
+    ch = LineChannel.over_socket(sock)
     init = dict(Level1Settings().init_fields(), entities=2, side=100.0,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **init)
@@ -252,6 +252,39 @@ def test_session_rejects_step_mismatch(sessions, capsys):
         ch.recv()
     ch.close()
     _assert_session_failed(sessions, capsys)
+
+
+@pytest.mark.parametrize("clean", [True, False], ids=["bye", "error"])
+def test_serve_connection_closes_its_socket(clean, sessions, capsys,
+                                            monkeypatch):
+    """The wrapper end of a session is closed once the session ends,
+    after BYE and after a ProtocolError alike."""
+    served = []
+    serve = wrapper.serve_connection
+
+    def recording(sock):
+        served.append(sock)
+        serve(sock)
+
+    monkeypatch.setattr(wrapper, "serve_connection", recording)
+    ch = _open_session()
+    ch.recv(expect="STATUS")
+    if clean:
+        ch.send("END", 6)
+        ch.recv(expect="RESULT")
+        for _ in _RECORDS:
+            ch.recv(expect="ENTITY")
+        ch.recv(expect="BYE")
+        [th] = sessions
+        th.join(timeout=10.0)
+        assert not th.is_alive()
+        assert capsys.readouterr().err == ""
+    else:
+        ch.send("CONTINUE", 99)  # wrapper is at step 6
+        _assert_session_failed(sessions, capsys, "CONTINUE for step 99")
+    ch.close()
+    [sock] = served
+    assert sock.fileno() == -1
 
 
 def test_main_rejects_malformed_listen():

@@ -121,9 +121,9 @@ class DensityTrigger(metrics.TypedSettings):
 
     def check(self, world, t: int, frozen) -> list:
         """[ids in the winning disk, ascending], or [] if none fires."""
-        free = np.array(
-            [eid for eid in range(world.num_entities) if eid not in frozen],
-            dtype=np.int64)
+        free = np.ones(world.num_entities, dtype=bool)
+        free[list(frozen)] = False
+        free = np.flatnonzero(free)
         if self.threshold > free.size:
             return []
         xs = world.pos_x[free]

@@ -39,7 +39,6 @@ results independent of the LP count and of where routing runs.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -219,10 +218,10 @@ class LogicalProcess:
 
     def _check_ids(self, op: str, entity_ids, owned: bool) -> None:
         """EngineError unless each id is listed once and owned iff owned."""
-        counts = Counter(int(eid) for eid in entity_ids)
-        have = set(self.cols.ids.tolist())
-        twice = sorted(eid for eid, n in counts.items() if n > 1)
-        wrong = sorted(eid for eid in counts if (eid in have) != owned)
+        ids, counts = np.unique(np.fromiter(entity_ids, dtype=np.int64),
+                                return_counts=True)
+        twice = ids[counts > 1].tolist()
+        wrong = ids[np.isin(ids, self.cols.ids) != owned].tolist()
         if twice or wrong:
             raise EngineError(
                 f"lp={self.lp_id} refused {op}: ids listed twice {twice},"

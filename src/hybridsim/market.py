@@ -12,8 +12,15 @@ routed hop consumes one fine step, so a reply over an h-hop route lands
 table per scene state, built from its radio adjacency matrix at the
 first discovery after a node is added or moves, and every discovery
 until the next such change floods over it; MarketScene.neighbors is the
-per-node reference definition of that adjacency. Positions here are
-planar (no torus inside the market).
+per-node reference definition of that adjacency. The first fine step's
+discoveries, one per pedestrian before anyone moves, are one flood from
+every source at once (route_discover_all). Positions here are planar
+(no torus inside the market).
+
+A run advances from event to event. Only a fine step in which some
+pedestrian starts a discovery is a pass over the pedestrians in order
+(MarketRun.fine_step); between two such steps the pedestrians do not
+interact, so each one's replies, waits and walk advance on their own.
 
 Pedestrian randomness (entry point, target seller) comes from the
 entity streams carried in from the coarse level: two draws per injected
@@ -29,8 +36,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import metrics
-from .rng import Stream
+from . import metrics, rng
 
 QUERYING = "QUERYING"
 WALKING = "WALKING"
@@ -168,6 +174,40 @@ def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
     return RouteOutcome(len(path) - 1, tuple(path), transmissions)
 
 
+def route_discover_all(scene: MarketScene, sources, targets) -> list:
+    """(hops, request_transmissions) of route_discover(scene, s, t) for
+    each source s and target t, from one flood out of every source at
+    once.
+
+    The flood is level-synchronous over one adjacency(): level k holds
+    the nodes first reached at k hops, for k up to the hop limit, so
+    each source reaches the nodes its own discovery reaches, and the
+    level where its target first appears is its route's hop count (None
+    when it never does).
+    """
+    if not len(sources):
+        return []
+    ids, adjacent = scene.adjacency()
+    if any(s == t or s not in scene.node_pos or t not in scene.node_pos
+           for s, t in zip(sources, targets)):
+        raise ValueError("each source and target must be distinct nodes")
+    src, dst = np.searchsorted(ids, sources), np.searchsorted(ids, targets)
+    pairs = np.arange(len(src))
+    reached = np.zeros((len(src), len(ids)), dtype=bool)
+    reached[pairs, src] = True
+    frontier, hops = reached, np.zeros(len(src), dtype=int)
+    link = adjacent.astype(np.float32)  # a sum of 0/1 products is exact
+    for level in range(1, scene.params.hop_limit + 1):
+        frontier = (frontier @ link > 0) & ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+        hops[frontier[pairs, dst]] = level
+    found = hops > 0
+    return [(h if f else None, n - f) for h, n, f in
+            zip(hops.tolist(), reached.sum(axis=1).tolist(), found.tolist())]
+
+
 class PedestrianNode:
     """One market visitor carried down from the coarse level.
 
@@ -207,23 +247,27 @@ def perimeter_point(extent: float, u: float):
     return (0.0, extent - (d - 3.0 * extent))
 
 
-def pedestrian_step(scene: MarketScene, ped: PedestrianNode) -> None:
-    """One fine step of movement towards the target seller, through
-    scene.set_node; only WALKING pedestrians move."""
-    if ped.state != WALKING:
+def pedestrian_step(scene: MarketScene, ped: PedestrianNode,
+                    steps: int = 1) -> None:
+    """Up to steps fine steps of movement towards the target seller,
+    then one scene.set_node; only WALKING pedestrians move, and one that
+    arrives stops there."""
+    if ped.state != WALKING or steps < 1:
         return
     x, y = scene.node_pos[ped.node_id]
     tx, ty = scene.seller_position(ped.target_seller)
-    dx = tx - x
-    dy = ty - y
-    dist = math.hypot(dx, dy)
     speed = scene.params.walking_speed
-    if dist <= speed:
-        scene.set_node(ped.node_id, (tx, ty))
-        ped.state = ARRIVED
-        return
-    f = speed / dist
-    scene.set_node(ped.node_id, (x + dx * f, y + dy * f))
+    for _ in range(steps):
+        dx = tx - x
+        dy = ty - y
+        dist = math.hypot(dx, dy)
+        if dist <= speed:
+            x, y = tx, ty
+            ped.state = ARRIVED
+            break
+        f = speed / dist
+        x, y = x + dx * f, y + dy * f
+    scene.set_node(ped.node_id, (x, y))
 
 
 class MarketRun:
@@ -250,52 +294,100 @@ class MarketRun:
         self.route_discoveries = 0
 
     def _inject(self) -> None:
+        """Place each customer on the perimeter, heading for a seller:
+        draws cursor and cursor + 1 of its entity's stream."""
         extent = self.scene.extent
-        for i in range(self.n_customers):
-            rec = self.records[i]
-            stream = Stream(self.master_seed, rec.entity_id, rec.cursor)
-            x, y = perimeter_point(extent, stream.uniform())
-            target = stream.randrange(self.scene.num_sellers)
+        gen = rng.generator()
+        for i, rec in enumerate(self.records[:self.n_customers]):
+            u, v = rng.seek(gen, [self.master_seed, rec.entity_id],
+                            rec.cursor).random(2).tolist()
+            x, y = perimeter_point(extent, u)
             node_id = self.scene.num_sellers + i
             self.scene.set_node(node_id, (x, y))
-            self.peds.append(PedestrianNode(rec.entity_id, node_id, x, y,
-                                            target, stream.cursor))
+            self.peds.append(PedestrianNode(
+                rec.entity_id, node_id, x, y,
+                rng.randrange(v, self.scene.num_sellers), rec.cursor + 2))
         self.injected = True
 
-    def _start_query(self, ped: PedestrianNode) -> None:
-        outcome = route_discover(self.scene, ped.node_id, ped.target_seller)
+    def _answer(self, ped: PedestrianNode, hops: Optional[int],
+                transmissions: int) -> None:
+        """Book one discovery by ped: a route of hops, or a retry wait."""
         self.route_discoveries += 1
-        self.messages += outcome.request_transmissions
-        if outcome.hops is None:
+        self.messages += transmissions
+        if hops is None:
             ped.retries += 1
             ped.retry_wait = min(2 ** (ped.retries - 1), _RETRY_CAP_FINE_STEPS)
             return
         # request travels hops fine steps, the reply unicasts back
-        self.messages += outcome.hops
-        ped.route_hops = outcome.hops
-        ped.reply_due = self.fine_clock + 2 * outcome.hops
+        self.messages += hops
+        ped.route_hops = hops
+        ped.reply_due = self.fine_clock + 2 * hops
 
     def fine_step(self) -> None:
+        """One fine step, pedestrian by pedestrian in order, so a
+        discovery sees the moves of the walkers listed before it.
+
+        The first fine step injects, and then every pedestrian queries
+        before anyone moves, so its discoveries are one route_discover_all.
+        """
         if not self.injected:
             self._inject()
-        for ped in self.peds:
-            if ped.state == QUERYING:
-                if ped.reply_due is not None:
-                    if self.fine_clock >= ped.reply_due:
-                        # the position reply lands this fine step; walking
-                        # begins on the next one
-                        ped.state = WALKING
-                elif ped.retry_wait > 0:
-                    ped.retry_wait -= 1
-                else:
-                    self._start_query(ped)
-            elif ped.state == WALKING:
-                pedestrian_step(self.scene, ped)
+            outcomes = route_discover_all(
+                self.scene, [p.node_id for p in self.peds],
+                [p.target_seller for p in self.peds])
+            for ped, outcome in zip(self.peds, outcomes):
+                self._answer(ped, *outcome)
+        else:
+            for ped in self.peds:
+                if ped.state == QUERYING:
+                    if ped.reply_due is not None:
+                        if self.fine_clock >= ped.reply_due:
+                            # the position reply lands this fine step;
+                            # walking begins on the next one
+                            ped.state = WALKING
+                    elif ped.retry_wait > 0:
+                        ped.retry_wait -= 1
+                    else:
+                        out = route_discover(self.scene, ped.node_id,
+                                             ped.target_seller)
+                        self._answer(ped, out.hops,
+                                     out.request_transmissions)
+                elif ped.state == WALKING:
+                    pedestrian_step(self.scene, ped)
         self.fine_clock += 1
 
+    def _free_run(self, stop: int) -> None:
+        """Fine steps up to stop, none of which starts a discovery, so
+        each pedestrian advances on its own: waits count down, a reply
+        lands at max(clock, reply_due) and walking starts the step after,
+        and each walker walks its steps in one pedestrian_step."""
+        clock = self.fine_clock
+        for ped in self.peds:
+            if ped.state == QUERYING:
+                if ped.reply_due is None:
+                    ped.retry_wait -= stop - clock
+                elif max(clock, ped.reply_due) < stop:
+                    ped.state = WALKING
+                    pedestrian_step(self.scene, ped,
+                                    stop - max(clock, ped.reply_due) - 1)
+            elif ped.state == WALKING:
+                pedestrian_step(self.scene, ped, stop - clock)
+        self.fine_clock = stop
+
     def advance(self, substeps: int) -> None:
-        for _ in range(substeps):
-            self.fine_step()
+        """substeps fine steps, event to event: fine_step at each step
+        where a discovery starts, one _free_run over each span between."""
+        end = self.fine_clock + substeps
+        while self.fine_clock < end:
+            # the next fine step at which some pedestrian starts a discovery
+            due = self.fine_clock if not self.injected else min(
+                (self.fine_clock + ped.retry_wait for ped in self.peds
+                 if ped.state == QUERYING and ped.reply_due is None),
+                default=end)
+            if due == self.fine_clock:
+                self.fine_step()
+            else:
+                self._free_run(min(due, end))
 
     def status(self) -> dict:
         """Pedestrian state counts and traffic counters, draw-free."""

@@ -25,6 +25,7 @@ the reader without bound.
 
 from __future__ import annotations
 
+import functools
 import re
 import socket
 from urllib.parse import quote, unquote
@@ -37,6 +38,7 @@ RECORD_KINDS = ("INIT", "ENTITY", "READY", "STATUS", "CONTINUE", "END",
                 "RESULT", "BYE")
 
 _VALUE_SAFE = "-_.,"
+_PLAIN = re.compile(r"[A-Za-z0-9_.,-]*\Z")  # text quote leaves as it is
 _KEY_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
@@ -61,17 +63,26 @@ def format_value(v) -> str:
     raise ProtocolError(f"unsupported value type {type(v).__name__}")
 
 
+@functools.lru_cache(maxsize=256)
+def _check_key(key: str) -> None:
+    """ProtocolError unless key is a legal field key; a key that passes
+    is not matched again."""
+    if not _KEY_RE.match(key):
+        raise ProtocolError(f"illegal field key {key!r}")
+
+
 def encode_record(kind: str, step: int, /, **fields) -> bytes:
     if kind not in RECORD_KINDS:
         raise ProtocolError(f"unknown record kind {kind!r}")
     parts = [kind, f"step={int(step)}"]
     for key in sorted(fields):
-        if not _KEY_RE.match(key):
-            raise ProtocolError(f"illegal field key {key!r}")
-        try:  # quoting leaves only ASCII, but UTF-8 has no lone surrogate
-            value = quote(format_value(fields[key]), safe=_VALUE_SAFE)
-        except UnicodeEncodeError as exc:
-            raise ProtocolError(f"field {key!r}: {exc}") from exc
+        _check_key(key)
+        value = format_value(fields[key])
+        if not _PLAIN.match(value):
+            try:  # quoting leaves only ASCII; UTF-8 has no lone surrogate
+                value = quote(value, safe=_VALUE_SAFE)
+            except UnicodeEncodeError as exc:
+                raise ProtocolError(f"field {key!r}: {exc}") from exc
         parts.append(f"{key}={value}")
     return " ".join(parts).encode("ascii") + b"\n"
 

@@ -74,13 +74,23 @@ class Stream:
 
     def uniform_range(self, low: float, high: float) -> float:
         """Next float in [low, high). One draw."""
-        return low + (high - low) * self.uniform()
+        return uniform_range(self.uniform(), low, high)
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n). One draw."""
-        v = int(self.uniform() * n)
-        # guard against float rounding landing exactly on n
-        return n - 1 if v >= n else v
+        return randrange(self.uniform(), n)
+
+
+def uniform_range(u: float, low: float, high: float) -> float:
+    """The draw u in [0, 1) mapped onto [low, high)."""
+    return low + (high - low) * u
+
+
+def randrange(u: float, n: int) -> int:
+    """The draw u in [0, 1) mapped onto the integers in [0, n)."""
+    v = int(u * n)
+    # guard against float rounding landing exactly on n
+    return n - 1 if v >= n else v
 
 
 def named_generator(master_seed: int, tag: str) -> np.random.Generator:

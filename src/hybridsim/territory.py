@@ -318,24 +318,32 @@ class EntityColumns:
                    cache_ids=cache_ids, cache_stamps=cache_stamps)
         new = {name: np.asarray(col, dtype=_COLUMNS[name])
                for name, col in new.items()}
-        n_old = len(self.ids)
-        order = np.argsort(np.concatenate([self.ids, ids]), kind="stable")
-        at = np.argsort(order)  # where each old, then new, row lands
-        draws = np.empty((len(order), self.block))
-        draws[at[:n_old]] = self.draws
-        for eid, c, k in zip(ids, cursors, at[n_old:].tolist()):
+        order = np.argsort(new["ids"], kind="stable")
+        at = np.empty(len(ids), dtype=int)  # record i's row once merged
+        at[order] = (np.searchsorted(self.ids, new["ids"][order],
+                                     side="right") + np.arange(len(ids)))
+        stay = np.ones(len(self.ids) + len(ids), dtype=bool)
+        stay[at] = False
+        stay = np.flatnonzero(stay)  # the old rows' rows, in order
+        draws = np.empty((len(stay) + len(at), self.block))
+        draws[stay] = self.draws
+        for eid, c, k in zip(ids, cursors, at.tolist()):
             self._fill(eid, c - c % self.block, draws[k])
         self.clock += int(lens.max())
         self._grow(width)
-        for name, col in new.items():
-            setattr(self, name,
-                    np.concatenate([getattr(self, name), col])[order])
+        for name, col in new.items():  # one scatter per column
+            merged = np.empty((len(draws), *col.shape[1:]), dtype=col.dtype)
+            merged[stay], merged[at] = getattr(self, name), col
+            setattr(self, name, merged)
         self.draws = draws
 
     def remove(self, rows) -> None:
-        """Drop the entities in rows."""
+        """Drop the entities in rows: one gather of the rest per column."""
+        keep = np.ones(len(self.ids), dtype=bool)
+        keep[rows] = False
+        keep = np.flatnonzero(keep)
         for name in _COLUMNS:
-            setattr(self, name, np.delete(getattr(self, name), rows, axis=0))
+            setattr(self, name, getattr(self, name).take(keep, axis=0))
 
 
 def build_entity(entity_ids, master_seed: int, side: float,

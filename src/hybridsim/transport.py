@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from . import metrics
-from .rng import Stream
+from . import metrics, rng
 
 
 @dataclass(frozen=True)
@@ -56,14 +55,18 @@ def simulate_arrivals(params: TransportParams) -> TransportResult:
     phase. customers_entering = number parked = min(n, capacity).
     """
     total = 0.0
+    gen = rng.generator()
     for i in range(params.n_vehicles):
         parked = i < params.parking_capacity
         if params.scripted_phases is not None:
             phases = list(params.scripted_phases)
         else:
-            s = Stream(params.seed, i)
-            phases = [("cruise", params.mean_cruise_time * s.uniform_range(0.5, 1.5)),
-                      ("search", params.mean_search_time * s.uniform_range(0.5, 1.5))]
+            key = [params.seed, i]
+            cruise, search = rng.seek(gen, key, 0).random(2).tolist()
+            phases = [("cruise", params.mean_cruise_time
+                       * rng.uniform_range(cruise, 0.5, 1.5)),
+                      ("search", params.mean_search_time
+                       * rng.uniform_range(search, 0.5, 1.5))]
             if parked:
                 phases.append(("idle", params.idle_time))
         for phase, dur in phases:

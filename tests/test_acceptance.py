@@ -181,6 +181,9 @@ def test_c4_dissemination_invariants_hold(capsys):
             (mon.max_delivered_hop <= 6, "hop count"),
             (mon.relay_ring_min > 225.0, "ring lower bound"),
             (mon.relay_ring_max <= 250.0, "ring upper bound"),
+            # a monitor that never records the least ring would keep inf
+            (not m.totals.relayed
+             or mon.relay_ring_min <= mon.relay_ring_max, "ring extrema"),
             (mon.relay_origin_max <= 1000.0, "origin fence"),
             (mon.max_relays_entity_step <= 10, "relay budget"),
             (mon.cache_high_water <= 128, "cache size"),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hybridsim import market
 from hybridsim.market import (
     ARRIVED,
     QUERYING,
@@ -17,9 +18,10 @@ from hybridsim.market import (
     pedestrian_step,
     perimeter_point,
     route_discover,
+    route_discover_all,
 )
 from hybridsim.territory import EntityRecord
-from market_oracle import flat_route_discover
+from market_oracle import FineStepMarketRun, flat_route_discover
 
 
 def run_market(scene, n_customers, substeps_per_coarse, coarse_steps,
@@ -116,10 +118,36 @@ def test_discoveries_follow_scene_changes(data, scene):
             scene.set_node(node, pos)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), scene=scenes())
+def test_route_discover_all_matches_flat_oracle(data, scene):
+    # islands and hop-limit cut-offs come from the scenes themselves
+    pairs = data.draw(st.lists(
+        st.permutations(sorted(scene.node_pos)).map(lambda p: tuple(p[:2])),
+        min_size=1, max_size=8))
+    sources, targets = zip(*pairs)
+    assert route_discover_all(scene, sources, targets) == [
+        (out.hops, out.request_transmissions)
+        for out in (flat_route_discover(scene, s, t) for s, t in pairs)]
+
+
+def test_route_discover_all_cut_off_island_and_validation():
+    scene = MarketScene(MarketParams(hop_limit=5))
+    scene.set_node(100, (1e6, 1e6))
+    # 0 -> 99 is 18 hops: cut off after the 21 nodes within 5 hops of 0;
+    # 0 -> 2 is 2 hops; the island reaches nothing but itself
+    assert route_discover_all(scene, [0, 0, 100], [99, 2, 0]) == [
+        (None, 21), (2, 20), (None, 1)]
+    assert route_discover_all(scene, [], []) == []
+    for sources, targets in (([1], [1]), ([0], [555]), ([555], [0])):
+        with pytest.raises(ValueError):
+            route_discover_all(scene, sources, targets)
+
+
 def test_first_fine_step_builds_one_table_for_its_discoveries(monkeypatch):
     # 32 pedestrians all query on the first fine step and none has moved
-    # yet, so their discoveries share one adjacency build
-    builds = []
+    # yet, so their discoveries are one flood over one adjacency build
+    builds, floods = [], []
     adjacency = MarketScene.adjacency
 
     def counted(scene):
@@ -127,12 +155,62 @@ def test_first_fine_step_builds_one_table_for_its_discoveries(monkeypatch):
         return adjacency(scene)
 
     monkeypatch.setattr(MarketScene, "adjacency", counted)
+    monkeypatch.setattr(market, "route_discover",
+                        lambda *args: floods.append(args))
     records = [EntityRecord(i, "mobile", 0.0, 0.0, None, 0.0, (), 0)
                for i in range(32)]
     run = MarketRun(MarketScene(), records, 32, master_seed=11)
     run.fine_step()
     assert run.route_discoveries == 32
-    assert len(builds) == 1
+    assert len(builds) == 1 and not floods
+
+
+@st.composite
+def market_sessions(draw):
+    """A small market that may strand pedestrians: radio ranges below
+    the spacing isolate sellers, and low hop limits cut routes off, so
+    discoveries fail and retry while others walk."""
+    spacing = draw(st.sampled_from([10.0, 25.0]))
+    params = MarketParams(
+        grid_side=draw(st.integers(1, 5)), spacing=spacing,
+        radio_range=spacing * draw(st.sampled_from([0.5, 1.0, 1.2, 1.5])),
+        walking_speed=draw(st.sampled_from([0.3, 1.4, 4.0, 60.0])),
+        hop_limit=draw(st.integers(1, 6)))
+    n = draw(st.integers(0, 8))
+    records = [EntityRecord(eid, "mobile", draw(st.floats(0.0, 500.0)),
+                            draw(st.floats(0.0, 500.0)), None, 0.0, (),
+                            draw(st.integers(0, 99)))
+               for eid in sorted(draw(st.sets(st.integers(0, 10**6),
+                                              min_size=n, max_size=n)))]
+    return (params, records, draw(st.integers(0, n)),
+            draw(st.integers(0, 2**63 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), session=market_sessions())
+def test_event_stepping_matches_fine_steps(data, session):
+    params, records, n_customers, seed = session
+    fast = MarketRun(MarketScene(params), records, n_customers, seed)
+    slow = FineStepMarketRun(MarketScene(params), records, n_customers, seed)
+    for _ in range(data.draw(st.integers(1, 8))):
+        # windows that end just before or just after a reply lands or a
+        # retry fires, or anywhere
+        clock = slow.fine_clock
+        edges = sorted({due - clock + d for d in (0, 1) for due in
+                        [p.reply_due for p in slow.peds
+                         if p.state == QUERYING and p.reply_due is not None]
+                        + [clock + p.retry_wait for p in slow.peds
+                           if p.state == QUERYING and p.reply_due is None]}
+                       - {0})
+        anywhere = st.integers(1, 40)
+        substeps = data.draw(st.one_of(st.sampled_from(edges), anywhere)
+                             if edges else anywhere)
+        fast.advance(substeps)
+        slow.advance(substeps)
+        assert fast.status() == slow.status()
+        assert fast.scene.node_pos == slow.scene.node_pos
+        assert fast.result_records() == slow.result_records()
+        assert fast.total_draws() == slow.total_draws()
 
 
 def test_grid_geometry():
@@ -248,6 +326,18 @@ def test_pedestrian_step_moves_and_snaps():
     assert ped.state == ARRIVED
     pedestrian_step(scene, ped)  # arrived pedestrians stay put
     assert scene.node_pos[ped.node_id] == (25.0, 0.0)
+    # several steps in one call; at speed 2.5 from 15 the fourth step
+    # leaves exactly the speed to go, which arrives
+    scene = MarketScene(MarketParams(grid_side=2, walking_speed=2.5))
+    ped = PedestrianNode(0, 4, 15.0, 0.0, 1, 0)
+    scene.set_node(ped.node_id, (15.0, 0.0))
+    ped.state = WALKING
+    pedestrian_step(scene, ped, 3)
+    assert scene.node_pos[ped.node_id] == (22.5, 0.0)
+    assert ped.state == WALKING
+    pedestrian_step(scene, ped)
+    assert scene.node_pos[ped.node_id] == (25.0, 0.0)
+    assert ped.state == ARRIVED
 
 
 def test_reply_and_walk_timing_exact():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from hybridsim.engine import EngineConfig, InProcessBackend
 from hybridsim.protocol import (
     LineChannel,
     ProtocolError,
+    decode_record,
     entity_fields,
     entity_from_fields,
 )
@@ -316,6 +318,29 @@ def test_goldens_all_pass():
     assert [name for name, _, _ in results] == list(GOLDEN_NAMES)
     for name, ok, detail in results:
         assert ok, f"{name}: {detail}"
+
+
+# A standalone session whose pedestrians move, recorded before the market
+# stepped from event to event: 6 customers on a 4x4 grid with hop limit 3
+# and walking speed 0.5, 30 fine steps a coarse step, END after two
+# CONTINUEs. Every golden above reads walking=0 arrived=0, so only this
+# file pins the walker arithmetic. It is not a golden: conformance
+# regenerates the goldens from its own scenarios.
+WALKING_SESSION = os.path.join(os.path.dirname(__file__),
+                               "session_walking.transcript")
+
+
+def test_walking_session_replays_byte_identical():
+    lines = load_transcript(WALKING_SESSION)
+    expected, actual = replay(lines)
+    assert actual == expected
+    # what the file is kept for: arrivals, retries, a walker at END
+    init = decode_record(lines[0][2:])[2]
+    *_, last = (decode_record(line[2:])[2] for line in lines
+                if line.startswith("< STATUS"))
+    assert init["substeps"] == "30"
+    assert int(last["arrived"]) >= 1 and int(last["walking"]) >= 1
+    assert int(last["routes"]) > int(init["entities"])
 
 
 def test_golden_replay_is_deterministic():

@@ -22,7 +22,7 @@ from .config import RunSettings
 from .coordination import ENDPOINT_ENV_VAR, Level1Settings
 from .protocol import LineChannel, entity_fields
 from .territory import EntityRecord
-from .wrapper import run_session, start_local
+from .wrapper import open_local, run_session
 
 GOLDEN_NAMES = ("session_small", "hybrid_w0", "hybrid_w1")
 
@@ -108,7 +108,7 @@ def check_all() -> list:
 
 def _record_session() -> list:
     """Drive the pinned standalone session and capture its transcript."""
-    ch = LineChannel.over_socket(start_local(), transcript=[])
+    ch = open_local(transcript=[])
     try:
         t0 = _SESSION_SPAWN_STEP
         ch.send("INIT", t0, **_SESSION_INIT)

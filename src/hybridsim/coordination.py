@@ -12,10 +12,18 @@ updated entity records, which are validated (set equality, rng cursor
 accounting) and restored (reintegrate). The coordinator's active
 handles are the one record of which entities are frozen.
 
+Without an endpoint a session runs inline on the coarse thread
+(wrapper.open_local): reading the wrapper's next record runs it, so the
+coarse side's recv calls are where its time goes. With one it runs in
+a remote wrapper over TCP, and io_timeout bounds each blocking call.
+Both carry the same records, byte for byte.
+
 The transfer snapshot is retained until RESULT validates. A wrapper
-that breaks protocol mid-session is terminated and its entities are
-restored from the snapshot; the run continues. Conservation failures
-(lost or duplicated entities, bad cursor accounting) are hard errors.
+that breaks protocol mid-session, or a local session that raises, is
+terminated and its entities are restored from the snapshot; the
+ProtocolError names the wrapper's cause, and the run continues.
+Conservation failures (lost or duplicated entities, bad cursor
+accounting) are hard errors.
 
 Timeline of a wrapper spawned at barrier T with a fixed duration of
 three coarse steps: STATUS at T+1 and T+2 are answered CONTINUE (the
@@ -202,8 +210,8 @@ class HybridSpec(metrics.TypedSettings):
     align: TimestepAlignment = TimestepAlignment()
     policy: object = FixedDurationPolicy()
     level1: Level1Settings = Level1Settings()
-    endpoint: Optional[str] = None  # HOST:PORT; None runs wrappers in-process
-    io_timeout: metrics.Positive = 60.0
+    endpoint: Optional[str] = None  # HOST:PORT; None runs wrappers inline
+    io_timeout: metrics.Positive = 60.0  # seconds; remote sessions only
 
     def __post_init__(self):
         super().__post_init__()
@@ -236,7 +244,7 @@ class WrapperHandle:
         self.spawned_at = spawned_at
         self.records = tuple(records)  # snapshot kept until RESULT validates
         self.entity_ids = tuple(r.entity_id for r in self.records)
-        self.channel = channel  # owns the session's socket
+        self.channel = channel  # owns the socket or the local session
         self.state = RUNNING_L1B
         self.end_sent_at: Optional[int] = None
 
@@ -254,11 +262,12 @@ class WrapperHandle:
 
 
 def _connect(address: Optional[tuple], timeout: float) -> LineChannel:
+    """A channel to a new session: run inline when address is None,
+    else over TCP, where timeout bounds every blocking call."""
     if address is None:
         from . import wrapper
-        sock = wrapper.start_local()
-    else:
-        sock = socket.create_connection(address, timeout=timeout)
+        return wrapper.open_local(transcript=[])
+    sock = socket.create_connection(address, timeout=timeout)
     sock.settimeout(timeout)
     return LineChannel.over_socket(sock, transcript=[])
 
@@ -485,6 +494,7 @@ class HybridCoordinator:
                 for h in self.history]
 
     def close(self) -> None:
-        """Close every active session, so an aborted run leaks none."""
+        """Close every active session, so an aborted run leaks none: a
+        remote one's socket, a local one's suspended session."""
         for handle in self.active.values():
             handle.close()

@@ -8,8 +8,19 @@ READY. From then on it emits one STATUS per coarse step and obeys
 CONTINUE (advance the market by the configured fine substeps) or END
 (stop, report RESULT plus the returned entity records, say BYE).
 
-Runs in-process behind a socketpair for local sessions, or as a
-standalone TCP server for remote ones:
+The session is written once, as a generator (session) that yields the
+record kind it waits for and is sent each record as a LineChannel
+decoded it. Two functions feed it:
+
+- run_session, over any blocking channel: a TCP connection of the
+  standalone server (one thread per connection), or conformance.replay;
+- open_local, for sessions in this process: it runs inline on the
+  caller's thread over an in-memory channel pair, and each read on the
+  coarse side resumes the session until it has written a line. No
+  thread, no socket; the same records, encoded and decoded the same way.
+
+A local session that fails ends the coarse side's read with a
+ProtocolError naming the wrapper's cause. The standalone server:
 
     python -m hybridsim.wrapper --listen 0.0.0.0:7420
 
@@ -62,16 +73,18 @@ def read_init(cls, init: dict):
         raise ProtocolError(f"INIT {exc}") from None
 
 
-def run_session(ch: LineChannel) -> None:
-    """Serve one complete session on an open channel."""
-    kind, t0, init = ch.recv(expect="INIT")
-    session = read_init(SessionInit, init)
+def session(ch: LineChannel):
+    """One session as a generator: yields the record kind(s) it waits
+    for, is sent each such record as (kind, step, fields), and writes
+    its own records to ch. It returns after BYE."""
+    kind, t0, init = yield "INIT"
+    setup = read_init(SessionInit, init)
     level1 = read_init(Level1Settings, init)
-    n = session.entities
+    n = setup.entities
 
     records = []
     for _ in range(n):
-        ekind, estep, ef = ch.recv(expect="ENTITY")
+        ekind, estep, ef = yield "ENTITY"
         if estep != t0:
             raise ProtocolError(
                 f"ENTITY step {estep} does not match INIT step {t0}"
@@ -82,10 +95,10 @@ def run_session(ch: LineChannel) -> None:
         raise ProtocolError("ENTITY records must arrive in ascending id order")
 
     arrivals = simulate_arrivals(
-        level1.params(TransportParams, n_vehicles=n, seed=session.seed))
+        level1.params(TransportParams, n_vehicles=n, seed=setup.seed))
     scene = MarketScene(level1.params(MarketParams))
     run = MarketRun(scene, records, arrivals.customers_entering,
-                    session.master_seed)
+                    setup.master_seed)
     # the vehicle cohort's outcome rides on every STATUS and the RESULT
     cohort = dict(emissions=arrivals.total_emissions,
                   customers=arrivals.customers_entering)
@@ -96,49 +109,54 @@ def run_session(ch: LineChannel) -> None:
     while True:
         coarse += 1
         ch.send("STATUS", coarse, **run.status(), **cohort)
-        rkind, rstep, _ = ch.recv(expect=("CONTINUE", "END"))
+        rkind, rstep, _ = yield ("CONTINUE", "END")
         if rstep != coarse:
             raise ProtocolError(
                 f"{rkind} for step {rstep} while at step {coarse}"
             )
         if rkind == "END":
             break
-        run.advance(session.substeps)
+        run.advance(setup.substeps)
 
     st = run.status()
     ch.send("RESULT", coarse, entities=n, arrived=st["arrived"],
             msgs=st["msgs"], routes=st["routes"], fine_steps=st["fine_steps"],
             rng_draws=run.total_draws(), **cohort)
     for rec in run.result_records():
-        wrapped = rec._replace(x=wrap_coord(rec.x, session.side),
-                               y=wrap_coord(rec.y, session.side))
+        wrapped = rec._replace(x=wrap_coord(rec.x, setup.side),
+                               y=wrap_coord(rec.y, setup.side))
         ch.send("ENTITY", coarse, **entity_fields(wrapped))
     ch.send("BYE", coarse)
 
 
+def run_session(ch: LineChannel) -> None:
+    """Serve one complete session on a blocking channel."""
+    steps = session(ch)
+    try:
+        expect = next(steps)
+        while True:
+            expect = steps.send(ch.recv(expect=expect))
+    except StopIteration:
+        pass
+
+
 def serve_connection(sock: socket.socket) -> None:
+    """Serve one session on a connected socket and close it; a failure
+    is printed, never raised, so that it ends only its own session."""
     ch = LineChannel.over_socket(sock)
     try:
         run_session(ch)
+    except Exception as exc:
+        print(_failure(exc), file=sys.stderr)
     finally:
         ch.close()
 
 
-def start_local() -> socket.socket:
-    """In-process wrapper on a socketpair; returns the coarse-side socket."""
-    l0_end, l1_end = socket.socketpair()
-    th = threading.Thread(target=_local_session, args=(l1_end,), daemon=True)
-    th.start()
-    return l0_end
-
-
-def _local_session(sock: socket.socket) -> None:
-    try:
-        serve_connection(sock)
-    except ProtocolError as exc:
-        print(f"wrapper session failed: {exc}", file=sys.stderr)
-    except Exception as exc:  # session thread must never kill the process
-        print(f"wrapper session crashed: {exc!r}", file=sys.stderr)
+def _failure(exc: Exception) -> str:
+    """What ended a session: a protocol breach, or any other fault."""
+    if isinstance(exc, ProtocolError):
+        return f"wrapper session failed: {exc}"
+    return f"wrapper session crashed: {exc!r}"
 
 
 def serve(host: str, port: int) -> None:
@@ -148,8 +166,81 @@ def serve(host: str, port: int) -> None:
         while True:
             conn, peer = srv.accept()
             print(f"session from {peer[0]}:{peer[1]}", file=sys.stderr)
-            threading.Thread(target=_local_session, args=(conn,),
+            threading.Thread(target=serve_connection, args=(conn,),
                              daemon=True).start()
+
+
+class _Pipe:
+    """One direction of a local session: the bytes written to it and
+    not read yet, behind the file methods LineChannel calls. Its one
+    writer is a LineChannel, so it holds whole lines or nothing."""
+
+    def __init__(self):
+        self.buf = bytearray()
+        self.closed = False
+
+    def write(self, raw: bytes) -> None:
+        if self.closed:
+            raise ValueError("I/O operation on closed file")
+        self.buf += raw
+
+    def flush(self) -> None:
+        pass
+
+    def readline(self, limit: int) -> bytes:
+        end = self.buf.find(b"\n", 0, limit)
+        n = limit if end < 0 else end + 1
+        line = bytes(self.buf[:n])
+        del self.buf[:n]
+        return line
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class _LocalSession:
+    """The coarse side's read end of a session run inline.
+
+    A read resumes the session generator, sending it each record the
+    wrapper's channel decodes from the coarse side's writes, until the
+    session has written a line or ended. Any exception the session
+    raises ends the read as a ProtocolError naming it.
+    """
+
+    def __init__(self, to_wrapper: _Pipe):
+        self._in = to_wrapper
+        self._out = _Pipe()
+        self._ch = LineChannel(to_wrapper, self._out)
+        self._steps = session(self._ch)
+        self._expect = next(self._steps)  # "INIT": the session waits
+
+    def readline(self, limit: int) -> bytes:
+        while self._steps is not None and not self._out.buf:
+            self._resume()
+        return self._out.readline(limit)
+
+    def _resume(self) -> None:
+        try:
+            if not self._in.buf:
+                raise ProtocolError(
+                    "waits for a record the coarse side has not sent")
+            self._expect = self._steps.send(self._ch.recv(self._expect))
+        except StopIteration:
+            self._steps = None
+        except Exception as exc:
+            self.close()
+            raise ProtocolError(_failure(exc)) from exc
+
+    def close(self) -> None:
+        if self._steps is not None:
+            self._steps.close()
+            self._steps = None
+
+
+def open_local(transcript=None) -> LineChannel:
+    """The coarse side's channel to a new session run inline."""
+    to_wrapper = _Pipe()
+    return LineChannel(_LocalSession(to_wrapper), to_wrapper, transcript)
 
 
 def main(argv=None) -> int:

@@ -105,3 +105,23 @@ def test_probes_follow_a_hybrid_run(bench, monkeypatch):
     assert clock.active_at_finish == 200
     assert sampler.compared > 0
     assert sampler.errors == []
+
+
+def test_tracer_counts_the_wire_of_local_sessions(bench, tmp_path):
+    # local sessions run inline on the coarse thread, and each record is
+    # still encoded once by its sender and decoded once by its receiver
+    layertrace, probes = bench
+    workloads = importlib.import_module("workloads")
+    tracer = layertrace.Tracer(str(tmp_path), cost=layertrace.NO_COST)
+    with probes.patched(tracer.probes()):
+        m = workloads.WORKLOADS["hybrid_market"].run(11)
+    metrics, _ = layertrace.summarize(tracer.states, m.totals,
+                                      m.wall_clock_seconds)
+    lines = [line for t in m.wrapper_transcripts for line in t["lines"]]
+    # a transcript line is "> " or "< " and the record, without newline
+    assert metrics["protocol.records"] == len(lines) == 2058
+    assert metrics["protocol.bytes"] == sum(len(line) - 1
+                                            for line in lines) == 280408
+    assert sum(st.calls.get("protocol.decode", 0)
+               for st in tracer.states) == len(lines)
+    assert [st.label for st in tracer.states] == [layertrace.COARSE_THREAD]

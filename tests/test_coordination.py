@@ -37,7 +37,6 @@ from hybridsim.metrics import RunMetrics, settings_fields
 from hybridsim.protocol import ProtocolError, entity_fields, format_value
 from hybridsim.rng import derive_seed
 from hybridsim.territory import EntityRecord, TerritorySpec, World
-from hybridsim.wrapper import _local_session
 
 
 def _world_at(side, xs, ys):
@@ -522,31 +521,17 @@ def test_reintegrate_requires_end():
     reintegrate(backend, handle, world)
 
 
-def test_spawn_over_tcp_endpoint():
-    srv = socket.create_server(("127.0.0.1", 0))
-    port = srv.getsockname()[1]
-
-    def accept_loop():
-        while True:
-            try:
-                conn, _ = srv.accept()
-            except OSError:
-                return
-            threading.Thread(target=_local_session, args=(conn,),
-                             daemon=True).start()
-
-    threading.Thread(target=accept_loop, daemon=True).start()
-    try:
-        config, spec, backend, world = _bench()
-        hs = HybridSpec(endpoint=f"127.0.0.1:{port}", io_timeout=30.0)
-        handle = spawn_level1(backend, [3, 8], 1, hs, config.master_seed,
-                              spec.side, 0)
-        coordinate_step(handle, 2, FixedDurationPolicy(1))
-        reintegrate(backend, handle, world)
-        assert handle.state == DONE
-        assert backend.entity_count() == 12
-    finally:
-        srv.close()
+def test_spawn_over_tcp_endpoint(remote):
+    endpoint, sessions = remote
+    config, spec, backend, world = _bench()
+    hs = HybridSpec(endpoint=endpoint, io_timeout=30.0)
+    handle = spawn_level1(backend, [3, 8], 1, hs, config.master_seed,
+                          spec.side, 0)
+    coordinate_step(handle, 2, FixedDurationPolicy(1))
+    reintegrate(backend, handle, world)
+    assert handle.state == DONE
+    assert backend.entity_count() == 12
+    assert len(sessions) == 1
 
 
 def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
@@ -832,14 +817,15 @@ def test_concurrent_sessions_commute():
 def test_aborted_run_closes_every_active_wrapper(monkeypatch, capsys):
     # two wrappers spawned at once; wrapper 0 (entities 0 and 1) claims
     # one draw more in RESULT than its cursors show, which aborts the
-    # run while wrapper 1 is still waiting for its answer
+    # run while wrapper 1's session still waits for its answer
     sessions = []
+    session = wrapper.session
 
-    def tracked(sock):
-        sessions.append(threading.current_thread())
-        _local_session(sock)
+    def tracked(ch):
+        sessions.append(session(ch))
+        return sessions[-1]
 
-    monkeypatch.setattr(wrapper, "_local_session", tracked)
+    monkeypatch.setattr(wrapper, "session", tracked)
     total_draws = market.MarketRun.total_draws
 
     def miscounted(run):
@@ -866,12 +852,70 @@ def test_aborted_run_closes_every_active_wrapper(monkeypatch, capsys):
     for h in handles:
         with pytest.raises(ProtocolError, match="send failed"):
             h.channel.send("CONTINUE", 3)
-    # wrapper 1's session finds its socket closed and says so once; how
-    # depends on timing: at EOF, reset if its STATUS went unread, or on
-    # sending a STATUS it had not finished before the close
+    # wrapper 0's session ran to BYE; wrapper 1's, suspended waiting for
+    # CONTINUE or END, was closed with the run, and neither said a word
     assert len(sessions) == 2
-    for th in sessions:
-        th.join(timeout=10.0)
-        assert not th.is_alive()
+    assert all(s.gi_frame is None for s in sessions)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("ready", [False, True], ids=["init", "continue"])
+def test_local_session_crash_names_its_cause_and_restores(ready,
+                                                          monkeypatch,
+                                                          capsys):
+    """A local session that raises something other than a ProtocolError
+    (a market or vehicle model fault) ends as a ProtocolError naming it:
+    before READY as WrapperFailure, later by termination. Either way the
+    entities come back bit-exact and the next barrier runs."""
+    def crash(*args):
+        raise RuntimeError("model fault")
+
+    if ready:
+        monkeypatch.setattr(market.MarketRun, "advance", crash)
+    else:
+        monkeypatch.setattr(wrapper, "simulate_arrivals", crash)
+    config, spec, backend, world = _bench()
+    before = backend.extract([0, 1, 2])
+    backend.restore(before)
+    hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(2,), transfer_count=3),
+                    policy=FixedDurationPolicy(5))
+    coord = HybridCoordinator(hs, config, spec)
+    metrics = RunMetrics()
+    for t in (2, 3, 4, 5):
+        coord.at_barrier(t, world, backend, metrics)
+    cause = "wrapper session crashed: RuntimeError('model fault')"
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("wrapper session failed: ")
+    if ready:
+        assert line == f"wrapper 0 terminated: {cause}"
+        assert [h.state for h in coord.history] == [FAILED]
+        assert metrics.level1.spawns == 1
+    else:
+        assert line == ("wrapper 0 failed to start on local wrapper: "
+                        + cause)
+        assert coord.history == [] and metrics.level1.spawns == 0
+    assert metrics.level1.failures == 1
+    assert coord.active == {} and coord.frozen_ids() == set()
+    assert backend.entity_count() == 12
+    assert backend.extract([0, 1, 2]) == before
+
+
+def test_coordinator_close_closes_suspended_local_sessions(monkeypatch):
+    sessions = []
+    session = wrapper.session
+
+    def tracked(ch):
+        sessions.append(session(ch))
+        return sessions[-1]
+
+    monkeypatch.setattr(wrapper, "session", tracked)
+    config, spec, backend, world = _bench()
+    hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(1, 1),
+                                            transfer_count=2),
+                    policy=FixedDurationPolicy(9))
+    coord = HybridCoordinator(hs, config, spec)
+    coord.at_barrier(1, world, backend, RunMetrics())
+    coord.at_barrier(2, world, backend, RunMetrics())
+    assert len(sessions) == 2
+    assert all(s.gi_frame is not None for s in sessions)  # suspended
+    coord.close()
+    assert all(s.gi_frame is None for s in sessions)

@@ -3,6 +3,8 @@
 import io
 import math
 import os
+import re
+import socket
 import threading
 
 import pytest
@@ -32,7 +34,7 @@ from hybridsim.protocol import (
 )
 from hybridsim.territory import EntityRecord, TerritorySpec
 from hybridsim import wrapper
-from hybridsim.wrapper import main, start_local
+from hybridsim.wrapper import main, open_local
 
 _RECORDS = (
     EntityRecord(1, "mobile", 10.0, 20.0, (30.0, 40.0), 2.5, (4, 8), 6),
@@ -43,9 +45,8 @@ _RECORDS = (
 
 def _open_session(records=_RECORDS, step=5, master_seed=42, seed=777,
                   side=500.0, substeps=3):
-    """start_local plus INIT/ENTITY/READY; returns the coarse channel."""
-    sock = start_local()
-    ch = LineChannel.over_socket(sock)
+    """open_local plus INIT/ENTITY/READY; returns the coarse channel."""
+    ch = open_local()
     init = dict(Level1Settings().init_fields(),
                 entities=len(records), side=side, substeps=substeps,
                 master_seed=master_seed, seed=seed)
@@ -130,146 +131,163 @@ def test_emissions_independent_of_market_progress():
     ch.close()
 
 
-@pytest.fixture
-def sessions(monkeypatch):
-    """The threads that start_local runs wrapper sessions on."""
-    threads = []
-    session = wrapper._local_session
-
-    def tracked(sock):
-        threads.append(threading.current_thread())
-        session(sock)
-
-    monkeypatch.setattr(wrapper, "_local_session", tracked)
-    return threads
+def _failed(cause=""):
+    """What a read on the coarse side raises once the local session has
+    failed for the given cause."""
+    return pytest.raises(ProtocolError,
+                         match="^wrapper session failed: " + re.escape(cause))
 
 
-def _assert_session_failed(sessions, capsys, cause=""):
-    """The one session has ended, and said once that it failed (for the
-    given cause), before the test returns and stops capturing its
-    output."""
-    [th] = sessions
-    th.join(timeout=10.0)
-    assert not th.is_alive()
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("wrapper session failed: " + cause)
-
-
-def test_session_rejects_zero_entities(sessions, capsys):
-    sock = start_local()
-    ch = LineChannel.over_socket(sock)
+def test_session_rejects_zero_entities():
+    ch = open_local()
     init = dict(Level1Settings().init_fields(), entities=0, side=100.0,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **init)
-    with pytest.raises(ProtocolError, match="closed"):
+    with _failed("INIT entities = 0 out of range"):
         ch.recv()
     ch.close()
-    _assert_session_failed(sessions, capsys)
 
 
-def test_session_rejects_settings_out_of_range(sessions, capsys):
+def test_session_rejects_settings_out_of_range():
     """A value Level1Settings refuses ends the session with a
     ProtocolError naming the field, not an uncaught ValueError."""
-    sock = start_local()
-    sock.settimeout(10.0)  # a session that waits for ENTITY fails here
-    ch = LineChannel.over_socket(sock)
+    ch = open_local()
     init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
                 substeps=3, master_seed=1, seed=1, spacing=-1.0)
     ch.send("INIT", 0, **init)
-    with pytest.raises(ProtocolError, match="closed"):
+    with _failed("INIT spacing = -1.0 out of"):
         ch.recv()
     ch.close()
-    _assert_session_failed(sessions, capsys, "INIT spacing = -1.0 out of")
 
 
 @pytest.mark.parametrize("side", [math.nan, 0.0, -1.0, math.inf])
-def test_session_rejects_side_out_of_range(side, sessions, capsys):
+def test_session_rejects_side_out_of_range(side):
     """A torus side that is not finite and > 0 ends the session with a
     ProtocolError naming side; NaN once returned every entity at (0, 0)."""
-    sock = start_local()
-    sock.settimeout(10.0)
-    ch = LineChannel.over_socket(sock)
+    ch = open_local()
     init = dict(Level1Settings().init_fields(), entities=1, side=side,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **init)
-    with pytest.raises(ProtocolError, match="closed"):
+    with _failed(f"INIT side = {side!r} out of"):
         ch.recv()
     ch.close()
-    _assert_session_failed(sessions, capsys, f"INIT side = {side!r} out of")
 
 
 @pytest.mark.parametrize("field,value", [
     ("master_seed", -1), ("seed", -5), ("master_seed", 2**63),
     ("entities", 0), ("substeps", 0)])
-def test_session_rejects_init_field_out_of_range(field, value, sessions,
-                                                 capsys):
+def test_session_rejects_init_field_out_of_range(field, value):
     """An INIT session field out of range ends the session with a
     ProtocolError naming it; a negative seed once died inside numpy with
     an OverflowError."""
-    sock = start_local()
-    sock.settimeout(10.0)
-    ch = LineChannel.over_socket(sock)
+    ch = open_local()
     init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **{**init, field: value})
-    with pytest.raises(ProtocolError, match="closed"):
+    with _failed(f"INIT {field} = {value!r} out of range"):
         ch.recv()
     ch.close()
-    _assert_session_failed(sessions, capsys,
-                           f"INIT {field} = {value!r} out of range")
 
 
-def test_spawn_with_refused_side_restores_entities(sessions, capsys):
+def test_spawn_with_refused_side_restores_entities():
     config = EngineConfig(num_lps=2, total_timesteps=10, master_seed=7)
     backend = InProcessBackend(config, TerritorySpec(num_entities=8))
     before = backend.extract([2, 5])
     backend.restore(before)
-    with pytest.raises(WrapperFailure, match="failed to start"):
+    with pytest.raises(WrapperFailure, match="failed to start on local"
+                       " wrapper: wrapper session failed: INIT side = nan"
+                       " out of"):
         spawn_level1(backend, [2, 5], 4, HybridSpec(), config.master_seed,
                      math.nan, 0)
-    _assert_session_failed(sessions, capsys, "INIT side = nan out of")
     assert backend.entity_count() == 8
     assert backend.extract([2, 5]) == before
 
 
-def test_session_rejects_out_of_order_entities(sessions, capsys):
-    sock = start_local()
-    ch = LineChannel.over_socket(sock)
+def test_session_rejects_out_of_order_entities():
+    ch = open_local()
     init = dict(Level1Settings().init_fields(), entities=2, side=100.0,
                 substeps=3, master_seed=1, seed=1)
     ch.send("INIT", 0, **init)
     ch.send("ENTITY", 0, **entity_fields(_RECORDS[2]))
     ch.send("ENTITY", 0, **entity_fields(_RECORDS[0]))  # descending ids
-    with pytest.raises(ProtocolError, match="closed"):
+    with _failed("ENTITY records must arrive in ascending id order"):
         ch.recv()
     ch.close()
-    _assert_session_failed(sessions, capsys)
 
 
-def test_session_rejects_step_mismatch(sessions, capsys):
+def test_session_rejects_step_mismatch():
     ch = _open_session()
     ch.recv(expect="STATUS")
     ch.send("CONTINUE", 99)  # wrapper is at step 6
-    with pytest.raises(ProtocolError, match="closed"):
+    with _failed("CONTINUE for step 99 while at step 6"):
         ch.recv()
     ch.close()
-    _assert_session_failed(sessions, capsys)
+
+
+def test_session_waiting_for_a_record_never_sent_fails_at_once():
+    """A read while the session still waits for ENTITY would block a
+    socket until its timeout; inline it fails naming what is missing."""
+    ch = open_local()
+    init = dict(Level1Settings().init_fields(), entities=2, side=100.0,
+                substeps=3, master_seed=1, seed=1)
+    ch.send("INIT", 0, **init)
+    ch.send("ENTITY", 0, **entity_fields(_RECORDS[0]))
+    with _failed("waits for a record the coarse side has not sent"):
+        ch.recv()
+    # the session is over: a later read finds the channel closed
+    with pytest.raises(ProtocolError, match="^connection closed"):
+        ch.recv()
+    ch.close()
+
+
+def test_session_runs_only_when_the_coarse_side_reads(monkeypatch):
+    """Sending INIT and ENTITY runs none of the session; the first read
+    runs it up to its first STATUS, and a closed channel sends nothing."""
+    built = []
+    read_init = wrapper.read_init
+
+    def recording(cls, init):
+        built.append(cls)
+        return read_init(cls, init)
+
+    monkeypatch.setattr(wrapper, "read_init", recording)
+    ch = open_local()
+    init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
+                substeps=3, master_seed=1, seed=1)
+    ch.send("INIT", 4, **init)
+    ch.send("ENTITY", 4, **entity_fields(_RECORDS[0]))
+    assert built == []
+    assert ch.recv(expect="READY")[1] == 4
+    assert built == [wrapper.SessionInit, Level1Settings]
+    assert ch.recv(expect="STATUS")[1] == 5
+    ch.close()
+    with pytest.raises(ProtocolError,
+                       match="^send failed: I/O operation on closed file"):
+        ch.send("END", 5)
+
+
+def _serve_on_a_thread():
+    """The two ends of a connection, the wrapper end served by
+    serve_connection on a thread as the TCP server does."""
+    coarse_end, wrapper_end = socket.socketpair()
+    th = threading.Thread(target=wrapper.serve_connection,
+                          args=(wrapper_end,), daemon=True)
+    th.start()
+    return LineChannel.over_socket(coarse_end), wrapper_end, th
 
 
 @pytest.mark.parametrize("clean", [True, False], ids=["bye", "error"])
-def test_serve_connection_closes_its_socket(clean, sessions, capsys,
-                                            monkeypatch):
-    """The wrapper end of a session is closed once the session ends,
-    after BYE and after a ProtocolError alike."""
-    served = []
-    serve = wrapper.serve_connection
-
-    def recording(sock):
-        served.append(sock)
-        serve(sock)
-
-    monkeypatch.setattr(wrapper, "serve_connection", recording)
-    ch = _open_session()
+def test_serve_connection_closes_its_socket(clean, capsys):
+    """The wrapper end of a remote session is closed once the session
+    ends, after BYE and after a ProtocolError alike; a failure is one
+    line on stderr."""
+    ch, sock, th = _serve_on_a_thread()
+    init = dict(Level1Settings().init_fields(), entities=len(_RECORDS),
+                side=500.0, substeps=3, master_seed=42, seed=777)
+    ch.send("INIT", 5, **init)
+    for rec in _RECORDS:
+        ch.send("ENTITY", 5, **entity_fields(rec))
+    ch.recv(expect="READY")
     ch.recv(expect="STATUS")
     if clean:
         ch.send("END", 6)
@@ -277,15 +295,17 @@ def test_serve_connection_closes_its_socket(clean, sessions, capsys,
         for _ in _RECORDS:
             ch.recv(expect="ENTITY")
         ch.recv(expect="BYE")
-        [th] = sessions
-        th.join(timeout=10.0)
-        assert not th.is_alive()
-        assert capsys.readouterr().err == ""
     else:
         ch.send("CONTINUE", 99)  # wrapper is at step 6
-        _assert_session_failed(sessions, capsys, "CONTINUE for step 99")
+    th.join(timeout=10.0)
+    assert not th.is_alive()
+    err = capsys.readouterr().err.splitlines()
+    if clean:
+        assert err == []
+    else:
+        assert err == ["wrapper session failed: CONTINUE for step 99 while"
+                       " at step 6"]
     ch.close()
-    [sock] = served
     assert sock.fileno() == -1
 
 

@@ -51,6 +51,7 @@ from .protocol import (
     entity_fields,
     entity_from_fields,
     field,
+    read_fields,
 )
 from .rng import derive_seed
 from .transport import TransportParams
@@ -202,6 +203,21 @@ class Level1Settings(metrics.TypedSettings):
 
 
 @dataclass(frozen=True)
+class SessionResult(metrics.TypedSettings):
+    """A RESULT record's fields: the entities and draws the session
+    returns, and the six totals Level1Totals adds up."""
+
+    entities: metrics.Count
+    rng_draws: metrics.Count
+    emissions: metrics.NonNegative
+    customers: metrics.Count
+    arrived: metrics.Count
+    msgs: metrics.Count
+    routes: metrics.Count
+    fine_steps: metrics.Count
+
+
+@dataclass(frozen=True)
 class HybridSpec(metrics.TypedSettings):
     """Everything run_simulation needs to run hybrid: what fires, how
     time nests, when wrappers end, what the sub-simulators get."""
@@ -344,11 +360,15 @@ def coordinate_step(handle: WrapperHandle, t: int, decision_policy) -> dict:
 def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
     """Validate RESULT and returned records, restore the entities.
 
-    Checks: entity set equality with the transfer, per-entity fields
-    unchanged except position and rng cursor, cursors advanced by
-    exactly the draw total the wrapper reported. Violations are
-    ConservationError (hard). Positions land in the global table so
-    routing sees them immediately. Dropping the handle unfreezes them.
+    RESULT, every returned ENTITY and BYE are read, each field typed and
+    checked, before anything changes: a malformed record is a
+    ProtocolError that leaves the entities frozen and Level1Totals
+    untouched, for _terminate to restore the snapshot once. Checks:
+    entity set equality with the transfer, per-entity fields unchanged
+    except position and rng cursor, cursors advanced by exactly the draw
+    total the wrapper reported. Violations are ConservationError (hard).
+    Positions land in the global table so routing sees them immediately.
+    Dropping the handle unfreezes them.
     """
     if handle.end_sent_at is None:
         raise EngineError(
@@ -358,13 +378,13 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
     kind, rstep, rf = ch.recv(expect="RESULT")
     if rstep != t:
         raise ProtocolError(f"RESULT for step {rstep}, expected {t}")
-    n = field(rf, "entities", int)
-    if n != len(handle.entity_ids):
+    result = read_fields(SessionResult, "RESULT", rf)
+    if result.entities != len(handle.entity_ids):
         raise ConservationError(
-            f"wrapper {handle.wrapper_id} returned {n} entities,"
-            f" transferred {len(handle.entity_ids)}")
+            f"wrapper {handle.wrapper_id} returned {result.entities}"
+            f" entities, transferred {len(handle.entity_ids)}")
     returned = []
-    for _ in range(n):
+    for _ in range(result.entities):
         ekind, estep, ef = ch.recv(expect="ENTITY")
         if estep != t:
             raise ProtocolError(f"returned ENTITY for step {estep},"
@@ -395,23 +415,22 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
                 f"entity {r.entity_id} rng cursor moved backwards:"
                 f" {snap.cursor} -> {r.cursor}")
         draw_total += r.cursor - snap.cursor
-    reported = field(rf, "rng_draws", int)
-    if draw_total != reported:
+    if draw_total != result.rng_draws:
         raise ConservationError(
             f"wrapper {handle.wrapper_id} draw accounting: cursors advanced"
-            f" by {draw_total}, RESULT claims {reported}")
+            f" by {draw_total}, RESULT claims {result.rng_draws}")
 
     backend.restore(returned)
     world.update([r.entity_id for r in returned],
                  [r.x for r in returned], [r.y for r in returned])
     if metrics is not None:
         lv = metrics.level1
-        lv.emissions_g += field(rf, "emissions", float)
-        lv.customers += field(rf, "customers", int)
-        lv.arrived += field(rf, "arrived", int)
-        lv.market_messages += field(rf, "msgs", int)
-        lv.route_discoveries += field(rf, "routes", int)
-        lv.fine_steps += field(rf, "fine_steps", int)
+        lv.emissions_g += result.emissions
+        lv.customers += result.customers
+        lv.arrived += result.arrived
+        lv.market_messages += result.msgs
+        lv.route_discoveries += result.routes
+        lv.fine_steps += result.fine_steps
     handle.state = DONE
     handle.close()
 

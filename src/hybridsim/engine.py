@@ -179,6 +179,18 @@ class EnvelopeBatch:
         self.row = np.delete(self.row, i)
 
 
+def join_tables(tables) -> np.ndarray:
+    """BROADCAST_COLUMNS tables end to end, put into one table made for
+    them: a structured np.concatenate promotes the fields on every call,
+    and a structured slice assignment copies field by field."""
+    out = np.empty(sum(map(len, tables)), dtype=BROADCAST_COLUMNS)
+    at = 0
+    for table in tables:
+        out.put(np.arange(at, at + len(table)), table)
+        at += len(table)
+    return out
+
+
 class StepTable(NamedTuple):
     """A step's whole broadcast table, unrouted: what a process-backend
     worker receives and routes to its own entities (LogicalProcess.inbox)."""
@@ -283,14 +295,14 @@ class LogicalProcess:
             inbox = self.inbox(inbox)
         if inbox:
             # a repeat carries the message the copy before it carried to
-            # the same entity; entity k's first copies are [lo[k], hi[k])
+            # the same entity; the first copies go to the entities in
+            # rows, non-decreasing, as dest is
             dest, mid = inbox.dest, inbox.table["message_id"][inbox.row]
             repeat = np.zeros(len(dest), dtype=bool)
             repeat[1:] = (dest[1:] == dest[:-1]) & (mid[1:] == mid[:-1])
             dest = dest[~repeat]
-            lo = np.searchsorted(dest, cols.ids, side="left")
-            hi = np.searchsorted(dest, cols.ids, side="right")
-            if int((hi - lo).sum()) != len(dest):
+            rows = np.searchsorted(cols.ids, dest)
+            if rows[-1] == len(cols.ids) or (cols.ids[rows] != dest).any():
                 unknown = set(dest.tolist()).difference(cols.ids.tolist())
                 raise EngineError(
                     f"lp={self.lp_id} received envelopes for entities it"
@@ -303,14 +315,13 @@ class LogicalProcess:
             report.cache_filtered += len(hops)
             self.monitor.note(max_delivered_hop=int(hops.max(initial=0)))
             relays = territory.decide_relay(
-                cols, np.repeat(np.arange(len(cols.ids)), hi - lo),
-                inbox.table[inbox.row[~repeat]], params, self.side, report,
-                self.monitor)
+                cols, rows, inbox.table.take(inbox.row[~repeat]), params,
+                self.side, report, self.monitor)
         territory.rwp_step(cols, self.side)
         born = territory.generate_message(cols, t, params)
         report.generated += len(born)
-        out = np.concatenate([relays, born])
-        return out[np.argsort(out["sender"], kind="stable")]
+        out = join_tables([relays, born])
+        return out.take(np.argsort(out["sender"], kind="stable"))
 
     def positions(self):
         return self.cols.ids, self.cols.x.copy(), self.cols.y.copy()
@@ -588,7 +599,7 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
                 step_report.merge(res.report)
                 outboxes.append(res.outbox)
                 world.update(res.ids, res.xs, res.ys)
-            table = np.concatenate(outboxes)
+            table = join_tables(outboxes)
             if t and metrics.routed_per_step[-1] is None:
                 # the LPs routed step t - 1 themselves: every copy they
                 # delivered now, and every copy frozen entities lost

@@ -30,6 +30,8 @@ import re
 import socket
 from urllib.parse import quote, unquote
 
+from . import metrics
+
 # far above the longest legitimate record: an ENTITY carrying a full
 # 128-id duplicate cache is about 1 KB
 MAX_LINE_BYTES = 64 * 1024
@@ -130,6 +132,18 @@ def field(fields: dict, key: str, kind):
         raise ProtocolError(f"missing field {key!r}") from exc
     except ValueError as exc:
         raise ProtocolError(f"field {key!r} is not {_NOT_A[kind]}") from exc
+
+
+def read_fields(cls, kind: str, fields: dict):
+    """cls, a metrics.TypedSettings, built from a kind record's fields,
+    each read as its declared type; a value cls refuses is a
+    ProtocolError naming the field."""
+    values = {name: field(fields, name, accepts.kind)
+              for name, accepts in metrics.settings_fields(cls).items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ProtocolError(f"{kind} {exc}") from None
 
 
 def entity_fields(rec) -> dict:

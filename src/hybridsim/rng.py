@@ -10,12 +10,15 @@ tag-derived ids in a disjoint key namespace.
 from __future__ import annotations
 
 import hashlib
+import threading
 import zlib
 
 import numpy as np
 
 # High bit marks engine-internal streams so tags never collide with entity ids.
 _NAMED_BIT = 1 << 63
+
+_templates = threading.local()  # seek's state dict, one per thread
 
 
 def generator() -> np.random.Generator:
@@ -29,11 +32,23 @@ def seek(gen: np.random.Generator, key, cursor: int) -> np.random.Generator:
     by key, (master seed, stream id) as exact ints, in O(1). Philox makes
     four draws per counter step: the bit generator is set to counter
     cursor // 4 with no draws in reserve, and cursor % 4 draws are
-    discarded. A key outside [0, 2**64) raises OverflowError."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"key": key, "counter": [cursor >> 2, 0, 0, 0]},
-        "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    discarded. A key outside [0, 2**64) raises OverflowError.
+
+    The state comes from one template dict per thread, refilled in place,
+    so a seek builds no dict or list of its own; a shared template could
+    be refilled by another thread (the TCP wrapper's sessions) between
+    the refill and the set."""
+    state = getattr(_templates, "state", None)
+    if state is None:
+        state = _templates.state = {
+            "bit_generator": "Philox",
+            "state": {"key": None, "counter": [0, 0, 0, 0]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0,
+            "uinteger": 0}
+    inner = state["state"]
+    inner["key"] = key
+    inner["counter"][0] = cursor >> 2
+    gen.bit_generator.state = state
     if cursor % 4:
         gen.random(cursor % 4)
     return gen

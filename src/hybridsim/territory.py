@@ -231,12 +231,14 @@ class EntityColumns:
     def draw(self, rows, n: int = 1) -> np.ndarray:
         """The next n draws of each entity in rows (distinct row indices),
         as an (n, len(rows)) array; a row is refilled each time it runs out,
-        within the n draws or at their end."""
+        within the n draws or at their end. The buffered values are read
+        with one take from the flat buffer; a single draw needs no clip,
+        since the value it reads is its block's last one at most."""
         b, c = self.block, self.cursor[rows]
         p = c % b
-        at = p[None] if n == 1 else np.minimum(p + np.arange(n)[:, None],
-                                               b - 1)  # rewritten below
-        v = self.draws[rows, at]
+        at = p if n == 1 else np.minimum(p + np.arange(n)[:, None],
+                                         b - 1)  # rewritten below
+        v = self.draws.take(rows * b + at).reshape(n, len(rows))
         self.cursor[rows] = c + n
         due = (p >= b - n).nonzero()[0]  # the columns whose block runs out
         if len(due):
@@ -380,23 +382,29 @@ def rwp_step(cols: EntityColumns, side: float) -> None:
         if left is None:  # a step covers its first leg's speed
             left = cols.speed[rows]
         # shortest displacement on the torus, axis by axis
-        d = np.stack([cols.tx[rows] - cols.x[rows],
-                      cols.ty[rows] - cols.y[rows]])
-        d = np.where(d > side * 0.5, d - side,
-                     np.where(d < -side * 0.5, d + side, d))
-        dist = np.fromiter(map(math.hypot, *d.tolist()), dtype=np.float64,
-                           count=len(rows))
+        dx = _shortest(cols.tx[rows] - cols.x[rows], side)
+        dy = _shortest(cols.ty[rows] - cols.y[rows], side)
+        dist = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()),
+                           dtype=np.float64, count=len(rows))
         go = dist > left
         f = left[go] / dist[go]
-        for pos, dp in zip((cols.x, cols.y), d):
-            v = np.remainder(pos[rows[go]] + dp[go] * f, side)  # as % does
+        moving = rows[go]
+        for pos, dp in ((cols.x, dx), (cols.y, dy)):
+            v = np.remainder(pos[moving] + dp[go] * f, side)  # as % does
             v[v >= side] = 0.0  # % can round up to side itself
-            pos[rows[go]] = v
+            pos[moving] = v
         # the rest reach their waypoint and walk on toward a fresh one
         rows, left = rows[~go], (left - dist)[~go]
         cols.x[rows], cols.y[rows] = cols.tx[rows], cols.ty[rows]
         cols.tx[rows] = cols.ty[rows] = np.nan
         rows, left = rows[left > 0.0], left[left > 0.0]
+
+
+def _shortest(d: np.ndarray, side: float) -> np.ndarray:
+    """Coordinate differences d, each in (-side, side), as the shortest
+    displacement along their torus axis."""
+    return np.where(d > side * 0.5, d - side,
+                    np.where(d < -side * 0.5, d + side, d))
 
 
 def generate_message(cols: EntityColumns, t: int,
@@ -432,11 +440,14 @@ def _torus_dists(ax, ay, bx, by, side: float) -> np.ndarray:
 def _rounds(rows: np.ndarray) -> list:
     """Indices into non-decreasing rows, split into rounds by rank within
     a row: round r holds each row's r-th index, so no row is in a round
-    twice, and a row's indices come in order across rounds."""
+    twice, and a row's indices come in order across rounds. Where no row
+    repeats, the one round is every index, with no sort."""
     if not len(rows):
         return []
     first = np.ones(len(rows), dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
+    if first.all():
+        return [np.arange(len(rows))]
     rank = np.arange(len(rows)) - np.flatnonzero(first)[np.cumsum(first) - 1]
     by_rank = np.argsort(rank, kind="stable")
     return np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
@@ -507,7 +518,7 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
                      relay_origin_max=float(origin.max()),
                      max_relays_entity_step=int(used.max()))
     k = rows[c]
-    out = copies[c]
+    out = copies.take(c)  # a structured take copies rows, not fields
     out["sender"], out["sender_x"], out["sender_y"] = \
         cols.ids[k], cols.x[k], cols.y[k]
     out["ttl_remaining"] -= 1

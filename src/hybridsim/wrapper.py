@@ -31,20 +31,21 @@ address it refuses ends in one error line and exit status 2, unbound.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import socket
 import sys
 import threading
 from dataclasses import dataclass
 
 from . import metrics
-from .coordination import Level1Settings, parse_endpoint
+from .coordination import Level1Settings, SessionResult, parse_endpoint
 from .market import MarketParams, MarketRun, MarketScene
 from .protocol import (
     LineChannel,
     ProtocolError,
     entity_fields,
     entity_from_fields,
-    field,
+    read_fields,
 )
 from .territory import wrap_coord
 from .transport import TransportParams, simulate_arrivals
@@ -61,25 +62,13 @@ class SessionInit(metrics.TypedSettings):
     seed: metrics.Seed
 
 
-def read_init(cls, init: dict):
-    """cls (SessionInit or Level1Settings) built from an INIT record's
-    fields, each read as its type; a value cls refuses is a ProtocolError
-    naming the field."""
-    values = {name: field(init, name, accepts.kind)
-              for name, accepts in metrics.settings_fields(cls).items()}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ProtocolError(f"INIT {exc}") from None
-
-
 def session(ch: LineChannel):
     """One session as a generator: yields the record kind(s) it waits
     for, is sent each such record as (kind, step, fields), and writes
     its own records to ch. It returns after BYE."""
     kind, t0, init = yield "INIT"
-    setup = read_init(SessionInit, init)
-    level1 = read_init(Level1Settings, init)
+    setup = read_fields(SessionInit, "INIT", init)
+    level1 = read_fields(Level1Settings, "INIT", init)
     n = setup.entities
 
     records = []
@@ -119,9 +108,11 @@ def session(ch: LineChannel):
         run.advance(setup.substeps)
 
     st = run.status()
-    ch.send("RESULT", coarse, entities=n, arrived=st["arrived"],
-            msgs=st["msgs"], routes=st["routes"], fine_steps=st["fine_steps"],
-            rng_draws=run.total_draws(), **cohort)
+    result = SessionResult(entities=n, rng_draws=run.total_draws(),
+                           arrived=st["arrived"], msgs=st["msgs"],
+                           routes=st["routes"], fine_steps=st["fine_steps"],
+                           **cohort)
+    ch.send("RESULT", coarse, **dataclasses.asdict(result))
     for rec in run.result_records():
         wrapped = rec._replace(x=wrap_coord(rec.x, setup.side),
                                y=wrap_coord(rec.y, setup.side))

@@ -29,6 +29,7 @@ from hybridsim.coordination import (
     HybridSpec,
     Level1Settings,
     ScriptedTrigger,
+    SessionResult,
     TimestepAlignment,
 )
 from hybridsim.engine import EngineConfig
@@ -333,11 +334,14 @@ def test_run_settings_validate_however_built():
 _SETTINGS_TYPES = (EngineConfig, DisseminationParams, TerritorySpec,
                    MarketParams, TransportParams, TimestepAlignment,
                    ScriptedTrigger, DensityTrigger, FixedDurationPolicy,
-                   Level1Settings, HybridSpec, SessionInit)
+                   Level1Settings, HybridSpec, SessionInit, SessionResult)
 # the values each settings type needs besides the one under test
 _REQUIRED = {TerritorySpec: dict(num_entities=10),
              SessionInit: dict(entities=1, side=1.0, substeps=1,
                                master_seed=0, seed=0),
+             SessionResult: dict(entities=0, rng_draws=0, emissions=0.0,
+                                 customers=0, arrived=0, msgs=0, routes=0,
+                                 fine_steps=0),
              DisseminationParams: dict(forwarding_threshold=0.0)}
 # field type (its accepted text) -> a value just below its range, and
 # which of 2.5, NaN and inf it takes
@@ -381,7 +385,7 @@ def test_int_field_list_is_complete():
                    if hint in (int, float)}
         assert numeric == set(settings_fields(owner)), owner
         assert issubclass(owner, TypedSettings), owner
-    assert len(_INT_FIELDS) == 22 and len(_FLOAT_FIELDS) == 28
+    assert len(_INT_FIELDS) == 29 and len(_FLOAT_FIELDS) == 29
 
 
 def _refusal(owner, name, value) -> str:

@@ -33,7 +33,7 @@ from hybridsim.coordination import (
 from hybridsim import coordination, market, transport, wrapper
 from hybridsim.engine import (EngineConfig, EngineError, InProcessBackend,
                               grid_cells, run_simulation)
-from hybridsim.metrics import RunMetrics, settings_fields
+from hybridsim.metrics import Level1Totals, RunMetrics, settings_fields
 from hybridsim.protocol import ProtocolError, entity_fields, format_value
 from hybridsim.rng import derive_seed
 from hybridsim.territory import EntityRecord, TerritorySpec, World
@@ -701,6 +701,45 @@ def test_reintegrate_accepts_position_and_cursor_changes():
     assert log.restored == [(moved, _R1)]
     assert world.position(1) == (50.0, 60.0)
     assert h.state == DONE
+
+
+_TOTALS = ("emissions", "customers", "arrived", "msgs", "routes",
+           "fine_steps")
+
+
+@pytest.mark.parametrize("value", [None, "abc", "nan", "-5"])
+@pytest.mark.parametrize("name", _TOTALS)
+def test_bad_result_total_terminates_only_its_wrapper(name, value, capsys):
+    """A RESULT total that is dropped (None), unreadable or out of range
+    ends only its wrapper: the cause names the field, the entities are
+    restored once, from the snapshot, and Level1Totals counts only the
+    failure."""
+    config, spec, backend, world = _bench()
+    records = tuple(backend.extract([4, 6]))
+    result = _result(2)
+    if value is None:
+        del result[name]
+    else:
+        result[name] = value
+    handle = WrapperHandle(0, 5, records, _ScriptChannel(
+        [("STATUS", 6, {}), ("RESULT", 6, result),
+         *(("ENTITY", 6, _wire(r)) for r in records), ("BYE", 6, {})]))
+    handle.state = RUNNING_L1B
+    coord = HybridCoordinator(HybridSpec(policy=FixedDurationPolicy(1)),
+                              config, spec)
+    coord.active[0] = handle
+    restored = []
+    restore = backend.restore
+    backend.restore = lambda recs: restored.append(tuple(recs)) or restore(
+        recs)
+    metrics = RunMetrics()
+    coord.at_barrier(6, world, backend, metrics)
+    assert restored == [records]
+    assert backend.entity_count() == 12 and coord.active == {}
+    assert handle.state == FAILED
+    assert metrics.level1 == Level1Totals(failures=1)
+    cause = capsys.readouterr().err.split("wrapper 0 terminated: ")[1]
+    assert repr(name) in cause or f"RESULT {name} = " in cause
 
 
 # --- the coordinator loop ------------------------------------------------

@@ -1,5 +1,6 @@
 """Engine: partitioning, stepping, routing, LP-count equivalence."""
 
+import re
 import signal
 
 import numpy as np
@@ -205,6 +206,23 @@ def test_envelope_for_unowned_entity_rejected():
     msg = DisseminationMessage(make_message_id(0, 0), 0, 1.0, 1.0, 6, 0, 0)
     inbox = _inbox(0, 99, (1.0, 1.0), [(0, msg)], num_entities=100)
     with pytest.raises(EngineError, match="99"):
+        lp.run_step(1, inbox, StepReport())
+
+
+@pytest.mark.parametrize("dest, unknown", [
+    ([0], [0]), ([3], [3]), ([9], [9]),  # below, between, above the owned
+    ([2, 3, 3, 5, 9, 9], [3, 9]),  # among owned receivers, with repeats
+])
+def test_inbox_names_every_receiver_not_owned(dest, unknown):
+    """The inbox prelude finds each receiver the LP does not own,
+    wherever it falls among the owned ids, and names them all."""
+    spec = TerritorySpec(10, DisseminationParams(generation_probability=0.0))
+    lp = LogicalProcess(0, [2, 5, 7], spec, 1)
+    table = np.zeros(1, dtype=BROADCAST_COLUMNS)
+    inbox = EnvelopeBatch(0, table, np.array(dest),
+                          np.zeros(len(dest), dtype=np.intp))
+    with pytest.raises(EngineError,
+                       match=re.escape(f"does not own: {unknown}")):
         lp.run_step(1, inbox, StepReport())
 
 

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -173,6 +175,35 @@ def test_draw_matches_stream_at_any_block(block, monkeypatch):
                 for k in rows.tolist()]
         assert got.T.tolist() == want
     assert cols.cursor.tolist() == [s.cursor for s in streams]
+
+
+def test_refills_on_two_threads_match_sequential_draws():
+    """Two EntityColumns refilling at once on two threads, as sessions
+    of the TCP wrapper seek on theirs, draw what each draws alone: no
+    thread sets a generator from another's seek."""
+    def drawn(seed):
+        cols = EntityColumns(seed, P.cache_capacity)
+        cols.add([EntityRecord(eid, "static", 0.0, 0.0, None, 0.0, (), 0)
+                  for eid in range(8)])
+        # 600 draws a stream: nine refills of each of the eight rows
+        return np.stack([cols.draw(np.arange(8), 3) for _ in range(200)])
+
+    want = {seed: drawn(seed) for seed in (5, 6)}
+    got = {}
+    threads = [threading.Thread(target=lambda s=s: got.update({s: drawn(s)}))
+               for s in want]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for seed, draws in want.items():
+        assert np.array_equal(got[seed], draws)
 
 
 def test_build_entity_kind_by_parity():
@@ -412,6 +443,30 @@ def _msg(origin_x, origin_y, ttl=6, hop=0, mid=None, origin=1, t=0):
     if mid is None:
         mid = make_message_id(origin, t)
     return DisseminationMessage(mid, origin, origin_x, origin_y, ttl, hop, t)
+
+
+def _rounds_by_count(rows) -> list:
+    """Round r holds, in order, the index of each row's r-th copy."""
+    rounds, seen = [], {}
+    for i, row in enumerate(rows):
+        rank = seen[row] = seen.get(row, -1) + 1
+        if rank == len(rounds):
+            rounds.append([])
+        rounds[rank].append(i)
+    return rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 30), max_size=40), st.booleans())
+def test_rounds_match_a_count_of_each_row(values, distinct):
+    """_rounds of non-decreasing rows equals a count of each row's
+    copies, on its sorting path and, where no row repeats, on its
+    one-round path."""
+    rows = sorted(set(values)) if distinct else sorted(values)
+    got = [r.tolist() for r in territory._rounds(np.array(rows, dtype=int))]
+    assert got == _rounds_by_count(rows)
+    if distinct and rows:
+        assert got == [list(range(len(rows)))]
 
 
 def test_decide_relay_filter_order_and_counters():

@@ -244,13 +244,13 @@ def test_session_runs_only_when_the_coarse_side_reads(monkeypatch):
     """Sending INIT and ENTITY runs none of the session; the first read
     runs it up to its first STATUS, and a closed channel sends nothing."""
     built = []
-    read_init = wrapper.read_init
+    read_fields = wrapper.read_fields
 
-    def recording(cls, init):
+    def recording(cls, kind, fields):
         built.append(cls)
-        return read_init(cls, init)
+        return read_fields(cls, kind, fields)
 
-    monkeypatch.setattr(wrapper, "read_init", recording)
+    monkeypatch.setattr(wrapper, "read_fields", recording)
     ch = open_local()
     init = dict(Level1Settings().init_fields(), entities=1, side=100.0,
                 substeps=3, master_seed=1, seed=1)

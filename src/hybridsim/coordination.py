@@ -320,9 +320,7 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
         channel.send("INIT", t, **init)
         for rec in records:
             channel.send("ENTITY", t, **entity_fields(rec))
-        kind, rstep, _ = channel.recv(expect="READY")
-        if rstep != t:
-            raise ProtocolError(f"READY for step {rstep}, expected {t}")
+        channel.recv("READY", t)
     except (OSError, ProtocolError) as exc:
         if handle is not None:
             handle.close()
@@ -343,11 +341,7 @@ def coordinate_step(handle: WrapperHandle, t: int, decision_policy) -> dict:
     if handle.state != RUNNING_L1B:
         raise EngineError(
             f"wrapper {handle.wrapper_id} is {handle.state}, cannot step")
-    kind, sstep, status = handle.channel.recv(expect="STATUS")
-    if sstep != t:
-        raise ProtocolError(
-            f"wrapper {handle.wrapper_id} sent STATUS for step {sstep}"
-            f" at coarse step {t}")
+    _, _, status = handle.channel.recv("STATUS", t)
     decision = decision_policy.decide(handle, t, status)
     if decision not in ("CONTINUE", "END"):
         raise EngineError(f"policy produced {decision!r}")
@@ -363,7 +357,8 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
     RESULT, every returned ENTITY and BYE are read, each field typed and
     checked, before anything changes: a malformed record is a
     ProtocolError that leaves the entities frozen and Level1Totals
-    untouched, for _terminate to restore the snapshot once. Checks:
+    untouched, for _terminate to restore the snapshot once; so is a
+    returned position outside [0, side) or not finite. Checks:
     entity set equality with the transfer, per-entity fields unchanged
     except position and rng cursor, cursors advanced by exactly the draw
     total the wrapper reported. Violations are ConservationError (hard).
@@ -375,22 +370,18 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
             f"reintegrate before END on wrapper {handle.wrapper_id}")
     ch = handle.channel
     t = handle.end_sent_at
-    kind, rstep, rf = ch.recv(expect="RESULT")
-    if rstep != t:
-        raise ProtocolError(f"RESULT for step {rstep}, expected {t}")
-    result = read_fields(SessionResult, "RESULT", rf)
+    result = read_fields(SessionResult, "RESULT", ch.recv("RESULT", t)[2])
     if result.entities != len(handle.entity_ids):
         raise ConservationError(
             f"wrapper {handle.wrapper_id} returned {result.entities}"
             f" entities, transferred {len(handle.entity_ids)}")
-    returned = []
-    for _ in range(result.entities):
-        ekind, estep, ef = ch.recv(expect="ENTITY")
-        if estep != t:
-            raise ProtocolError(f"returned ENTITY for step {estep},"
-                                f" expected {t}")
-        returned.append(entity_from_fields(ef))
-    ch.recv(expect="BYE")
+    returned = [entity_from_fields(ch.recv("ENTITY", t)[2])
+                for _ in range(result.entities)]
+    ch.recv("BYE", t)
+    off = [r.entity_id for r in returned
+           if not (0.0 <= r.x < world.side and 0.0 <= r.y < world.side)]
+    if off:
+        raise ProtocolError(f"ENTITY position off the torus for ids {off}")
 
     sent = set(handle.entity_ids)
     got = [r.entity_id for r in returned]

@@ -8,14 +8,13 @@ is on-demand: a request floods hop by hop with duplicate suppression
 and the reply unicasts back along the reverse path; nodes keep no route
 tables, so every query floods afresh. Store-and-forward timing: each
 routed hop consumes one fine step, so a reply over an h-hop route lands
-2h fine steps after the query left. The scene keeps one neighbour
-table per scene state, built from its radio adjacency matrix at the
-first discovery after a node is added or moves, and every discovery
-until the next such change floods over it; MarketScene.neighbors is the
-per-node reference definition of that adjacency. The first fine step's
-discoveries, one per pedestrian before anyone moves, are one flood from
-every source at once (route_discover_all). Positions here are planar
-(no torus inside the market).
+2h fine steps after the query left. Every discovery is a flood over
+the scene's radio adjacency matrix (route_discover_all), built afresh
+for it; MarketScene.neighbors is the per-node reference definition of
+that adjacency. The first fine step's discoveries, one per pedestrian
+before anyone moves, are one flood from every source at once, and a
+retry is a flood from its one source (route_discover). Positions here
+are planar (no torus inside the market).
 
 A run advances from event to event. Only a fine step in which some
 pedestrian starts a discovery is a pass over the pedestrians in order
@@ -30,9 +29,8 @@ pedestrian, nothing else in the scene is random.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,19 +54,8 @@ class MarketParams(metrics.TypedSettings):
     hop_limit: metrics.AtLeastOne = 32
 
 
-class RouteOutcome(NamedTuple):
-    hops: Optional[int]  # None when unreachable
-    path: tuple  # node ids src..dst, empty when unreachable
-    request_transmissions: int
-
-
 class MarketScene:
-    """Seller grid and live pedestrian nodes.
-
-    node_pos changes only through set_node, which drops the cached
-    neighbour table when it adds a node or moves one; setting a node to
-    the position it already has keeps the table.
-    """
+    """Seller grid and live pedestrian nodes."""
 
     def __init__(self, params: MarketParams = MarketParams()):
         self.params = params
@@ -78,7 +65,6 @@ class MarketScene:
         self.node_pos = {s: (float(s % g) * params.spacing,
                              float(s // g) * params.spacing)
                          for s in range(self.num_sellers)}
-        self._table = None  # node id -> neighbour ids; None when stale
 
     @property
     def extent(self) -> float:
@@ -90,10 +76,7 @@ class MarketScene:
         return self.node_pos[seller]
 
     def set_node(self, node_id: int, pos) -> None:
-        pos = (float(pos[0]), float(pos[1]))
-        if self.node_pos.get(node_id) != pos:
-            self._table = None
-        self.node_pos[node_id] = pos
+        self.node_pos[node_id] = (float(pos[0]), float(pos[1]))
 
     def neighbors(self, node_id: int):
         """Nodes within radio range, ascending id: the reference adjacency."""
@@ -123,67 +106,24 @@ class MarketScene:
         np.fill_diagonal(adjacent, False)
         return ids, adjacent
 
-    def neighbor_table(self) -> dict:
-        """node id -> neighbors(node id), from one adjacency() per state."""
-        if self._table is None:
-            ids, adjacent = self.adjacency()
-            rows, cols = np.nonzero(adjacent)  # row-major: columns ascend
-            nbs = np.array(ids)[cols].tolist()
-            bounds = np.searchsorted(rows, np.arange(len(ids) + 1)).tolist()
-            self._table = {node: nbs[bounds[i]:bounds[i + 1]]
-                           for i, node in enumerate(ids)}
-        return self._table
 
-
-def route_discover(scene: MarketScene, src: int, dst: int) -> RouteOutcome:
-    """Flood a route request from src; the path to dst if reached.
-
-    Breadth-first over radio adjacency with duplicate suppression and
-    the scene hop limit, over the scene's neighbour table, which lists
-    neighbours in ascending id as neighbors does, so the flood order is
-    that of a per-node scan. Discoveries between two scene changes share
-    one table. Every reached node except dst rebroadcasts the request
-    exactly once (that is the request transmission count). When dst is
-    reached, the path is read back over the discovered parents, the way
-    the reply unicasts back to src.
-    """
-    if src == dst:
-        raise ValueError("route_discover requires src != dst")
-    if src not in scene.node_pos or dst not in scene.node_pos:
-        raise ValueError("src and dst must be nodes in the scene")
-    table = scene.neighbor_table()
-    parent = {src: None}
-    depth = {src: 0}
-    frontier = deque([src])
-    while frontier:
-        node = frontier.popleft()
-        if depth[node] >= scene.params.hop_limit:
-            continue
-        for nb in table[node]:
-            if nb not in parent:
-                parent[nb] = node
-                depth[nb] = depth[node] + 1
-                frontier.append(nb)
-    transmissions = len(parent) - (1 if dst in parent else 0)
-    if dst not in parent:
-        return RouteOutcome(None, (), transmissions)
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()  # src .. dst
-    return RouteOutcome(len(path) - 1, tuple(path), transmissions)
+def route_discover(scene: MarketScene, src: int, dst: int) -> tuple:
+    """(hops, request_transmissions) of one flood from src to dst:
+    route_discover_all with one source."""
+    return route_discover_all(scene, [src], [dst])[0]
 
 
 def route_discover_all(scene: MarketScene, sources, targets) -> list:
-    """(hops, request_transmissions) of route_discover(scene, s, t) for
-    each source s and target t, from one flood out of every source at
-    once.
+    """(hops, request_transmissions) of a route request flooded from
+    each source s towards its target t, from one flood out of every
+    source at once.
 
     The flood is level-synchronous over one adjacency(): level k holds
-    the nodes first reached at k hops, for k up to the hop limit, so
-    each source reaches the nodes its own discovery reaches, and the
-    level where its target first appears is its route's hop count (None
-    when it never does).
+    the nodes first reached at k hops, for k up to the hop limit, with
+    duplicate suppression. The level where t first appears is the
+    route's hop count (None when it never does), and every node reached
+    except t rebroadcasts the request once, which is the request
+    transmission count.
     """
     if not len(sources):
         return []
@@ -348,10 +288,8 @@ class MarketRun:
                     elif ped.retry_wait > 0:
                         ped.retry_wait -= 1
                     else:
-                        out = route_discover(self.scene, ped.node_id,
-                                             ped.target_seller)
-                        self._answer(ped, out.hops,
-                                     out.request_transmissions)
+                        self._answer(ped, *route_discover(
+                            self.scene, ped.node_id, ped.target_seller))
                 elif ped.state == WALKING:
                     pedestrian_step(self.scene, ped)
         self.fine_clock += 1

@@ -18,6 +18,13 @@ READY. Then once per coarse step the wrapper sends STATUS and the
 coarse side replies CONTINUE or END. After END the wrapper sends
 RESULT, one ENTITY per returned entity, then BYE, and closes.
 
+Step rule: the ENTITY records after INIT and the READY carry INIT's
+step. A STATUS carries the coarse step it reports, and the CONTINUE or
+END answering it carries the same step. RESULT, the ENTITY records
+after it and BYE carry the END's step. LineChannel.recv(kind, step)
+checks it for every record: any other step is a ProtocolError,
+"<KIND> for step <got> while at step <want>".
+
 A received line may hold at most MAX_LINE_BYTES bytes, newline included;
 a longer one ends the session with a ProtocolError instead of growing
 the reader without bound.
@@ -217,8 +224,9 @@ class LineChannel:
         if self.transcript is not None:
             self.transcript.append("> " + raw.decode("ascii").rstrip("\n"))
 
-    def recv(self, expect=None) -> tuple:
-        """Read one record; expect may name the allowed kind(s)."""
+    def recv(self, expect=None, step=None) -> tuple:
+        """Read one record; expect may name the allowed kind(s), and
+        step the step it must carry."""
         try:
             raw = self._rfile.readline(MAX_LINE_BYTES)
         except socket.timeout as exc:
@@ -230,7 +238,7 @@ class LineChannel:
         if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
             raise ProtocolError(
                 f"no newline within the {MAX_LINE_BYTES}-byte line limit")
-        kind, step, fields = decode_record(raw)
+        kind, got, fields = decode_record(raw)
         if self.transcript is not None:
             self.transcript.append("< " + raw.decode("ascii").rstrip("\n"))
         if expect is not None:
@@ -239,7 +247,9 @@ class LineChannel:
                 raise ProtocolError(
                     f"expected {' or '.join(allowed)}, got {kind}"
                 )
-        return kind, step, fields
+        if step is not None and got != step:
+            raise ProtocolError(f"{kind} for step {got} while at step {step}")
+        return kind, got, fields
 
     def close(self) -> None:
         for f in (self._wfile, self._rfile, self.sock):

@@ -9,8 +9,8 @@ CONTINUE (advance the market by the configured fine substeps) or END
 (stop, report RESULT plus the returned entity records, say BYE).
 
 The session is written once, as a generator (session) that yields the
-record kind it waits for and is sent each record as a LineChannel
-decoded it. Two functions feed it:
+record kind and step it waits for and is sent each record as a
+LineChannel decoded and checked it. Two functions feed it:
 
 - run_session, over any blocking channel: a TCP connection of the
   standalone server (one thread per connection), or conformance.replay;
@@ -63,22 +63,18 @@ class SessionInit(metrics.TypedSettings):
 
 
 def session(ch: LineChannel):
-    """One session as a generator: yields the record kind(s) it waits
-    for, is sent each such record as (kind, step, fields), and writes
-    its own records to ch. It returns after BYE."""
-    kind, t0, init = yield "INIT"
+    """One session as a generator: yields (kinds, step), the record
+    kind(s) it waits for and the step they must carry (None for INIT's,
+    which sets it), is sent each such record as (kind, step, fields),
+    and writes its own records to ch. It returns after BYE."""
+    _, t0, init = yield "INIT", None
     setup = read_fields(SessionInit, "INIT", init)
     level1 = read_fields(Level1Settings, "INIT", init)
     n = setup.entities
 
     records = []
     for _ in range(n):
-        ekind, estep, ef = yield "ENTITY"
-        if estep != t0:
-            raise ProtocolError(
-                f"ENTITY step {estep} does not match INIT step {t0}"
-            )
-        records.append(entity_from_fields(ef))
+        records.append(entity_from_fields((yield "ENTITY", t0)[2]))
     ids = [r.entity_id for r in records]
     if ids != sorted(set(ids)):
         raise ProtocolError("ENTITY records must arrive in ascending id order")
@@ -98,11 +94,7 @@ def session(ch: LineChannel):
     while True:
         coarse += 1
         ch.send("STATUS", coarse, **run.status(), **cohort)
-        rkind, rstep, _ = yield ("CONTINUE", "END")
-        if rstep != coarse:
-            raise ProtocolError(
-                f"{rkind} for step {rstep} while at step {coarse}"
-            )
+        rkind, _, _ = yield ("CONTINUE", "END"), coarse
         if rkind == "END":
             break
         run.advance(setup.substeps)
@@ -126,7 +118,7 @@ def run_session(ch: LineChannel) -> None:
     try:
         expect = next(steps)
         while True:
-            expect = steps.send(ch.recv(expect=expect))
+            expect = steps.send(ch.recv(*expect))
     except StopIteration:
         pass
 
@@ -203,7 +195,7 @@ class _LocalSession:
         self._out = _Pipe()
         self._ch = LineChannel(to_wrapper, self._out)
         self._steps = session(self._ch)
-        self._expect = next(self._steps)  # "INIT": the session waits
+        self._expect = next(self._steps)  # INIT: the session waits
 
     def readline(self, limit: int) -> bytes:
         while self._steps is not None and not self._out.buf:
@@ -215,7 +207,7 @@ class _LocalSession:
             if not self._in.buf:
                 raise ProtocolError(
                     "waits for a record the coarse side has not sent")
-            self._expect = self._steps.send(self._ch.recv(self._expect))
+            self._expect = self._steps.send(self._ch.recv(*self._expect))
         except StopIteration:
             self._steps = None
         except Exception as exc:

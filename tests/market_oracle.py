@@ -1,10 +1,11 @@
 """Reference market code: the test oracles for hybridsim.market.
 
-flat_route_discover is the route discovery with one
-MarketScene.neighbors scan per visited node and no shared table, so a
-stale or wrongly built neighbour table in the scene cannot hide here.
-tests/test_market.py and criterion c5 in tests/test_acceptance.py
-compare route_discover and route_discover_all with it.
+flat_route_discover is route discovery as a breadth-first search with
+one MarketScene.neighbors scan per visited node, reading the path back
+over the discovered parents as the reply travels, so it shares nothing
+with the matrix flood in the scene. tests/test_market.py and criterion
+c5 in tests/test_acceptance.py compare route_discover and
+route_discover_all with its hops and request transmissions.
 
 FineStepMarketRun is the market stepped one fine step at a time: every
 fine step is a pass over the pedestrians in order, each walker takes
@@ -17,14 +18,24 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import NamedTuple, Optional
 
 from hybridsim.market import (ARRIVED, QUERYING, WALKING, MarketRun,
-                              PedestrianNode, RouteOutcome, perimeter_point)
+                              PedestrianNode, perimeter_point)
 from hybridsim.rng import Stream
 
 
+class RouteOutcome(NamedTuple):
+    hops: Optional[int]  # None when unreachable
+    path: tuple  # node ids src..dst, empty when unreachable
+    request_transmissions: int
+
+
 def flat_route_discover(scene, src, dst):
-    """The same flood and path read-back, one neighbors scan per node."""
+    """Flood a route request from src, breadth first with duplicate
+    suppression and the scene hop limit, one neighbors scan per node.
+    Every reached node except dst rebroadcasts once; the path to dst,
+    if reached, is read back over the discovered parents."""
     parent = {src: None}
     depth = {src: 0}
     frontier = deque([src])

@@ -1,5 +1,7 @@
 """Hand-off machinery: triggers, policies, spawn/conserve/reintegrate."""
 
+import contextlib
+import io
 import math
 import random
 import socket
@@ -34,7 +36,8 @@ from hybridsim import coordination, market, transport, wrapper
 from hybridsim.engine import (EngineConfig, EngineError, InProcessBackend,
                               grid_cells, run_simulation)
 from hybridsim.metrics import Level1Totals, RunMetrics, settings_fields
-from hybridsim.protocol import ProtocolError, entity_fields, format_value
+from hybridsim.protocol import (LineChannel, ProtocolError, encode_record,
+                               entity_fields, format_value)
 from hybridsim.rng import derive_seed
 from hybridsim.territory import EntityRecord, TerritorySpec, World
 
@@ -581,33 +584,12 @@ def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
 # --- conservation checks with a scripted fake wrapper --------------------
 
 
-class _ScriptChannel:
-    """Plays back a canned wrapper dialogue; records what L0 sends."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.sent = []
-        self.transcript = []
-
-    def recv(self, expect=None):
-        if not self.script:
-            raise ProtocolError("connection closed mid-session")
-        item = self.script.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        kind, step, fields = item
-        if expect is not None:
-            allowed = (expect,) if isinstance(expect, str) else tuple(expect)
-            if kind not in allowed:
-                raise ProtocolError(f"expected {' or '.join(allowed)},"
-                                    f" got {kind}")
-        return kind, step, fields
-
-    def send(self, kind, step, /, **fields):
-        self.sent.append((kind, step, fields))
-
-    def close(self):
-        pass
+def _script_channel(script):
+    """A LineChannel that plays back a canned wrapper dialogue of
+    (kind, step, fields) records and writes what L0 sends to nowhere."""
+    wire = b"".join(encode_record(kind, step, **fields)
+                    for kind, step, fields in script)
+    return LineChannel(io.BytesIO(wire), io.BytesIO(), transcript=[])
 
 
 class _RestoreLog:
@@ -635,7 +617,7 @@ def _result(n, draws=0, **over):
 
 
 def _ended_handle(script, records=(_R0, _R1)):
-    h = WrapperHandle(3, 5, records, _ScriptChannel(script))
+    h = WrapperHandle(3, 5, records, _script_channel(script))
     h.state = RUNNING_L1B
     h.end_sent_at = 5
     return h
@@ -707,24 +689,18 @@ _TOTALS = ("emissions", "customers", "arrived", "msgs", "routes",
            "fine_steps")
 
 
-@pytest.mark.parametrize("value", [None, "abc", "nan", "-5"])
-@pytest.mark.parametrize("name", _TOTALS)
-def test_bad_result_total_terminates_only_its_wrapper(name, value, capsys):
-    """A RESULT total that is dropped (None), unreadable or out of range
-    ends only its wrapper: the cause names the field, the entities are
-    restored once, from the snapshot, and Level1Totals counts only the
-    failure."""
+def _terminated_once(result=None, bye_step=6):
+    """Wrapper 0, holding entities 4 and 6, answers the barrier at step 6
+    with STATUS, then RESULT (_result(2) unless given), both ENTITY
+    records unchanged and BYE for bye_step, and must end alone: its
+    entities restored once, from the snapshot, and Level1Totals counting
+    only the failure. Returns the cause it was terminated for."""
     config, spec, backend, world = _bench()
     records = tuple(backend.extract([4, 6]))
-    result = _result(2)
-    if value is None:
-        del result[name]
-    else:
-        result[name] = value
-    handle = WrapperHandle(0, 5, records, _ScriptChannel(
-        [("STATUS", 6, {}), ("RESULT", 6, result),
-         *(("ENTITY", 6, _wire(r)) for r in records), ("BYE", 6, {})]))
-    handle.state = RUNNING_L1B
+    handle = WrapperHandle(0, 5, records, _script_channel(
+        [("STATUS", 6, {}), ("RESULT", 6, result or _result(2)),
+         *(("ENTITY", 6, _wire(r)) for r in records),
+         ("BYE", bye_step, {})]))
     coord = HybridCoordinator(HybridSpec(policy=FixedDurationPolicy(1)),
                               config, spec)
     coord.active[0] = handle
@@ -733,13 +709,35 @@ def test_bad_result_total_terminates_only_its_wrapper(name, value, capsys):
     backend.restore = lambda recs: restored.append(tuple(recs)) or restore(
         recs)
     metrics = RunMetrics()
-    coord.at_barrier(6, world, backend, metrics)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        coord.at_barrier(6, world, backend, metrics)
     assert restored == [records]
     assert backend.entity_count() == 12 and coord.active == {}
     assert handle.state == FAILED
     assert metrics.level1 == Level1Totals(failures=1)
-    cause = capsys.readouterr().err.split("wrapper 0 terminated: ")[1]
+    return err.getvalue().split("wrapper 0 terminated: ")[1]
+
+
+@pytest.mark.parametrize("value", [None, "abc", "nan", "-5"])
+@pytest.mark.parametrize("name", _TOTALS)
+def test_bad_result_total_terminates_only_its_wrapper(name, value):
+    """A RESULT total that is dropped (None), unreadable or out of range
+    ends only its wrapper, and the cause names the field."""
+    result = _result(2)
+    if value is None:
+        del result[name]
+    else:
+        result[name] = value
+    cause = _terminated_once(result=result)
     assert repr(name) in cause or f"RESULT {name} = " in cause
+
+
+def test_bye_for_another_step_terminates_only_its_wrapper():
+    """BYE must carry the END's step, like RESULT and every ENTITY
+    before it; one that does not ends only its wrapper."""
+    assert _terminated_once(bye_step=9) == (
+        "BYE for step 9 while at step 6\n")
 
 
 # --- the coordinator loop ------------------------------------------------
@@ -818,7 +816,7 @@ def test_coordinator_terminates_protocol_breaker_and_continues():
     records = tuple(backend.extract([4, 6]))
     # a wrapper that sends STATUS for the wrong step
     bad = WrapperHandle(0, 5, records,
-                        _ScriptChannel([("STATUS", 99, {"querying": "0"})]))
+                        _script_channel([("STATUS", 99, {"querying": "0"})]))
     bad.state = RUNNING_L1B
     coord.active[0] = bad
     assert coord.frozen_ids() == {4, 6}

@@ -24,6 +24,12 @@ from hybridsim.territory import EntityRecord
 from market_oracle import FineStepMarketRun, flat_route_discover
 
 
+def flat(scene, src, dst):
+    """(hops, request_transmissions) of the BFS oracle's discovery."""
+    out = flat_route_discover(scene, src, dst)
+    return out.hops, out.request_transmissions
+
+
 def run_market(scene, n_customers, substeps_per_coarse, coarse_steps,
                master_seed=0):
     """Scripted market session: returns (status bodies, final records, run).
@@ -74,16 +80,13 @@ def test_adjacency_rows_are_neighbors(scene):
     for i, node in enumerate(ids):
         row = [ids[j] for j in np.flatnonzero(adjacent[i]).tolist()]
         assert row == scene.neighbors(node)
-    assert scene.neighbor_table() == {node: scene.neighbors(node)
-                                      for node in ids}
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), scene=scenes())
 def test_route_discover_matches_flat_oracle(data, scene):
     src, dst = data.draw(st.permutations(sorted(scene.node_pos)))[:2]
-    assert route_discover(scene, src, dst) == \
-        flat_route_discover(scene, src, dst)
+    assert route_discover(scene, src, dst) == flat(scene, src, dst)
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,7 +94,7 @@ def test_route_discover_matches_flat_oracle(data, scene):
 def test_discoveries_follow_scene_changes(data, scene):
     """Several discoveries over one scene while nodes are added, moved
     and set to the positions they already have, each against the flat
-    oracle; a same-position set keeps the neighbour table."""
+    oracle."""
     radio = scene.params.radio_range
     lo, hi = -radio, scene.extent + radio
     for _ in range(data.draw(st.integers(1, 12))):
@@ -101,12 +104,10 @@ def test_discoveries_follow_scene_changes(data, scene):
             if len(nodes) > 1:
                 src, dst = data.draw(st.permutations(nodes))[:2]
                 assert route_discover(scene, src, dst) == \
-                    flat_route_discover(scene, src, dst)
+                    flat(scene, src, dst)
         elif op == "same":
-            table = scene.neighbor_table()
             node = data.draw(st.sampled_from(nodes))
             scene.set_node(node, scene.node_pos[node])
-            assert scene.neighbor_table() is table
         else:
             ax, ay = scene.node_pos[data.draw(st.sampled_from(nodes))]
             pos = data.draw(st.one_of(
@@ -127,8 +128,7 @@ def test_route_discover_all_matches_flat_oracle(data, scene):
         min_size=1, max_size=8))
     sources, targets = zip(*pairs)
     assert route_discover_all(scene, sources, targets) == [
-        (out.hops, out.request_transmissions)
-        for out in (flat_route_discover(scene, s, t) for s, t in pairs)]
+        flat(scene, s, t) for s, t in pairs]
 
 
 def test_route_discover_all_cut_off_island_and_validation():
@@ -246,34 +246,30 @@ def test_grid_radio_reaches_only_lateral_neighbors():
 
 def test_route_discover_grid_is_manhattan():
     scene = MarketScene(MarketParams())
-    out = route_discover(scene, 0, 99)
-    assert out.hops == 18  # 9 across plus 9 up
-    assert out.path[0] == 0 and out.path[-1] == 99
-    assert len(out.path) == 19
+    hops, _ = route_discover(scene, 0, 99)
+    assert hops == 18  # 9 across plus 9 up
+    path = flat_route_discover(scene, 0, 99).path
+    assert path[0] == 0 and path[-1] == 99 and len(path) == 19
 
 
 def test_request_transmissions_counts_rebroadcasts():
     # every reached node except dst forwards once; on the full grid with
     # dst reachable that is num_sellers - 1
     scene = MarketScene(MarketParams())
-    out = route_discover(scene, 0, 99)
-    assert out.request_transmissions == 99
+    assert route_discover(scene, 0, 99) == (18, 99)
 
 
 def test_route_discover_respects_hop_limit():
     scene = MarketScene(MarketParams(hop_limit=5))
-    out = route_discover(scene, 0, 99)  # 18 hops away
-    assert out.hops is None
-    assert out.path == ()
+    # 18 hops away; the 21 nodes within 5 hops of 0 each rebroadcast
+    assert route_discover(scene, 0, 99) == (None, 21)
 
 
 def test_route_discover_unreachable_island():
     scene = MarketScene(MarketParams(grid_side=2))
     scene.set_node(100, (1e6, 1e6))
-    out = route_discover(scene, 0, 100)
-    assert out.hops is None
     # all four grid nodes were reached and rebroadcast
-    assert out.request_transmissions == 4
+    assert route_discover(scene, 0, 100) == (None, 4)
 
 
 def test_route_discover_arg_validation():
@@ -294,8 +290,8 @@ def test_route_discover_matches_bfs_oracle_random_topologies():
             scene.set_node(1000 + k, (rng.uniform(-20, 100), rng.uniform(-20, 100)))
         nodes = sorted(scene.node_pos)
         src, dst = rng.sample(nodes, 2)
-        expect = flat_route_discover(scene, src, dst)
-        assert route_discover(scene, src, dst) == expect, (trial, src, dst)
+        assert route_discover(scene, src, dst) == flat(scene, src, dst), \
+            (trial, src, dst)
 
 
 def test_perimeter_point_walks_the_boundary():

@@ -13,7 +13,9 @@ import json
 import pytest
 
 from hybridsim.config import make_params
-from hybridsim.coordination import DensityTrigger, FixedDurationPolicy, HybridSpec
+from hybridsim.coordination import (DensityTrigger, FixedDurationPolicy,
+                                    HybridSpec, Level1Settings,
+                                    ScriptedTrigger, TimestepAlignment)
 from hybridsim.engine import EngineConfig, run_simulation
 from hybridsim.territory import TerritorySpec
 
@@ -25,6 +27,12 @@ RUNS = {
         trigger=DensityTrigger(threshold=6, radius=120.0),
         policy=FixedDurationPolicy(coarse_steps=2))),
     "process_lp2": (300, 40, "bad", 0.01, 2, "process", None),
+    # hop limit 3 strands most pedestrians, so discoveries retry
+    "retry_hybrid_lp2": (200, 20, "good", 0.01, 2, "process", HybridSpec(
+        trigger=ScriptedTrigger(spawn_at=(3, 3, 9), transfer_count=8),
+        align=TimestepAlignment(fine_substeps=20),
+        policy=FixedDurationPolicy(coarse_steps=4),
+        level1=Level1Settings(hop_limit=3))),
 }
 
 PINNED = {
@@ -34,6 +42,8 @@ PINNED = {
         "7195296bb8dc6c97e39986427465c1ef2c39dec6aa20a524e8e5c1e11a3aaead",
     "process_lp2":
         "1fa96d068b8ca55ae01510385bd369a7bed2e0f0a56e4d91398d6005b5074f7c",
+    "retry_hybrid_lp2":
+        "1f5629f348e42ed1b01c0316a77dc4f5ce9461f8cae74409d3aa1652aeacb3f2",
 }
 
 
@@ -54,4 +64,6 @@ def test_comparable_digest_is_pinned(name):
     assert m.totals.relayed > 0  # the run exercised the relay decision
     if RUNS[name][-1] is not None:
         assert m.level1.spawns > 0  # and the hand-off path
+    if name == "retry_hybrid_lp2":  # and market retries
+        assert m.level1.route_discoveries > m.level1.customers
     assert digest == PINNED[name]

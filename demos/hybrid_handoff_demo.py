@@ -2,14 +2,11 @@
 a market session behind the wire protocol, and take them back.
 
 Prints the full conversation with wrapper 0 so the framing is visible.
-Set HYBRIDSIM_L1_ENDPOINT to host:port to talk to an external wrapper
-instead of the in-process one.
+The sessions run inline; HybridSpec(endpoint="HOST:PORT") would send them
+to an external wrapper instead.
 """
 
-import os
-
 from hybridsim.coordination import (
-    ENDPOINT_ENV_VAR,
     FixedDurationPolicy,
     HybridSpec,
     ScriptedTrigger,
@@ -20,9 +17,6 @@ from hybridsim.territory import TerritorySpec
 
 
 def main():
-    endpoint = os.environ.get(ENDPOINT_ENV_VAR)
-    print("wrapper endpoint:", endpoint or "(in-process)")
-
     hy = HybridSpec(
         trigger=ScriptedTrigger(spawn_at=(4,), transfer_count=3),
         align=TimestepAlignment(fine_substeps=3),

@@ -18,7 +18,6 @@ from .config import (
     resolve_settings,
 )
 from .coordination import (
-    ENDPOINT_ENV_VAR,
     ConservationError,
     DensityTrigger,
     FixedDurationPolicy,

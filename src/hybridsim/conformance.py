@@ -19,7 +19,7 @@ from importlib.resources import files
 
 from .campaign import run_one
 from .config import RunSettings
-from .coordination import ENDPOINT_ENV_VAR, Level1Settings
+from .coordination import Level1Settings
 from .protocol import LineChannel, entity_fields
 from .territory import EntityRecord
 from .wrapper import open_local, run_session
@@ -141,14 +141,8 @@ def _record_hybrid() -> dict:
 
 def regenerate_all() -> list:
     """Rebuild every golden from the reference implementation."""
-    # goldens must come from the in-process wrapper, not a remote one
-    previous = os.environ.pop(ENDPOINT_ENV_VAR, None)
-    try:
-        transcripts = {"session_small": _record_session()}
-        transcripts.update(_record_hybrid())
-    finally:
-        if previous is not None:
-            os.environ[ENDPOINT_ENV_VAR] = previous
+    transcripts = {"session_small": _record_session()}
+    transcripts.update(_record_hybrid())
     os.makedirs(golden_dir(), exist_ok=True)
     written = []
     for name in GOLDEN_NAMES:

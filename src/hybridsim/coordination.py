@@ -10,7 +10,9 @@ active wrapper's STATUS has been processed, so coarse simulated time
 never outruns a wrapper. On END the wrapper returns RESULT plus the
 updated entity records, which are validated (set equality, rng cursor
 accounting) and restored (reintegrate). The coordinator's active
-handles are the one record of which entities are frozen.
+handles are the one record of which entities are frozen and where. A
+trigger's check(t, free, side) calls free() for the free entities'
+(ids, xs, ys) in id order, the backend's positions, only if it reads them.
 
 Without an endpoint a session runs inline on the coarse thread
 (wrapper.open_local): reading the wrapper's next record runs it, so the
@@ -34,7 +36,6 @@ answered END, and the entities rejoin before barrier T+3 completes.
 from __future__ import annotations
 
 import dataclasses
-import os
 import socket
 import sys
 from dataclasses import dataclass
@@ -55,8 +56,6 @@ from .protocol import (
 )
 from .rng import derive_seed
 from .transport import TransportParams
-
-ENDPOINT_ENV_VAR = "HYBRIDSIM_L1_ENDPOINT"
 
 RUNNING_L1B = "RUNNING_L1B"
 DONE = "DONE"
@@ -97,11 +96,11 @@ class ScriptedTrigger(metrics.TypedSettings):
         object.__setattr__(self, "spawn_at", tuple(
             step.check("spawn_at step", t) for t in self.spawn_at))
 
-    def check(self, world, t: int, frozen) -> list:
+    def check(self, t: int, free, side: float) -> list:
         """The entity id tuples that leave at step t, one per firing."""
         if t not in self.spawn_at:
             return []
-        pool = [eid for eid in range(world.num_entities) if eid not in frozen]
+        pool = free()[0].tolist()
         k = self.transfer_count
         takes = (tuple(pool[i:i + k])
                  for i in range(0, k * self.spawn_at.count(t), k))
@@ -128,23 +127,19 @@ class DensityTrigger(metrics.TypedSettings):
     threshold: metrics.Threshold = float("inf")
     radius: metrics.Positive = 250.0
 
-    def check(self, world, t: int, frozen) -> list:
+    def check(self, t: int, free, side: float) -> list:
         """[ids in the winning disk, ascending], or [] if none fires."""
-        free = np.ones(world.num_entities, dtype=bool)
-        free[list(frozen)] = False
-        free = np.flatnonzero(free)
-        if self.threshold > free.size:
+        ids, xs, ys = free()
+        if self.threshold > ids.size:
             return []
-        xs = world.pos_x[free]
-        ys = world.pos_y[free]
-        for lo in range(0, free.size, DENSITY_BLOCK):
+        for lo in range(0, ids.size, DENSITY_BLOCK):
             block = slice(lo, lo + DENSITY_BLOCK)
-            center, point = torus_pairs(xs, ys, xs[block], ys[block],
-                                        world.side, self.radius)
+            center, point = torus_pairs(xs, ys, xs[block], ys[block], side,
+                                        self.radius)
             fires = np.nonzero(np.bincount(center) >= self.threshold)[0]
             if fires.size:
                 inside = np.sort(point[center == fires[0]])
-                return [tuple(free[inside].tolist())]
+                return [tuple(ids[inside].tolist())]
         return []
 
 
@@ -247,11 +242,6 @@ def parse_endpoint(endpoint: str) -> tuple:
     return host, int(port)
 
 
-def resolve_endpoint(spec: HybridSpec) -> Optional[str]:
-    """Environment beats configuration; None means in-process."""
-    return os.environ.get(ENDPOINT_ENV_VAR) or spec.endpoint
-
-
 class WrapperHandle:
     """One live sub-simulator session, L0 side."""
 
@@ -303,9 +293,7 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
         raise ValueError("nothing to transfer: empty entity set")
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate entity ids in transfer: {ids}")
-    endpoint = resolve_endpoint(spec)
-    # refuse a malformed endpoint before freezing anything
-    address = None if endpoint is None else parse_endpoint(endpoint)
+    address = None if spec.endpoint is None else parse_endpoint(spec.endpoint)
 
     records = backend.extract(ids)
     handle = None
@@ -325,7 +313,7 @@ def spawn_level1(backend, entity_ids, t: int, spec: HybridSpec,
         if handle is not None:
             handle.close()
         backend.restore(records)
-        where = endpoint or "local wrapper"
+        where = spec.endpoint or "local wrapper"
         raise WrapperFailure(
             f"wrapper {wrapper_id} failed to start on {where}: {exc}"
         ) from exc
@@ -351,19 +339,21 @@ def coordinate_step(handle: WrapperHandle, t: int, decision_policy) -> dict:
     return status
 
 
-def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
+def reintegrate(backend, handle: WrapperHandle, side: float, substeps: int,
+                metrics=None) -> None:
     """Validate RESULT and returned records, restore the entities.
 
     RESULT, every returned ENTITY and BYE are read, each field typed and
     checked, before anything changes: a malformed record is a
     ProtocolError that leaves the entities frozen and Level1Totals
     untouched, for _terminate to restore the snapshot once; so is a
-    returned position outside [0, side) or not finite. Checks:
-    entity set equality with the transfer, per-entity fields unchanged
-    except position and rng cursor, cursors advanced by exactly the draw
-    total the wrapper reported. Violations are ConservationError (hard).
-    Positions land in the global table so routing sees them immediately.
-    Dropping the handle unfreezes them.
+    returned position outside [0, side) or not finite, and a total that
+    contradicts the session: more customers than entities, more arrived
+    than customers, or fine_steps other than substeps per CONTINUE sent.
+    Checks: entity set equality with the transfer, per-entity fields
+    unchanged except position and rng cursor, cursors advanced by
+    exactly the draw total the wrapper reported. Violations are
+    ConservationError (hard). Dropping the handle unfreezes them.
     """
     if handle.end_sent_at is None:
         raise EngineError(
@@ -379,9 +369,19 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
                 for _ in range(result.entities)]
     ch.recv("BYE", t)
     off = [r.entity_id for r in returned
-           if not (0.0 <= r.x < world.side and 0.0 <= r.y < world.side)]
+           if not (0.0 <= r.x < side and 0.0 <= r.y < side)]
     if off:
         raise ProtocolError(f"ENTITY position off the torus for ids {off}")
+    if result.customers > result.entities:
+        raise ProtocolError(f"RESULT customers = {result.customers} exceeds"
+                            f" entities = {result.entities}")
+    if result.arrived > result.customers:
+        raise ProtocolError(f"RESULT arrived = {result.arrived} exceeds"
+                            f" customers = {result.customers}")
+    continues = t - handle.spawned_at - 1
+    if result.fine_steps != substeps * continues:
+        raise ProtocolError(f"RESULT fine_steps = {result.fine_steps}, not"
+                            f" {substeps} substeps x {continues} CONTINUEs")
 
     sent = set(handle.entity_ids)
     got = [r.entity_id for r in returned]
@@ -412,8 +412,6 @@ def reintegrate(backend, handle: WrapperHandle, world, metrics=None) -> None:
             f" by {draw_total}, RESULT claims {result.rng_draws}")
 
     backend.restore(returned)
-    world.update([r.entity_id for r in returned],
-                 [r.x for r in returned], [r.y for r in returned])
     if metrics is not None:
         lv = metrics.level1
         lv.emissions_g += result.emissions
@@ -438,7 +436,7 @@ def _terminate(backend, handle: WrapperHandle, metrics, reason: str) -> None:
 
 class HybridCoordinator:
     """Drives every wrapper session from the engine's barrier hook; the
-    entities its active handles hold are the frozen ones (frozen_ids).
+    entities its active handles hold are the frozen ones (frozen).
 
     Active handles are serviced in wrapper id order, then triggers are
     evaluated and new wrappers spawned (their first STATUS arrives at
@@ -454,11 +452,11 @@ class HybridCoordinator:
         self.history = []  # every handle ever spawned, for audits
         self._next_id = 0
 
-    def frozen_ids(self) -> set:
-        """The ids of every entity an active wrapper holds."""
-        return {eid for h in self.active.values() for eid in h.entity_ids}
+    def frozen(self) -> list:
+        """The hand-off record of every entity an active wrapper holds."""
+        return [r for h in self.active.values() for r in h.records]
 
-    def at_barrier(self, t: int, world, backend, metrics,
+    def at_barrier(self, t: int, backend, metrics,
                    force_end: bool = False) -> None:
         # every active wrapper was spawned at an earlier barrier, so one
         # coarse step in it is enough to be told END
@@ -469,7 +467,8 @@ class HybridCoordinator:
             try:
                 coordinate_step(handle, t, policy)
                 if handle.end_sent_at is not None:
-                    reintegrate(backend, handle, world, metrics)
+                    reintegrate(backend, handle, self.side,
+                                self.spec.align.fine_substeps, metrics)
                     del self.active[wid]
             except ProtocolError as exc:
                 _terminate(backend, handle, metrics, str(exc))
@@ -477,8 +476,8 @@ class HybridCoordinator:
 
         if force_end or self.spec.trigger is None:
             return
-        for entity_ids in self.spec.trigger.check(world, t,
-                                                  self.frozen_ids()):
+        for entity_ids in self.spec.trigger.check(t, backend.positions,
+                                                  self.side):
             wid = self._next_id
             self._next_id += 1
             try:
@@ -496,9 +495,10 @@ class HybridCoordinator:
     def finish(self) -> list:
         """Every session's transcript; EngineError if one is active."""
         if self.active:
+            held = sorted(r.entity_id for r in self.frozen())
             raise EngineError(
                 f"wrappers still active at end of run: {sorted(self.active)},"
-                f" holding entities {sorted(self.frozen_ids())}")
+                f" holding entities {held}")
         return [{"wrapper_id": h.wrapper_id, "spawned_at": h.spawned_at,
                  "state": h.state, "lines": list(h.transcript)}
                 for h in self.history]

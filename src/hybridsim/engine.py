@@ -3,37 +3,37 @@
 Entities are partitioned across logical processes (LPs). A
 LogicalProcess holds its entities as territory.EntityColumns, updates
 them in three phases per timestep (one bulk relay decision over the
-inbox, one array move, generation), and reports the step's broadcasts,
-counters and positions; a failure in any phase is raised once, naming
-the LP and the step. InProcessBackend writes every backend operation
-(step, extract, restore, finish) once, over one primitive that asks an
-LP, plus a routing hook; the process backend (parallel.py) replaces the
-primitive, the hook and how the LPs start. A step's broadcasts are one
-territory.BROADCAST_COLUMNS table: each LP's outbox is such an array,
-which a worker pickles as raw bytes, and the engine joins them in LP
-order. territory.BroadcastTable wraps it only so that the benchmark's
-reach check can read sampled rows as Broadcast objects.
-Once every LP has reported step t, the engine updates the global
-position table (step 0 fills all of it), hands the barrier to the
+inbox, one array move, generation), and reports the step's broadcasts
+and counters (StepResult); a failure in any phase is raised once,
+naming the LP and the step. An active entity's position lives only in
+its LP's columns, a frozen one's in its hand-off record; the parent
+asks for positions (positions) only where it reads them.
+InProcessBackend writes every backend operation once, over one
+primitive that asks an LP, plus a routing hook; the process backend
+(parallel.py) replaces the primitive, the hook and how the LPs start.
+A step's broadcasts are one territory.BROADCAST_COLUMNS table: each
+LP's outbox is such an array, which a worker pickles as raw bytes, and
+the engine joins them in LP order. territory.BroadcastTable wraps it
+only so that the benchmark's reach check can read sampled rows.
+Once every LP has reported step t, the engine hands the barrier to the
 hybrid coordinator, which alone knows the frozen entities, and routes
 the step's table. Reach (reach_copies) is one vectorised pass of
 torus_pairs, the one torus neighbourhood query (DensityTrigger asks it
 too): each broadcast is tested only against the points binned in its
-sender's cell and the neighbouring cells, with the same squared-distance
-expression as the flat scan in territory.broadcast_reach, sender
-excluded. Where the receivers live decides where it runs: the
-in-process backend routes the whole table over the global position
-table (route_broadcasts), dropping the copies of frozen entities; in
-the process backend each LP routes the whole table to its own entities
-as the next step begins, and the parent only counts what frozen
-entities lose. Either way canonical_order sorts the copies by
-(receiver, message id, sender), and an LP consumes its share as an
-EnvelopeBatch: the step's table plus two integer columns. Only the
-first copy of each message to an entity reaches the relay decision;
-the LP counts the later ones, all cache-filtered, in bulk, and decides
-the first copies as array passes. One timestep of flight latency,
-per-entity random streams and this canonical inbox order together make
-results independent of the LP count and of where routing runs.
+sender's cell and the neighbouring cells, with the flat scan's
+squared-distance expression (territory.broadcast_reach), sender
+excluded. The in-process backend routes the whole table over a World
+it fills for the step (route_broadcasts), dropping the copies of
+frozen entities; in the process backend each LP routes the whole table
+to its own entities as the next step begins, and the parent only
+counts what frozen entities lose. Either way canonical_order sorts the
+copies by (receiver, message id, sender), and an LP consumes its share
+as an EnvelopeBatch: the step's table plus two integer columns. Only
+the first copy of each message to an entity reaches the relay
+decision; the later ones, all cache-filtered, are counted in bulk. One
+timestep of flight latency, per-entity random streams and this
+canonical inbox order make results independent of the LP count and of
+where routing runs.
 """
 
 from __future__ import annotations
@@ -200,13 +200,10 @@ class StepTable(NamedTuple):
 
 
 class StepResult(NamedTuple):
-    """What one LP reports for one step."""
+    """What one LP reports for one step: its counters and its outbox."""
 
     report: StepReport
     outbox: np.ndarray  # BROADCAST_COLUMNS rows, by sender
-    ids: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
 
 
 class LogicalProcess:
@@ -263,7 +260,7 @@ class LogicalProcess:
     def inbox(self, sent: StepTable) -> EnvelopeBatch:
         """The copies of a step's whole table that reach this LP's own
         entities, in canonical order: what route_broadcasts gives this
-        LP when the same entities are unfrozen in its position table."""
+        LP when the same entities are unfrozen in its World."""
         cols, table = self.cols, sent.table
         row, dest = reach_copies(table, cols.x, cols.y, cols.ids, self.side,
                                  self.params.interaction_range)
@@ -327,12 +324,11 @@ class LogicalProcess:
         return self.cols.ids, self.cols.x.copy(), self.cols.y.copy()
 
     def step(self, t: int, inbox) -> StepResult:
-        """Run step t on inbox and report broadcasts, counts, positions;
-        any failure is raised once, as a StepExecutionError."""
+        """Run step t on inbox and report broadcasts and counts; any
+        failure is raised once, as a StepExecutionError."""
         try:
             report = StepReport()
-            outbox = self.run_step(t, inbox, report)
-            return StepResult(report, outbox, *self.positions())
+            return StepResult(report, self.run_step(t, inbox, report))
         except Exception as exc:
             raise StepExecutionError(self.lp_id, t, exc) from exc
 
@@ -423,16 +419,22 @@ def canonical_order(table: np.ndarray, row, dest) -> np.ndarray:
     return np.argsort(dest * len(table) + rank[row])
 
 
-def frozen_copies(world: World, table: np.ndarray, interaction_range: float,
-                  frozen) -> int:
+def frozen_copies(frozen, table: np.ndarray, side: float,
+                  interaction_range: float) -> int:
     """How many copies of the table's broadcasts frozen entities lose:
-    those that reach their World positions, sender excluded."""
+    those that reach the positions in the frozen hand-off records,
+    sender excluded."""
     if not frozen or not len(table):
         return 0
-    ids = np.fromiter(frozen, dtype=np.intp, count=len(frozen))
-    row, _ = reach_copies(table, world.pos_x[ids], world.pos_y[ids], ids,
-                          world.side, interaction_range)
-    return len(row)
+    ids, xs, ys = record_positions(frozen)
+    return len(reach_copies(table, xs, ys, ids, side, interaction_range)[0])
+
+
+def record_positions(records) -> tuple:
+    """(ids, xs, ys) of hand-off records, as arrays."""
+    return (np.array([r.entity_id for r in records], dtype=np.intp),
+            np.array([r.x for r in records], dtype=float),
+            np.array([r.y for r in records], dtype=float))
 
 
 def route_broadcasts(world: World, broadcasts, interaction_range: float,
@@ -440,7 +442,7 @@ def route_broadcasts(world: World, broadcasts, interaction_range: float,
     """Turn this step's broadcasts, a BroadcastTable, into next step's
     per-LP inboxes; the in-process backend's router.
 
-    Reach is reach_copies over the global position table. Copies
+    Reach is reach_copies over world, every entity's position. Copies
     addressed to frozen entities are dropped here and counted; everything
     else is delivered at t + 1. owner_of maps entity id to lp id.
     Returns (EnvelopeBatch by lp, routed count, frozen drop count).
@@ -485,6 +487,7 @@ class InProcessBackend:
         assignment = partition_entities(range(model_spec.num_entities),
                                         config.num_lps, config.master_seed)
         self.owner_of = owner_array(assignment, model_spec.num_entities)
+        self.side = model_spec.side
         self._start(config, model_spec, assignment)
 
     def _start(self, config, model_spec, assignment: dict) -> None:
@@ -501,12 +504,27 @@ class InProcessBackend:
         return self._ask("step", {lp_id: (t, inboxes.get(lp_id))
                                   for lp_id in sorted(self.lps)})
 
-    def route(self, world: World, table: np.ndarray,
-              interaction_range: float, t: int, frozen) -> tuple:
+    def positions(self) -> tuple:
+        """(ids, xs, ys) of every active entity, in id order."""
+        parts = self._ask("positions", dict.fromkeys(self.lps, ()))
+        ids, xs, ys = (np.concatenate(col) for col in zip(*parts.values()))
+        order = np.argsort(ids, kind="stable")
+        return ids[order], xs[order], ys[order]
+
+    def route(self, table: np.ndarray, interaction_range: float, t: int,
+              frozen) -> tuple:
         """Step t's table as step t + 1's inboxes, routed here by
-        route_broadcasts: (inboxes by lp, routed, frozen drops)."""
+        route_broadcasts over a World of the LPs' positions and those of
+        the frozen records: (inboxes by lp, routed, frozen drops)."""
+        world = World(self.side, len(self.owner_of))
+        # filled by id, so each LP's part as it is, unsorted by positions()
+        for ids, xs, ys in self._ask("positions", dict.fromkeys(
+                self.lps, ())).values():
+            world.update(ids, xs, ys)
+        world.update(*record_positions(frozen))
         return route_broadcasts(world, BroadcastTable(table),
-                                interaction_range, t, frozen, self.owner_of)
+                                interaction_range, t,
+                                {r.entity_id for r in frozen}, self.owner_of)
 
     def extract(self, entity_ids) -> list:
         """Serialize and remove entities from their LPs, in input order.
@@ -585,7 +603,6 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
                                     model_spec)
 
     try:
-        world = World(model_spec.side, model_spec.num_entities)
         interaction_range = model_spec.params.interaction_range
         inboxes, drops = {}, 0
         final_step = config.total_timesteps - 1
@@ -593,21 +610,17 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
             results = backend.step(t, inboxes)
 
             step_report = StepReport()
-            outboxes = []
-            for lp_id in sorted(results):
-                res = results[lp_id]
+            for res in results.values():  # in LP order
                 step_report.merge(res.report)
-                outboxes.append(res.outbox)
-                world.update(res.ids, res.xs, res.ys)
-            table = join_tables(outboxes)
+            table = join_tables([res.outbox for res in results.values()])
             if t and metrics.routed_per_step[-1] is None:
                 # the LPs routed step t - 1 themselves: every copy they
                 # delivered now, and every copy frozen entities lost
                 metrics.routed_per_step[-1] = step_report.delivered + drops
 
-            coordinator.at_barrier(t, world, backend, metrics,
+            coordinator.at_barrier(t, backend, metrics,
                                    force_end=(t == final_step))
-            frozen = coordinator.frozen_ids()
+            frozen = coordinator.frozen()
 
             active = backend.entity_count()
             if active + len(frozen) != model_spec.num_entities:
@@ -619,7 +632,7 @@ def run_simulation(config: EngineConfig, model_spec, hybrid=None,
             if t < final_step:
                 # routed is None where the LPs route (the process backend)
                 inboxes, routed, drops = backend.route(
-                    world, table, interaction_range, t, frozen)
+                    table, interaction_range, t, frozen)
             else:
                 # nothing can be delivered beyond the horizon: final-step
                 # broadcasts die on the air and are not counted as routed

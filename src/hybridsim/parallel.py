@@ -2,14 +2,14 @@
 
 The parent keeps the step loop and coordination; each worker holds one
 LogicalProcess and answers the parent's commands with it over a pipe.
-ProcessBackend inherits step, extract, restore and finish from
-engine.InProcessBackend and replaces how an LP is asked (a command down
-each LP's pipe, then one wait for all the replies) and the routing
+ProcessBackend inherits step, positions, extract, restore and finish
+from engine.InProcessBackend and replaces how an LP is asked (a command
+down each LP's pipe, then one wait for all the replies) and the routing
 hook: every worker gets the previous step's whole broadcast table and
 routes it to its own entities, so the parent routes nothing and only
-counts the copies frozen entities lose. A step's command and reply
-carry numpy columns only (the table; the outbox table and the
-positions), which pickle as raw bytes. Counters are bit-identical to
+counts the copies frozen entities lose. A step's command is the table
+and its reply the report and the outbox table: numpy columns, which
+pickle as raw bytes. Counters are bit-identical to
 the in-process backend because partitioning, per-entity streams, the
 reach test and the canonical inbox order are all independent of where
 an entity lives and of where it is routed.
@@ -162,7 +162,7 @@ class ProcessBackend(InProcessBackend):
             raise error
         return payloads
 
-    def route(self, world, table, interaction_range: float, t: int,
+    def route(self, table, interaction_range: float, t: int,
               frozen) -> tuple:
         """Step t's whole table for every LP, to route to its own entities
         as step t + 1 begins; frozen entities are in no LP, so the parent
@@ -171,7 +171,7 @@ class ProcessBackend(InProcessBackend):
         if not len(table):
             return {}, 0, 0
         return (dict.fromkeys(self.lps, StepTable(t, table)), None,
-                frozen_copies(world, table, interaction_range, frozen))
+                frozen_copies(frozen, table, self.side, interaction_range))
 
     def entity_count(self) -> int:
         return sum(self._counts.values())

@@ -527,12 +527,8 @@ def decide_relay(cols: EntityColumns, rows: np.ndarray, copies: np.ndarray,
 
 
 class World:
-    """Global position table the engine routes over at each barrier.
-
-    Holds every entity's last reported position, including entities
-    currently frozen into a sub-simulator (they keep their hand-off
-    position so envelopes addressed to them can be counted and dropped).
-    """
+    """The in-process router's table of every entity's position, frozen
+    ones included, which InProcessBackend.route fills for one step."""
 
     def __init__(self, side: float, num_entities: int):
         self.side = side
@@ -543,9 +539,6 @@ class World:
     def update(self, ids, xs, ys) -> None:
         self.pos_x[ids] = xs
         self.pos_y[ids] = ys
-
-    def position(self, entity_id: int):
-        return (float(self.pos_x[entity_id]), float(self.pos_y[entity_id]))
 
 
 def broadcast_reach(world: World, sender_pos, interaction_range: float,

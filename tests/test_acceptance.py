@@ -249,7 +249,7 @@ def test_c5_fast_paths_match_reference_oracles(capsys):
         world.pos_x[:] = [rng.uniform(0.0, side) for _ in range(n)]
         world.pos_y[:] = [rng.uniform(0.0, side) for _ in range(n)]
         sender = rng.randrange(n)
-        pos = world.position(sender)
+        pos = (float(world.pos_x[sender]), float(world.pos_y[sender]))
         want = _scan_reach(world, pos, 250.0, sender)
         msg = DisseminationMessage(k, sender, *pos, 5, 0, 0)
         inboxes, _, _ = route_broadcasts(

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hybridsim.coordination import (
-    ENDPOINT_ENV_VAR,
     DONE,
     FAILED,
     RUNNING_L1B,
@@ -29,7 +28,6 @@ from hybridsim.coordination import (
     WrapperHandle,
     coordinate_step,
     reintegrate,
-    resolve_endpoint,
     spawn_level1,
 )
 from hybridsim import coordination, market, transport, wrapper
@@ -46,6 +44,15 @@ def _world_at(side, xs, ys):
     w = World(side, len(xs))
     w.update(list(range(len(xs))), xs, ys)
     return w
+
+
+def _check(trigger, world, t, frozen):
+    """trigger.check at step t, its free() giving world's positions of
+    the entities not in frozen, as the backend's positions() would."""
+    ids = np.array([i for i in range(world.num_entities) if i not in frozen],
+                   dtype=np.intp)
+    return trigger.check(t, lambda: (ids, world.pos_x[ids], world.pos_y[ids]),
+                         world.side)
 
 
 def brute_density(world, threshold, radius, frozen=frozenset()):
@@ -97,7 +104,7 @@ def _density_events(expect):
 
 def test_density_default_threshold_never_fires():
     w = _world_at(1000.0, [10.0] * 50, [10.0] * 50)  # maximally clustered
-    assert DensityTrigger().check(w, 0, frozenset()) == []
+    assert _check(DensityTrigger(), w, 0, frozenset()) == []
 
 
 def test_density_fires_against_brute_force_oracle():
@@ -113,7 +120,7 @@ def test_density_fires_against_brute_force_oracle():
     w = _world_at(1000.0, xs, ys)
     for threshold, radius in [(3, 60.0), (8, 60.0), (12, 200.0)]:
         expect = brute_density(w, threshold, radius)
-        events = DensityTrigger(threshold, radius).check(w, 0, frozenset())
+        events = _check(DensityTrigger(threshold, radius), w, 0, frozenset())
         if expect is None:
             assert events == []
             continue
@@ -133,19 +140,19 @@ def test_density_hit_beyond_first_chunk():
     w = _world_at(1000.0, xs, ys)
     expect = brute_density(w, 15, 10.0)
     assert expect is not None and expect[0] == 520
-    events = DensityTrigger(15, 10.0).check(w, 0, frozenset())
+    events = _check(DensityTrigger(15, 10.0), w, 0, frozenset())
     assert events == [expect[1]] == [tuple(range(520, 540))]
 
 
 def test_density_counts_across_the_seam():
     # 995 and 5 are 10 apart on a side-1000 torus
     w = _world_at(1000.0, [995.0, 5.0, 500.0], [500.0, 500.0, 0.0])
-    assert DensityTrigger(2, 20.0).check(w, 0, frozenset()) == [(0, 1)]
+    assert _check(DensityTrigger(2, 20.0), w, 0, frozenset()) == [(0, 1)]
 
 
 def test_density_boundary_inclusive():
     w = _world_at(1000.0, [0.0, 250.0], [0.0, 0.0])
-    assert DensityTrigger(2, 250.0).check(w, 0, frozenset()) == [(0, 1)]
+    assert _check(DensityTrigger(2, 250.0), w, 0, frozenset()) == [(0, 1)]
 
 
 def test_density_lowest_id_center_wins():
@@ -153,18 +160,18 @@ def test_density_lowest_id_center_wins():
     xs = [100.0, 101.0, 102.0, 800.0, 801.0, 802.0]
     ys = [100.0, 100.0, 100.0, 800.0, 800.0, 800.0]
     w = _world_at(1000.0, xs, ys)
-    assert DensityTrigger(3, 10.0).check(w, 0, frozenset()) == [(0, 1, 2)]
+    assert _check(DensityTrigger(3, 10.0), w, 0, frozenset()) == [(0, 1, 2)]
     # with 0 frozen, the cluster of 1 and 2 is one short: the far one wins
-    assert DensityTrigger(3, 10.0).check(w, 0, {0: "h"}) == [(3, 4, 5)]
+    assert _check(DensityTrigger(3, 10.0), w, 0, {0: "h"}) == [(3, 4, 5)]
 
 
 def test_density_ignores_frozen_entities():
     xs = [100.0, 101.0, 102.0]
     ys = [100.0, 100.0, 100.0]
     w = _world_at(1000.0, xs, ys)
-    assert DensityTrigger(3, 10.0).check(w, 0, frozenset({1})) == []
+    assert _check(DensityTrigger(3, 10.0), w, 0, frozenset({1})) == []
     # and the remaining pair still qualifies at a lower threshold
-    assert DensityTrigger(2, 10.0).check(w, 0, frozenset({1})) == [(0, 2)]
+    assert _check(DensityTrigger(2, 10.0), w, 0, frozenset({1})) == [(0, 2)]
 
 
 @st.composite
@@ -202,7 +209,7 @@ def _density_scenes(draw):
 @given(_density_scenes())
 def test_density_matches_brute_force_on_edges(scene):
     world, threshold, radius, frozen = scene
-    got = DensityTrigger(threshold, radius).check(world, 0, frozen)
+    got = _check(DensityTrigger(threshold, radius), world, 0, frozen)
     assert got == _density_events(brute_density(world, threshold, radius,
                                                 frozen))
 
@@ -224,7 +231,7 @@ def test_density_at_8000_entities_matches_chunked_scan():
     frozen = dict.fromkeys(range(0, n, 97), "handle")
     expect = chunked_density(w, 40, 250.0, frozen)
     assert expect is not None and expect[0] < 760  # the first cluster
-    assert DensityTrigger(40, 250.0).check(w, 0, frozen) == [expect[1]]
+    assert _check(DensityTrigger(40, 250.0), w, 0, frozen) == [expect[1]]
 
 
 def test_density_triggered_run_is_identical_across_backends():
@@ -249,24 +256,37 @@ def test_density_validation():
 def test_scripted_fires_at_configured_steps():
     trig = ScriptedTrigger(spawn_at=(3,), transfer_count=2)
     w = _world_at(100.0, [0.0] * 6, [0.0] * 6)
-    assert trig.check(w, 2, frozenset()) == []
-    assert trig.check(w, 3, frozenset()) == [(0, 1)]
-    assert trig.check(w, 4, frozenset()) == []
+    assert _check(trig, w, 2, frozenset()) == []
+    assert _check(trig, w, 3, frozenset()) == [(0, 1)]
+    assert _check(trig, w, 4, frozenset()) == []
 
 
 def test_scripted_repeated_step_takes_disjoint_sets():
     trig = ScriptedTrigger(spawn_at=(5, 5), transfer_count=4)
     w = _world_at(100.0, [0.0] * 8, [0.0] * 8)
-    assert trig.check(w, 5, frozenset()) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert _check(trig, w, 5, frozenset()) == [(0, 1, 2, 3), (4, 5, 6, 7)]
 
 
 def test_scripted_skips_frozen_and_takes_partial():
     trig = ScriptedTrigger(spawn_at=(1,), transfer_count=3)
     w = _world_at(100.0, [0.0] * 4, [0.0] * 4)
-    assert trig.check(w, 1, {0: object(), 1: object()}) == [(2, 3)]
+    assert _check(trig, w, 1, {0: object(), 1: object()}) == [(2, 3)]
     # entirely frozen pool: the firing is dropped
     frozen = {i: object() for i in range(4)}
-    assert trig.check(w, 1, frozen) == []
+    assert _check(trig, w, 1, frozen) == []
+
+
+def test_scripted_asks_for_positions_only_when_it_fires():
+    asked = []
+
+    def free():
+        asked.append(True)
+        return np.arange(4), np.zeros(4), np.zeros(4)
+
+    trig = ScriptedTrigger(spawn_at=(3,), transfer_count=2)
+    assert [trig.check(t, free, 100.0) for t in (2, 3, 4)] == [
+        [], [(0, 1)], []]
+    assert len(asked) == 1
 
 
 def test_scripted_validation():
@@ -277,12 +297,12 @@ def test_scripted_validation():
 
 
 def test_no_trigger_is_quiet():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     coord = HybridCoordinator(HybridSpec(trigger=None), config, spec)
     metrics = RunMetrics()
-    coord.at_barrier(0, world, backend, metrics)
+    coord.at_barrier(0, backend, metrics)
     assert coord.active == {} and coord.history == []
-    assert coord.frozen_ids() == set() and coord.finish() == []
+    assert _frozen_ids(coord) == set() and coord.finish() == []
     assert metrics.level1.spawns == 0 and metrics.level1.failures == 0
 
 
@@ -362,29 +382,10 @@ def test_hybrid_spec_endpoint_validation():
 
 
 @pytest.mark.parametrize("endpoint", ["h:-1", "h:+80", "h:0", "h:99999"])
-def test_endpoint_port_outside_1_to_65535_is_refused(endpoint, monkeypatch):
+def test_endpoint_port_outside_1_to_65535_is_refused(endpoint):
+    # refused as the spec is made, so before any entity is frozen
     with pytest.raises(ValueError, match="1-65535"):
         HybridSpec(endpoint=endpoint)
-    # the environment path: refused before any entity is frozen
-    config, spec, backend, world = _bench()
-    monkeypatch.setenv(ENDPOINT_ENV_VAR, endpoint)
-    with pytest.raises(ValueError, match="1-65535"):
-        spawn_level1(backend, [2, 5], 4, HybridSpec(), config.master_seed,
-                     spec.side, 0)
-    assert backend.entity_count() == 12
-
-
-def test_resolve_endpoint_env_beats_spec(monkeypatch):
-    spec = HybridSpec(endpoint="10.0.0.1:9000")
-    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
-    assert resolve_endpoint(spec) == "10.0.0.1:9000"
-    monkeypatch.setenv(ENDPOINT_ENV_VAR, "10.0.0.2:9001")
-    assert resolve_endpoint(spec) == "10.0.0.2:9001"
-    monkeypatch.setenv(ENDPOINT_ENV_VAR, "")  # empty means unset
-    assert resolve_endpoint(spec) == "10.0.0.1:9000"
-    assert resolve_endpoint(HybridSpec()) is None  # no env, no spec
-    monkeypatch.delenv(ENDPOINT_ENV_VAR)
-    assert resolve_endpoint(HybridSpec()) is None
 
 
 # --- spawn / coordinate / reintegrate against the real wrapper -----------
@@ -394,15 +395,19 @@ def _bench(n=12, num_lps=3, master_seed=7):
     config = EngineConfig(num_lps=num_lps, total_timesteps=30,
                           master_seed=master_seed)
     spec = TerritorySpec(num_entities=n)
-    backend = InProcessBackend(config, spec)
-    world = World(spec.side, n)
-    for lp in backend.lps.values():
-        world.update(*lp.positions())
-    return config, spec, backend, world
+    return config, spec, InProcessBackend(config, spec)
+
+
+# the fine substeps per CONTINUE of a default HybridSpec
+SUBSTEPS = TimestepAlignment().fine_substeps
+
+
+def _frozen_ids(coord):
+    return {rec.entity_id for rec in coord.frozen()}
 
 
 def test_spawn_rejects_bad_entity_sets():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     hs = HybridSpec()
     with pytest.raises(ValueError):
         spawn_level1(backend, [], 4, hs, config.master_seed, spec.side, 0)
@@ -411,7 +416,7 @@ def test_spawn_rejects_bad_entity_sets():
 
 
 def test_spawn_freezes_and_reaches_ready():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     handle = spawn_level1(backend, [7, 2, 5], 4, HybridSpec(),
                           config.master_seed, spec.side, wrapper_id=0)
     try:
@@ -428,11 +433,11 @@ def test_spawn_freezes_and_reaches_ready():
         assert lines[-1] == "< READY step=4"
     finally:
         coordinate_step(handle, 5, FixedDurationPolicy(1))
-        reintegrate(backend, handle, world)
+        reintegrate(backend, handle, spec.side, SUBSTEPS)
 
 
 def test_spawn_connection_refused_restores_entities():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     before = backend.extract([2, 5, 7])
     backend.restore(before)
     hs = HybridSpec(endpoint="127.0.0.1:1", io_timeout=5.0)
@@ -445,7 +450,7 @@ def test_spawn_connection_refused_restores_entities():
 
 
 def test_spawn_then_immediate_end_is_a_no_op():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     ids = [1, 4, 9]
     before = backend.extract(ids)
     backend.restore(before)
@@ -454,7 +459,7 @@ def test_spawn_then_immediate_end_is_a_no_op():
     status = coordinate_step(handle, 7, FixedDurationPolicy(1))
     assert handle.end_sent_at == 7
     assert status["fine_steps"] == "0"
-    reintegrate(backend, handle, world)
+    reintegrate(backend, handle, spec.side, SUBSTEPS)
     assert handle.state == DONE
     assert backend.entity_count() == 12
     assert backend.extract(ids) == before  # bit-exact round trip
@@ -462,14 +467,15 @@ def test_spawn_then_immediate_end_is_a_no_op():
 
 
 def test_fixed_duration_session_shape_and_metrics():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     metrics = RunMetrics()
     handle = spawn_level1(backend, [0, 3], 10, HybridSpec(),
                           config.master_seed, spec.side, 0)
     for t in (11, 12, 13):
         coordinate_step(handle, t, FixedDurationPolicy(3))
     assert handle.end_sent_at == 13
-    reintegrate(backend, handle, world, metrics)
+    reintegrate(backend, handle, spec.side, SUBSTEPS,
+                    metrics)
     lines = handle.transcript
     assert sum(l.startswith("< STATUS") for l in lines) == 3
     assert sum(l.startswith("> CONTINUE") for l in lines) == 2
@@ -478,15 +484,17 @@ def test_fixed_duration_session_shape_and_metrics():
     assert metrics.level1.fine_steps == 6
     assert metrics.level1.customers == 2
     assert metrics.level1.emissions_g > 0
-    # reintegrated positions are in the world table
+    # reintegrated positions are the ones the backend reports
+    ids, xs, ys = backend.positions()
+    assert ids.tolist() == list(range(12))
     recs = backend.extract([0, 3])
-    for r in recs:
-        assert world.position(r.entity_id) == (r.x, r.y)
+    assert [(xs[r.entity_id], ys[r.entity_id]) for r in recs] == [
+        (r.x, r.y) for r in recs]
     backend.restore(recs)
 
 
 def test_until_arrived_session_runs_to_completion():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     metrics = RunMetrics()
     handle = spawn_level1(backend, [0, 1, 2], 0, HybridSpec(),
                           config.master_seed, spec.side, 0)
@@ -496,14 +504,15 @@ def test_until_arrived_session_runs_to_completion():
         t += 1
         assert t < 500, "market session did not converge"
         coordinate_step(handle, t, policy)
-    reintegrate(backend, handle, world, metrics)
+    reintegrate(backend, handle, spec.side, SUBSTEPS,
+                    metrics)
     assert metrics.level1.arrived == 3
     assert metrics.level1.route_discoveries >= 3
     assert metrics.level1.market_messages > 0
 
 
 def test_coordinate_step_guards_state():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     handle = spawn_level1(backend, [5], 2, HybridSpec(),
                           config.master_seed, spec.side, 0)
     handle.state = DONE
@@ -511,27 +520,27 @@ def test_coordinate_step_guards_state():
         coordinate_step(handle, 3, FixedDurationPolicy(1))
     handle.state = RUNNING_L1B
     coordinate_step(handle, 3, FixedDurationPolicy(1))
-    reintegrate(backend, handle, world)
+    reintegrate(backend, handle, spec.side, SUBSTEPS)
 
 
 def test_reintegrate_requires_end():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     handle = spawn_level1(backend, [5], 2, HybridSpec(),
                           config.master_seed, spec.side, 0)
     with pytest.raises(EngineError, match="before END"):
-        reintegrate(backend, handle, world)
+        reintegrate(backend, handle, spec.side, SUBSTEPS)
     coordinate_step(handle, 3, FixedDurationPolicy(1))
-    reintegrate(backend, handle, world)
+    reintegrate(backend, handle, spec.side, SUBSTEPS)
 
 
 def test_spawn_over_tcp_endpoint(remote):
     endpoint, sessions = remote
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     hs = HybridSpec(endpoint=endpoint, io_timeout=30.0)
     handle = spawn_level1(backend, [3, 8], 1, hs, config.master_seed,
                           spec.side, 0)
     coordinate_step(handle, 2, FixedDurationPolicy(1))
-    reintegrate(backend, handle, world)
+    reintegrate(backend, handle, spec.side, SUBSTEPS)
     assert handle.state == DONE
     assert backend.entity_count() == 12
     assert len(sessions) == 1
@@ -557,7 +566,7 @@ def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
     th = threading.Thread(target=flood, daemon=True)
     th.start()
     try:
-        config, spec, backend, world = _bench()
+        config, spec, backend = _bench()
         before = backend.extract([3, 8])
         backend.restore(before)
         hs = HybridSpec(endpoint=f"127.0.0.1:{port}", io_timeout=10.0)
@@ -565,9 +574,9 @@ def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
         handle = spawn_level1(backend, [3, 8], 4, hs, config.master_seed,
                               spec.side, 0)
         coord.active[0] = handle
-        assert coord.frozen_ids() == {3, 8}
+        assert _frozen_ids(coord) == {3, 8}
         metrics = RunMetrics()
-        coord.at_barrier(5, world, backend, metrics)
+        coord.at_barrier(5, backend, metrics)
         th.join(timeout=10.0)
         assert not th.is_alive()
     finally:
@@ -575,7 +584,7 @@ def test_wrapper_flooding_one_line_is_terminated_and_restored(capsys):
     assert "wrapper 0 terminated: no newline within the 65536-byte line" \
         " limit" in capsys.readouterr().err
     assert handle.state == FAILED and metrics.level1.failures == 1
-    assert coord.active == {} and coord.frozen_ids() == set()
+    assert coord.active == {} and _frozen_ids(coord) == set()
     assert backend.entity_count() == 12
     assert backend.extract([3, 8]) == before
     assert handle.channel.sock.fileno() == -1  # closed, not leaked
@@ -617,7 +626,8 @@ def _result(n, draws=0, **over):
 
 
 def _ended_handle(script, records=(_R0, _R1)):
-    h = WrapperHandle(3, 5, records, _script_channel(script))
+    """Wrapper 3, spawned at step 4 and told END at step 5."""
+    h = WrapperHandle(3, 4, records, _script_channel(script))
     h.state = RUNNING_L1B
     h.end_sent_at = 5
     return h
@@ -630,7 +640,7 @@ def test_reintegrate_detects_missing_and_extra():
                        ("ENTITY", 5, _wire(wrong)),
                        ("BYE", 5, {})])
     with pytest.raises(ConservationError, match=r"missing \[2\].*unexpected \[9\]"):
-        reintegrate(_RestoreLog(), h, World(100.0, 10))
+        reintegrate(_RestoreLog(), h, 100.0, SUBSTEPS)
 
 
 def test_reintegrate_detects_count_mismatch():
@@ -638,7 +648,7 @@ def test_reintegrate_detects_count_mismatch():
                        ("ENTITY", 5, _wire(_R0)),
                        ("BYE", 5, {})])
     with pytest.raises(ConservationError, match="returned 1"):
-        reintegrate(_RestoreLog(), h, World(100.0, 10))
+        reintegrate(_RestoreLog(), h, 100.0, SUBSTEPS)
 
 
 def test_reintegrate_detects_field_corruption():
@@ -648,7 +658,7 @@ def test_reintegrate_detects_field_corruption():
                        ("ENTITY", 5, _wire(_R1)),
                        ("BYE", 5, {})])
     with pytest.raises(ConservationError, match="entity 1.*altered"):
-        reintegrate(_RestoreLog(), h, World(100.0, 10))
+        reintegrate(_RestoreLog(), h, 100.0, SUBSTEPS)
 
 
 def test_reintegrate_detects_cursor_regression():
@@ -658,7 +668,7 @@ def test_reintegrate_detects_cursor_regression():
                        ("ENTITY", 5, _wire(_R1)),
                        ("BYE", 5, {})])
     with pytest.raises(ConservationError, match="cursor moved backwards"):
-        reintegrate(_RestoreLog(), h, World(100.0, 10))
+        reintegrate(_RestoreLog(), h, 100.0, SUBSTEPS)
 
 
 def test_reintegrate_detects_draw_miscount():
@@ -668,7 +678,7 @@ def test_reintegrate_detects_draw_miscount():
                        ("ENTITY", 5, _wire(_R1)),
                        ("BYE", 5, {})])
     with pytest.raises(ConservationError, match="draw accounting"):
-        reintegrate(_RestoreLog(), h, World(100.0, 10))
+        reintegrate(_RestoreLog(), h, 100.0, SUBSTEPS)
 
 
 def test_reintegrate_accepts_position_and_cursor_changes():
@@ -678,10 +688,8 @@ def test_reintegrate_accepts_position_and_cursor_changes():
                        ("ENTITY", 5, _wire(_R1)),
                        ("BYE", 5, {})])
     log = _RestoreLog()
-    world = World(100.0, 10)
-    reintegrate(log, h, world)
+    reintegrate(log, h, 100.0, SUBSTEPS)
     assert log.restored == [(moved, _R1)]
-    assert world.position(1) == (50.0, 60.0)
     assert h.state == DONE
 
 
@@ -695,7 +703,7 @@ def _terminated_once(result=None, bye_step=6):
     records unchanged and BYE for bye_step, and must end alone: its
     entities restored once, from the snapshot, and Level1Totals counting
     only the failure. Returns the cause it was terminated for."""
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     records = tuple(backend.extract([4, 6]))
     handle = WrapperHandle(0, 5, records, _script_channel(
         [("STATUS", 6, {}), ("RESULT", 6, result or _result(2)),
@@ -711,7 +719,7 @@ def _terminated_once(result=None, bye_step=6):
     metrics = RunMetrics()
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        coord.at_barrier(6, world, backend, metrics)
+        coord.at_barrier(6, backend, metrics)
     assert restored == [records]
     assert backend.entity_count() == 12 and coord.active == {}
     assert handle.state == FAILED
@@ -719,11 +727,17 @@ def _terminated_once(result=None, bye_step=6):
     return err.getvalue().split("wrapper 0 terminated: ")[1]
 
 
-@pytest.mark.parametrize("value", [None, "abc", "nan", "-5"])
-@pytest.mark.parametrize("name", _TOTALS)
+@pytest.mark.parametrize("name,value", [
+    *((name, value) for name in _TOTALS
+      for value in (None, "abc", "nan", "-5")),
+    ("customers", "3"),  # more than the 2 entities
+    ("arrived", "1"),  # more than the 0 customers
+    ("fine_steps", "1"),  # END came at the first STATUS: 0 CONTINUEs
+])
 def test_bad_result_total_terminates_only_its_wrapper(name, value):
-    """A RESULT total that is dropped (None), unreadable or out of range
-    ends only its wrapper, and the cause names the field."""
+    """A RESULT total that is dropped (None), unreadable, out of range or
+    at odds with the session ends only its wrapper, and the cause names
+    the field."""
     result = _result(2)
     if value is None:
         del result[name]
@@ -744,19 +758,19 @@ def test_bye_for_another_step_terminates_only_its_wrapper():
 
 
 def test_coordinator_full_cycle_with_scripted_trigger():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(4,), transfer_count=2),
                     policy=FixedDurationPolicy(1))
     coord = HybridCoordinator(hs, config, spec)
     metrics = RunMetrics()
-    coord.at_barrier(4, world, backend, metrics)
+    coord.at_barrier(4, backend, metrics)
     assert sorted(coord.active) == [0]
-    assert coord.frozen_ids() == {0, 1}
+    assert _frozen_ids(coord) == {0, 1}
     assert backend.entity_count() == 10
     assert metrics.level1.spawns == 1
     assert metrics.level1.entities_transferred == 2
-    coord.at_barrier(5, world, backend, metrics)
-    assert coord.active == {} and coord.frozen_ids() == set()
+    coord.at_barrier(5, backend, metrics)
+    assert coord.active == {} and _frozen_ids(coord) == set()
     assert backend.entity_count() == 12
     [transcript] = coord.finish()  # no active wrappers: clean
     assert transcript["wrapper_id"] == 0 and transcript["spawned_at"] == 4
@@ -766,44 +780,44 @@ def test_coordinator_full_cycle_with_scripted_trigger():
 
 
 def test_coordinator_force_end_overrides_policy():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(2,), transfer_count=3),
                     policy=FixedDurationPolicy(99))
     coord = HybridCoordinator(hs, config, spec)
     metrics = RunMetrics()
-    coord.at_barrier(2, world, backend, metrics)
+    coord.at_barrier(2, backend, metrics)
     assert len(coord.active) == 1
-    coord.at_barrier(3, world, backend, metrics, force_end=True)
-    assert coord.active == {} and coord.frozen_ids() == set()
+    coord.at_barrier(3, backend, metrics, force_end=True)
+    assert coord.active == {} and _frozen_ids(coord) == set()
     assert backend.entity_count() == 12
     # force_end also suppresses new spawns
     hs2 = HybridSpec(trigger=ScriptedTrigger(spawn_at=(9,), transfer_count=1))
     coord2 = HybridCoordinator(hs2, config, spec)
-    coord2.at_barrier(9, world, backend, metrics, force_end=True)
+    coord2.at_barrier(9, backend, metrics, force_end=True)
     assert coord2.active == {}
 
 
 def test_coordinator_finish_flags_active_wrappers():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(1,), transfer_count=1),
                     policy=FixedDurationPolicy(50))
     coord = HybridCoordinator(hs, config, spec)
-    coord.at_barrier(1, world, backend, RunMetrics())
+    coord.at_barrier(1, backend, RunMetrics())
     with pytest.raises(EngineError, match=r"wrappers still active at end of"
                        r" run: \[0\], holding entities \[0\]"):
         coord.finish()
     # clean up the live session
-    coord.at_barrier(2, world, backend, RunMetrics(), force_end=True)
+    coord.at_barrier(2, backend, RunMetrics(), force_end=True)
 
 
 def test_coordinator_spawn_failure_is_soft():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(3,), transfer_count=2),
                     endpoint="127.0.0.1:1", io_timeout=5.0)
     coord = HybridCoordinator(hs, config, spec)
     metrics = RunMetrics()
-    coord.at_barrier(3, world, backend, metrics)
-    assert coord.active == {} and coord.frozen_ids() == set()
+    coord.at_barrier(3, backend, metrics)
+    assert coord.active == {} and _frozen_ids(coord) == set()
     assert backend.entity_count() == 12  # entities put back
     assert metrics.level1.failures == 1
     assert metrics.level1.spawns == 0
@@ -811,7 +825,7 @@ def test_coordinator_spawn_failure_is_soft():
 
 
 def test_coordinator_terminates_protocol_breaker_and_continues():
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     coord = HybridCoordinator(HybridSpec(), config, spec)
     records = tuple(backend.extract([4, 6]))
     # a wrapper that sends STATUS for the wrong step
@@ -819,10 +833,10 @@ def test_coordinator_terminates_protocol_breaker_and_continues():
                         _script_channel([("STATUS", 99, {"querying": "0"})]))
     bad.state = RUNNING_L1B
     coord.active[0] = bad
-    assert coord.frozen_ids() == {4, 6}
+    assert _frozen_ids(coord) == {4, 6}
     metrics = RunMetrics()
-    coord.at_barrier(6, world, backend, metrics)
-    assert coord.active == {} and coord.frozen_ids() == set()
+    coord.at_barrier(6, backend, metrics)
+    assert coord.active == {} and _frozen_ids(coord) == set()
     assert bad.state == FAILED
     assert metrics.level1.failures == 1
     assert backend.entity_count() == 12  # snapshot restored
@@ -833,7 +847,7 @@ def test_concurrent_sessions_commute():
     # two independent sessions serviced in either order must leave the
     # same entity state and totals behind
     def run(order):
-        config, spec, backend, world = _bench()
+        config, spec, backend = _bench()
         metrics = RunMetrics()
         handles = {
             0: spawn_level1(backend, [0, 1], 2, HybridSpec(),
@@ -843,7 +857,8 @@ def test_concurrent_sessions_commute():
         }
         for wid in order:
             coordinate_step(handles[wid], 3, FixedDurationPolicy(1))
-            reintegrate(backend, handles[wid], world, metrics)
+            reintegrate(backend, handles[wid], spec.side, SUBSTEPS,
+                    metrics)
         state = backend.extract([0, 1, 2, 3])
         return (state, metrics.level1.fine_steps, metrics.level1.customers,
                 metrics.level1.emissions_g)
@@ -911,7 +926,7 @@ def test_local_session_crash_names_its_cause_and_restores(ready,
         monkeypatch.setattr(market.MarketRun, "advance", crash)
     else:
         monkeypatch.setattr(wrapper, "simulate_arrivals", crash)
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     before = backend.extract([0, 1, 2])
     backend.restore(before)
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(2,), transfer_count=3),
@@ -919,7 +934,7 @@ def test_local_session_crash_names_its_cause_and_restores(ready,
     coord = HybridCoordinator(hs, config, spec)
     metrics = RunMetrics()
     for t in (2, 3, 4, 5):
-        coord.at_barrier(t, world, backend, metrics)
+        coord.at_barrier(t, backend, metrics)
     cause = "wrapper session crashed: RuntimeError('model fault')"
     [line] = capsys.readouterr().err.splitlines()
     if ready:
@@ -931,7 +946,7 @@ def test_local_session_crash_names_its_cause_and_restores(ready,
                         + cause)
         assert coord.history == [] and metrics.level1.spawns == 0
     assert metrics.level1.failures == 1
-    assert coord.active == {} and coord.frozen_ids() == set()
+    assert coord.active == {} and _frozen_ids(coord) == set()
     assert backend.entity_count() == 12
     assert backend.extract([0, 1, 2]) == before
 
@@ -945,13 +960,13 @@ def test_coordinator_close_closes_suspended_local_sessions(monkeypatch):
         return sessions[-1]
 
     monkeypatch.setattr(wrapper, "session", tracked)
-    config, spec, backend, world = _bench()
+    config, spec, backend = _bench()
     hs = HybridSpec(trigger=ScriptedTrigger(spawn_at=(1, 1),
                                             transfer_count=2),
                     policy=FixedDurationPolicy(9))
     coord = HybridCoordinator(hs, config, spec)
-    coord.at_barrier(1, world, backend, RunMetrics())
-    coord.at_barrier(2, world, backend, RunMetrics())
+    coord.at_barrier(1, backend, RunMetrics())
+    coord.at_barrier(2, backend, RunMetrics())
     assert len(sessions) == 2
     assert all(s.gi_frame is not None for s in sessions)  # suspended
     coord.close()

@@ -29,7 +29,6 @@ from hypothesis import example, given, settings, strategies as st
 from hybridsim import wrapper
 from hybridsim.coordination import (
     DONE,
-    ENDPOINT_ENV_VAR,
     ConservationError,
     FixedDurationPolicy,
     HybridSpec,
@@ -137,7 +136,6 @@ def _run(plan, lps=1, mode="inprocess"):
 
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
-        mp.delenv(ENDPOINT_ENV_VAR, raising=False)
         mp.setattr(wrapper, "session",
                    _hostile_sessions(plan, wrapper.session, hostile))
         mp.setattr(InProcessBackend, "extract", logged_extract)

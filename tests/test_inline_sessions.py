@@ -17,7 +17,6 @@ from hybridsim import conformance
 from hybridsim.campaign import run_one
 from hybridsim.config import RunSettings
 from hybridsim.coordination import (
-    ENDPOINT_ENV_VAR,
     DensityTrigger,
     FixedDurationPolicy,
     HybridSpec,
@@ -28,29 +27,29 @@ from hybridsim.engine import EngineConfig, run_simulation
 from hybridsim.territory import TerritorySpec
 
 
-def _golden_hybrid():
+def _golden_hybrid(endpoint=""):
     """The golden hybrid scenario: two wrappers spawned at one barrier."""
     settings = RunSettings(**dict(conformance.HYBRID_SCENARIO,
                                   ses=(conformance.HYBRID_SCENARIO["ses"],)),
-                           mode="inprocess")
+                           mode="inprocess", endpoint=endpoint)
     return run_one(settings, *settings.single_run(), settings.seed, {})
 
 
-def _density():
+def _density(endpoint=None):
     """A DensityTrigger firing at most barriers, sessions overlapping."""
     hybrid = HybridSpec(trigger=DensityTrigger(threshold=6, radius=120.0),
-                        policy=FixedDurationPolicy(2))
+                        policy=FixedDurationPolicy(2), endpoint=endpoint)
     return run_simulation(EngineConfig(num_lps=2, total_timesteps=20,
                                        master_seed=5),
                           TerritorySpec(120), hybrid=hybrid,
                           mode="inprocess")
 
 
-def _process():
+def _process(endpoint=None):
     """Two worker processes; sessions walk until every pedestrian arrives."""
     hybrid = HybridSpec(trigger=ScriptedTrigger(spawn_at=(3, 3, 8),
                                                 transfer_count=5),
-                        policy=UntilArrivedPolicy())
+                        policy=UntilArrivedPolicy(), endpoint=endpoint)
     return run_simulation(EngineConfig(num_lps=2, total_timesteps=30,
                                        master_seed=17),
                           TerritorySpec(150), hybrid=hybrid, mode="process")
@@ -58,12 +57,10 @@ def _process():
 
 @pytest.mark.parametrize("run", [_golden_hybrid, _density, _process],
                          ids=["golden_hybrid", "density", "process"])
-def test_local_sessions_equal_the_remote_wrapper(run, remote, monkeypatch):
+def test_local_sessions_equal_the_remote_wrapper(run, remote):
     endpoint, sessions = remote
-    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
     local = run()
-    monkeypatch.setenv(ENDPOINT_ENV_VAR, endpoint)
-    over_tcp = run()
+    over_tcp = run(endpoint)
     assert local.level1.spawns >= 2 and local.level1.failures == 0
     assert len(sessions) == local.level1.spawns
     assert local.comparable() == over_tcp.comparable()
@@ -74,7 +71,6 @@ def test_local_hybrid_run_starts_no_thread_and_opens_no_socket(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a local session started a thread or socket")
 
-    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
     before = threading.active_count()
     monkeypatch.setattr(threading.Thread, "start", refuse)
     monkeypatch.setattr(socket, "socketpair", refuse)

@@ -53,15 +53,15 @@ def test_process_lp_count_does_not_change_results():
     assert two.comparable() == four.comparable()
 
 
-# what a step reply pickles to beyond its columns: the reply tuple, the
-# StepResult and StepReport with their field names, and the array headers
+# what a step reply pickles to beyond its outbox: the reply tuple, the
+# StepResult and StepReport with their field names, and the array header
 REPLY_ALLOWANCE = 1024
 
 
 def test_step_reply_crosses_the_pipe_as_columns(monkeypatch):
-    """A worker's step reply is raw column bytes: a table row per
-    broadcast and an id and two coordinates per entity, with no
-    Broadcast or DisseminationMessage object in it."""
+    """A worker's step reply is its report and its outbox as raw column
+    bytes, a table row per broadcast: no position, and no Broadcast or
+    DisseminationMessage object in it."""
     received = []
     recv_bytes = mp_connection.Connection._recv_bytes
 
@@ -84,8 +84,7 @@ def test_step_reply_crosses_the_pipe_as_columns(monkeypatch):
         assert res.outbox.dtype == BROADCAST_COLUMNS
         assert b"Broadcast" not in blob
         assert b"DisseminationMessage" not in blob
-        n, e = len(res.outbox), len(res.ids)
-        assert len(blob) <= (BROADCAST_COLUMNS.itemsize * n + 24 * e
+        assert len(blob) <= (BROADCAST_COLUMNS.itemsize * len(res.outbox)
                              + REPLY_ALLOWANCE)
         relayed += int(np.count_nonzero(res.outbox["hop_count"]))
     assert relayed > 0  # relay rows crossed too, not only births
@@ -222,6 +221,46 @@ def test_worker_failure_outside_a_step_names_its_cause():
         pb.close()
 
 
+def _stepped_ids(backend, t):
+    """The ids of the active entities, in order, once step t has run."""
+    backend.step(t, {})
+    return backend.positions()[0].tolist()
+
+
+def test_positions_are_in_id_order_and_equal_on_both_backends():
+    spec = TerritorySpec(num_entities=40)
+    backends = [cls(_config(2), spec)
+                for cls in (InProcessBackend, ProcessBackend)]
+    try:
+        def positions():
+            got = [b.positions() for b in backends]
+            for ids, xs, ys in got:
+                assert len(ids) == len(xs) == len(ys)
+                assert (np.diff(ids) > 0).all()
+            for a, b in zip(got[0], got[1]):
+                assert np.array_equal(a, b)
+            return got[0]
+
+        assert positions()[0].tolist() == list(range(40))
+        for t in range(3):
+            for b in backends:
+                b.step(t, {})
+        moved = positions()
+        taken = [b.extract([7, 30, 2]) for b in backends]
+        assert taken[0] == taken[1]
+        assert positions()[0].tolist() == [i for i in range(40)
+                                           if i not in (2, 7, 30)]
+        for b, recs in zip(backends, taken):
+            b.restore(recs[::-1])
+        for a, b in zip(positions(), moved):
+            assert np.array_equal(a, b)
+        assert {(r.entity_id, r.x, r.y) for r in taken[0]} == {
+            (i, moved[1][i], moved[2][i]) for i in (2, 7, 30)}
+    finally:
+        for b in backends:
+            b.close()
+
+
 @pytest.mark.parametrize("backend", [InProcessBackend, ProcessBackend])
 def test_refused_extract_changes_nothing(backend):
     spec = TerritorySpec(num_entities=24)
@@ -238,7 +277,7 @@ def test_refused_extract_changes_nothing(backend):
             b.extract([5, other])
         b.restore([rec])
         assert b.entity_count() == 24
-        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        ids = _stepped_ids(b, 0)
         assert ids == list(range(24))
         assert [r.entity_id for r in b.extract([other, 5])] == [other, 5]
     finally:
@@ -261,7 +300,7 @@ def test_refused_extract_over_two_lps_changes_nothing(backend):
                            rf" \[{gone}\]"):
             b.extract([kept, gone])
         assert b.entity_count() == 23
-        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        ids = _stepped_ids(b, 0)
         assert ids == [i for i in range(24) if i != gone]
         b.restore([rec])
         assert [r.entity_id for r in b.extract([kept, gone])] == [kept, gone]
@@ -287,7 +326,7 @@ def test_refused_restore_over_two_lps_changes_nothing(backend):
                            rf" owned \[{owned}\]"):
             b.restore([rec_back, rec_owned])
         assert b.entity_count() == 23
-        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        ids = _stepped_ids(b, 0)
         assert ids == [i for i in range(24) if i != back]
         b.restore([rec_back])
         assert b.entity_count() == 24
@@ -309,14 +348,14 @@ def test_refused_restore_changes_nothing(backend):
                            r" listed twice \[3\], ids already owned \[\]"):
             b.restore([good, good])
         assert b.entity_count() == 22
-        ids = sorted(i for r in b.step(0, {}).values() for i in r.ids)
+        ids = _stepped_ids(b, 0)
         assert ids == [i for i in range(24) if i not in (3, 4)]
         b.restore([good])
         with pytest.raises(EngineError, match=r"lp=0 refused restore: ids"
                            r" listed twice \[\], ids already owned \[3\]"):
             b.restore([bad, good])
         assert b.entity_count() == 23
-        ids = sorted(i for r in b.step(1, {}).values() for i in r.ids)
+        ids = _stepped_ids(b, 1)
         assert ids == [i for i in range(24) if i != 4]
         b.restore([bad])
         assert b.entity_count() == 24

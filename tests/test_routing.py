@@ -246,11 +246,9 @@ def test_tiny_range_at_4000_entities_routes_like_the_flat_scan():
     spec = TerritorySpec(n, params)
     backend = InProcessBackend(EngineConfig(num_lps=2, total_timesteps=2,
                                             master_seed=5), spec)
+    tables = [res.outbox for res in backend.step(0, {}).values()]
     world = World(spec.side, n)
-    tables = []
-    for res in backend.step(0, {}).values():
-        world.update(res.ids, res.xs, res.ys)
-        tables.append(res.outbox)
+    world.update(*backend.positions())
     born = BroadcastTable(np.concatenate(tables))
     assert born
     # copies that land: senders on top of, and exactly 0.01 from, others

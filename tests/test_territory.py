@@ -610,7 +610,7 @@ def test_broadcast_reach_matches_oracle():
         w.update(ids, np.array([rnd.uniform(0, side) for _ in range(n)]),
                  np.array([rnd.uniform(0, side) for _ in range(n)]))
         sender = rnd.randrange(n)
-        pos = w.position(sender)
+        pos = (float(w.pos_x[sender]), float(w.pos_y[sender]))
         got = broadcast_reach(w, pos, 250.0, exclude=sender)
         assert list(got) == _oracle_reach(w, pos, 250.0, sender)
 
